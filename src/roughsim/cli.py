@@ -5,10 +5,13 @@ Subcommands: `simulate` (path sets), `smile` (implied-vol curves),
 `validate` (named invariant suites), `bench` (timing tables).
 
 Configuration comes from an optional JSON file (`--config`) merged with
-command-line flags; flags win. Unknown config keys are rejected before
-anything runs. Every run is deterministic given (config, seed) and the
-emitted metadata embeds the config hash, the git revision and the scheme
-tags that produced the artifact.
+command-line flags; flags win. One table per subcommand (`_COMMANDS`)
+generates its flags, its accepted config keys and the type and choice
+checks on config values; the choice lists are the library's own. Unknown
+keys and ill-typed values are rejected before anything runs. Every run
+is deterministic given (config, seed) and the emitted metadata embeds
+the config hash, the git revision and the scheme tags that produced the
+artifact.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime/validation
 failure, 3 I/O error.
@@ -23,16 +26,21 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import MISSING, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import bench as bench_mod
 from . import validation
 from ._config import set_threads, get_threads
-from .kernels import Grid, kernel_from_config
-from .models import model_from_config
+from .kernels import KERNEL_KINDS, Grid, kernel_from_config
+from .models import MODEL_TYPES, model_from_config
 from .pricing import (
+    PAYOFFS,
+    SCHEMES,
+    VARIANCE_REDUCTIONS,
     MCConfig,
     conditional_bs_estimate,
     implied_vol,
@@ -41,6 +49,7 @@ from .pricing import (
 )
 from .shocks import NoiseConfig, draw_shocks
 from .trees import (
+    WEIGHTS,
     TreeConfig,
     build_tree,
     call_payoff,
@@ -48,6 +57,7 @@ from .trees import (
     tree_price_american,
 )
 from .volterra import (
+    CONV_METHODS,
     cholesky_exact_rl,
     hybrid_scheme_rl,
     rdonsker_volterra,
@@ -60,7 +70,7 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_IO = 3
 
-_SIMULATE_SCHEMES = ("rdonsker_matched", "rdonsker_left", "hybrid", "cholesky")
+_TREE_DUMP = "tree.csv"
 
 
 class ConfigError(Exception):
@@ -70,72 +80,6 @@ class ConfigError(Exception):
 # ----------------------------------------------------------------------
 # config plumbing
 # ----------------------------------------------------------------------
-
-_SCHEMAS = {
-    "simulate": {
-        "kernel": {"type", "alpha", "hurst", "beta"},
-        "mc": {"paths", "steps", "seed", "scheme", "method", "horizon"},
-        "output": {"format", "prefix"},
-    },
-    "smile": {
-        "model": {"type", "xi0", "nu", "hurst", "rho", "spot", "beta",
-                  "eta", "kappa", "theta", "xi", "y0"},
-        "mc": {"paths", "steps", "seed", "scheme", "method", "horizon",
-               "antithetic", "variance_reduction"},
-        "strikes": None,
-        "payoff": None,
-        "output": {"prefix"},
-    },
-    "price": {
-        "model": {"type", "xi0", "nu", "hurst", "rho", "spot", "beta",
-                  "eta", "kappa", "theta", "xi", "y0"},
-        "mc": {"paths", "steps", "seed", "scheme", "method", "horizon",
-               "antithetic", "variance_reduction"},
-        "strike": None,
-        "payoff": None,
-    },
-    "american": {
-        "model": {"type", "xi0", "nu", "hurst", "rho", "spot", "beta",
-                  "eta", "kappa", "theta", "xi", "y0"},
-        "tree": {"depth", "rate", "dividend", "branching", "weights",
-                 "horizon", "max_in_memory_bytes"},
-        "strike": None,
-        "payoff": None,
-        "dump_tree": None,
-    },
-    "validate": {
-        "hursts": None,
-        "covariance_paths": None,
-        "covariance_seeds": None,
-        "martingale_paths": None,
-        "suites": None,
-    },
-    "bench": {
-        "schemes": None,
-        "grid": None,
-        "paths": None,
-        "trials": None,
-        "seed": None,
-        "hurst": None,
-    },
-}
-
-
-def _check_keys(config: dict, schema: dict, command: str) -> None:
-    unknown = set(config) - set(schema)
-    if unknown:
-        raise ConfigError(
-            f"unknown config keys for {command}: {sorted(unknown)}")
-    for key, sub in schema.items():
-        if sub is None or key not in config:
-            continue
-        if not isinstance(config[key], dict):
-            raise ConfigError(f"config section {key!r} must be an object")
-        bad = set(config[key]) - sub
-        if bad:
-            raise ConfigError(
-                f"unknown keys in config section {key!r}: {sorted(bad)}")
-
 
 def _load_config_file(path) -> dict:
     try:
@@ -149,15 +93,6 @@ def _load_config_file(path) -> dict:
     if not isinstance(config, dict):
         raise ConfigError("config file must hold a JSON object")
     return config
-
-
-def _set_override(config: dict, section, key, value) -> None:
-    if value is None:
-        return
-    if section is None:
-        config[key] = value
-    else:
-        config.setdefault(section, {})[key] = value
 
 
 def _config_hash(config: dict) -> str:
@@ -189,13 +124,6 @@ def _metadata(command: str, config: dict, scheme_tags, runtime: float) -> dict:
     }
 
 
-def _parse_floats(text: str) -> list:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
-
-
 def _json_default(obj):
     if isinstance(obj, np.integer):
         return int(obj)
@@ -217,40 +145,30 @@ def _write_json(path, payload) -> None:
 # subcommand implementations
 # ----------------------------------------------------------------------
 
-def _build_mc_config(mc: dict, defaults: dict) -> MCConfig:
-    merged = {**defaults, **mc}
-    grid = Grid(int(merged["steps"]), float(merged["horizon"]))
-    return MCConfig(
-        num_paths=int(merged["paths"]), grid=grid,
-        scheme=merged["scheme"],
-        variance_reduction=merged.get("variance_reduction", "conditional_bs"),
-        antithetic=bool(merged.get("antithetic", True)),
-        seed=int(merged["seed"]), method=merged.get("method", "fft"))
+def _mc_settings(config: dict, paths: int) -> dict:
+    """The `mc` section over MCConfig's defaults and the command's own."""
+    defaults = {f.name: f.default for f in fields(MCConfig)
+                if f.default is not MISSING}
+    return {**defaults, "paths": paths, "steps": 256, "horizon": 1.0,
+            **config.get("mc", {})}
 
 
-def cmd_simulate(config: dict, out_dir: Path) -> dict:
+def cmd_simulate(config: dict, args) -> dict:
     start = time.perf_counter()
+    out_dir = Path(args.output_dir)
     kernel_cfg = {"type": "rl", **config.get("kernel", {})}
     if kernel_cfg["type"] == "rl" and "alpha" not in kernel_cfg:
         kernel_cfg.setdefault("hurst", 0.3)
-    mc = {"paths": 100, "steps": 256, "seed": 0, "horizon": 1.0,
-          "scheme": "rdonsker_matched", "method": "fft",
-          **config.get("mc", {})}
+    mc = _mc_settings(config, 100)
     output = {"format": "csv", "prefix": "paths", **config.get("output", {})}
-    scheme = mc["scheme"]
-    if scheme not in _SIMULATE_SCHEMES:
-        raise ConfigError(f"unknown scheme {scheme!r}, "
-                          f"choose from {_SIMULATE_SCHEMES}")
-    if output["format"] not in ("csv", "binary"):
-        raise ConfigError(f"unknown output format {output['format']!r}")
+    scheme, paths_n, seed = mc["scheme"], mc["paths"], mc["seed"]
     try:
-        kernel = kernel_from_config(dict(kernel_cfg))
-        grid = Grid(int(mc["steps"]), float(mc["horizon"]))
-        paths_n, seed = int(mc["paths"]), int(mc["seed"])
+        kernel = kernel_from_config(kernel_cfg)
+        grid = Grid(mc["steps"], float(mc["horizon"]))
         if scheme in ("hybrid", "cholesky") and kernel.kind != "rl":
             raise ValueError(f"scheme {scheme!r} requires the "
                              "Riemann-Liouville kernel")
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     if scheme == "cholesky":
@@ -268,12 +186,9 @@ def cmd_simulate(config: dict, out_dir: Path) -> dict:
                                       eval_mode=mode, method=mc["method"])
             paths.seed = seed
 
-    suffix = ".csv" if output["format"] == "csv" else ".bin"
-    data_path = out_dir / (output["prefix"] + suffix)
-    if output["format"] == "csv":
-        save_csv(paths, data_path)
-    else:
-        save_binary(paths, data_path)
+    csv = output["format"] == "csv"
+    data_path = out_dir / (output["prefix"] + (".csv" if csv else ".bin"))
+    (save_csv if csv else save_binary)(paths, data_path)
     meta = _metadata("simulate", config, [paths.scheme_tag],
                      time.perf_counter() - start)
     meta["artifact"] = str(data_path)
@@ -282,37 +197,34 @@ def cmd_simulate(config: dict, out_dir: Path) -> dict:
     return meta
 
 
-def _model_and_mc(config: dict, mc_defaults: dict):
+def _model_and_mc(config: dict):
+    if "model" not in config:
+        raise ConfigError("missing config section 'model'")
+    mc = _mc_settings(config, 40_000)
     try:
-        if "model" not in config:
-            raise ConfigError("missing config section 'model'")
-        model = model_from_config(dict(config["model"]))
-        mc_config = _build_mc_config(config.get("mc", {}), mc_defaults)
+        model = model_from_config(config["model"])
+        mc_config = MCConfig(
+            num_paths=mc["paths"], grid=Grid(mc["steps"], float(mc["horizon"])),
+            scheme=mc["scheme"], variance_reduction=mc["variance_reduction"],
+            antithetic=mc["antithetic"], seed=mc["seed"], method=mc["method"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return model, mc_config
 
 
-_MC_DEFAULTS = {"paths": 40_000, "steps": 256, "seed": 0, "horizon": 1.0,
-                "scheme": "rdonsker_matched"}
-
-
-def cmd_smile(config: dict, out_dir: Path) -> dict:
+def cmd_smile(config: dict, args) -> dict:
     start = time.perf_counter()
-    model, mc_config = _model_and_mc(config, _MC_DEFAULTS)
-    strikes = config.get("strikes", [0.8, 0.9, 0.95, 1.0, 1.05, 1.1, 1.2])
-    payoff = config.get("payoff", "call")
+    model, mc_config = _model_and_mc(config)
+    strikes = np.asarray(config.get("strikes", [0.8, 0.9, 0.95, 1.0, 1.05,
+                                                1.1, 1.2]), dtype=float)
     prefix = config.get("output", {}).get("prefix", "smile")
     try:
-        strikes = np.asarray([float(k) for k in strikes])
-        if payoff not in ("call", "put"):
-            raise ConfigError(f"unknown payoff {payoff!r}")
-        result = smile(model, mc_config, strikes, payoff=payoff)
-    except ConfigError:
-        raise
+        result = smile(model, mc_config, strikes,
+                       payoff=config.get("payoff", "call"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
+    out_dir = Path(args.output_dir)
     csv_path = out_dir / f"{prefix}.csv"
     rows = np.column_stack([result.strikes, result.prices, result.stderrs,
                             result.implied_vols])
@@ -327,13 +239,11 @@ def cmd_smile(config: dict, out_dir: Path) -> dict:
     return meta
 
 
-def cmd_price(config: dict, out_dir: Path) -> dict:
+def cmd_price(config: dict, args) -> dict:
     start = time.perf_counter()
-    model, mc_config = _model_and_mc(config, _MC_DEFAULTS)
+    model, mc_config = _model_and_mc(config)
     strike = float(config.get("strike", 1.0))
     payoff = config.get("payoff", "call")
-    if payoff not in ("call", "put"):
-        raise ConfigError(f"unknown payoff {payoff!r}")
     if strike <= 0.0:
         raise ConfigError(f"strike must be positive, got {strike}")
     estimator = (conditional_bs_estimate
@@ -346,13 +256,12 @@ def cmd_price(config: dict, out_dir: Path) -> dict:
                           mc_config.grid.T)
     except ValueError:
         vol = float("nan")
-    record = {
+    return {
         "strike": strike, "payoff": payoff,
         "price": price, "stderr": stderr, "implied_vol": vol,
         "metadata": _metadata("price", config, [mc_config.scheme],
                               time.perf_counter() - start),
     }
-    return record
 
 
 def _dump_tree_csv(tree, path) -> None:
@@ -366,38 +275,23 @@ def _dump_tree_csv(tree, path) -> None:
                          f"{float(np.exp(xs[node]))!r},{float(vs[node])!r}\n")
 
 
-def cmd_american(config: dict, out_dir: Path) -> dict:
+def cmd_american(config: dict, args) -> dict:
     start = time.perf_counter()
-    try:
-        if "model" not in config:
-            raise ConfigError("missing config section 'model'")
-        model = model_from_config(dict(config["model"]))
-        tree_cfg = {"depth": 10, "rate": 0.0, "dividend": 0.0,
-                    "horizon": 1.0, **config.get("tree", {})}
-        tree_config = TreeConfig(
-            model=model, depth=int(tree_cfg["depth"]),
-            rate=float(tree_cfg["rate"]),
-            dividend=float(tree_cfg["dividend"]),
-            horizon=float(tree_cfg["horizon"]),
-            weights=tree_cfg.get("weights"),
-            branching=tree_cfg.get("branching"),
-            max_in_memory_bytes=int(tree_cfg.get("max_in_memory_bytes",
-                                                 1 << 29)))
-    except ConfigError:
-        raise
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(str(exc)) from exc
+    if "model" not in config:
+        raise ConfigError("missing config section 'model'")
     strike = float(config.get("strike", 1.0))
-    if strike <= 0.0:
-        raise ConfigError(f"strike must be positive, got {strike}")
     payoff_name = config.get("payoff", "put")
-    if payoff_name not in ("call", "put"):
-        raise ConfigError(f"unknown payoff {payoff_name!r}")
+    try:
+        model = model_from_config(config["model"])
+        tree_config = TreeConfig(model=model,
+                                 **{"depth": 10, **config.get("tree", {})})
+        payoff = (call_payoff if payoff_name == "call" else put_payoff)(strike)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     dump = config.get("dump_tree")
     if dump and tree_config.depth > 6:
         raise ConfigError("--dump-tree is limited to depth <= 6")
 
-    payoff = (call_payoff if payoff_name == "call" else put_payoff)(strike)
     tree = build_tree(tree_config)
     details = tree_price_american(tree, payoff, details=True)
     record = {
@@ -414,90 +308,184 @@ def cmd_american(config: dict, out_dir: Path) -> dict:
     record["metadata"]["exercise_counts"] = [
         int(c) for c in details["exercise_counts"]]
     if dump:
-        dump_path = out_dir / (dump if isinstance(dump, str) else "tree.csv")
+        dump_path = Path(args.output_dir) / (
+            dump if isinstance(dump, str) else _TREE_DUMP)
         _dump_tree_csv(tree, dump_path)
         record["metadata"]["tree_dump"] = str(dump_path)
     return record
 
 
-def cmd_validate(config: dict, corrupt: float = 0.0) -> dict:
-    hursts = tuple(config.get("hursts", validation.DEFAULT_HURSTS))
+def cmd_validate(config: dict, args) -> dict:
     hook = None
-    if corrupt:
+    if args.corrupt:
         def hook(weights):
-            weights[0] *= 1.0 + corrupt
+            weights[0] *= 1.0 + args.corrupt
             return weights
-    seeds = config.get("covariance_seeds")
-    if seeds is not None:
-        seeds = {name: int(seed) for name, seed in seeds.items()}
     try:
-        report = validation.run_invariants(
-            hursts=hursts,
-            covariance_paths=int(config.get("covariance_paths",
-                                            validation.COVARIANCE_PATHS)),
-            martingale_paths=int(config.get("martingale_paths", 40_000)),
-            covariance_seeds=seeds,
-            suites=config.get("suites"),
-            weight_hook=hook)
+        return validation.run_invariants(weight_hook=hook, **config)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return report
 
 
-def cmd_bench(config: dict) -> dict:
-    schemes = tuple(config.get("schemes", bench_mod.BENCH_SCHEMES))
-    grid = tuple(int(n) for n in config.get("grid", bench_mod.BENCH_GRID))
-    unknown = set(schemes) - set(bench_mod.BENCH_SCHEMES)
+def cmd_bench(config: dict, args) -> dict:
+    return bench_mod.run_bench(**config)
+
+
+# ----------------------------------------------------------------------
+# the settable values: one table per subcommand
+# ----------------------------------------------------------------------
+
+class Opt(NamedTuple):
+    """One settable value of a subcommand: its config key and its flag.
+
+    `type` is int, float, str or bool; [t] is a JSON list of t, given to
+    the flag as comma-separated text; {str: t} is a JSON object of t; a
+    tuple lists the types a JSON value may have, the first one being the
+    flag's. `choices` bound the value, a list's items or an object's
+    keys. `flag` defaults to --key; None marks a key that only a config
+    file sets. With `const` the flag's value is optional.
+    """
+
+    section: str | None
+    key: str
+    type: object = float
+    choices: tuple | None = None
+    help: str | None = None
+    flag: str | None = ""
+    const: str | None = None
+
+
+_MODEL = (
+    Opt("model", "type", str, MODEL_TYPES, flag="--model"),
+    Opt("model", "xi0", (float, [[float]])),
+    *(Opt("model", key) for key in ("nu", "hurst", "rho", "spot", "eta",
+                                    "kappa", "theta", "xi", "y0")),
+    Opt("model", "beta", flag="--beta-decay"),
+)
+
+
+def _mc(schemes) -> tuple:
+    return (*(Opt("mc", key, int) for key in ("paths", "steps", "seed")),
+            Opt("mc", "horizon"), Opt("mc", "scheme", str, schemes),
+            Opt("mc", "method", str, CONV_METHODS))
+
+
+_PRICING = (*_MODEL, *_mc(SCHEMES), Opt("mc", "antithetic", bool),
+            Opt("mc", "variance_reduction", str, VARIANCE_REDUCTIONS))
+_PAYOFF = Opt(None, "payoff", str, PAYOFFS)
+
+# name -> (help, handler, table); rows are in flag order
+_COMMANDS = {
+    "simulate": ("generate Volterra path sets", cmd_simulate, (
+        Opt("kernel", "type", str, KERNEL_KINDS, flag="--kernel"),
+        *(Opt("kernel", key) for key in ("hurst", "alpha", "beta")),
+        *_mc(SCHEMES + ("cholesky",)),
+        Opt("output", "format", str, ("csv", "binary")),
+        Opt("output", "prefix", str))),
+    "smile": ("implied-volatility curve via MC", cmd_smile, (
+        *_PRICING,
+        Opt(None, "strikes", [float], help="comma-separated strike list"),
+        _PAYOFF, Opt("output", "prefix", str))),
+    "price": ("single European contract via MC", cmd_price, (
+        *_PRICING, Opt(None, "strike"), _PAYOFF)),
+    "american": ("bushy-tree American pricing", cmd_american, (
+        *_MODEL, Opt("tree", "depth", int),
+        *(Opt("tree", key) for key in ("rate", "dividend", "horizon")),
+        Opt("tree", "branching", int), Opt("tree", "weights", str, WEIGHTS),
+        Opt(None, "strike"), _PAYOFF,
+        Opt(None, "dump_tree", (str, bool), const=_TREE_DUMP,
+            help="level-ordered node CSV (depth<=6)"),
+        Opt("tree", "max_in_memory_bytes", int, flag=None))),
+    "validate": ("run the named invariant suites", cmd_validate, (
+        Opt(None, "hursts", [float], help="comma-separated Hurst grid"),
+        Opt(None, "covariance_paths", int),
+        Opt(None, "martingale_paths", int),
+        Opt(None, "suites", [str], validation.SUITES,
+            help="comma-separated invariant suite names"),
+        Opt(None, "covariance_seeds", {str: int},
+            tuple(validation.COVARIANCE_SEEDS), flag=None))),
+    "bench": ("median timing table per scheme", cmd_bench, (
+        Opt(None, "schemes", [str], bench_mod.BENCH_SCHEMES,
+            help="comma-separated scheme list"),
+        Opt(None, "grid", [int], help="comma-separated step counts"),
+        *(Opt(None, key, int) for key in ("paths", "trials", "seed")),
+        Opt(None, "hurst"))),
+}
+
+
+def _flag(opt: Opt) -> str:
+    return opt.flag or "--" + opt.key.replace("_", "-")
+
+
+def _valid(kind, value) -> bool:
+    """Whether a JSON value has the type `kind` of an Opt."""
+    if isinstance(kind, tuple):
+        return any(_valid(k, value) for k in kind)
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_valid(kind[0], v) for v in value)
+    if isinstance(kind, dict):
+        return isinstance(value, dict) and all(_valid(kind[str], v)
+                                               for v in value.values())
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _type_name(kind) -> str:
+    if isinstance(kind, tuple):
+        return " or ".join(map(_type_name, kind))
+    if isinstance(kind, list):
+        return f"[{_type_name(kind[0])}]"
+    if isinstance(kind, dict):
+        return f"{{str: {_type_name(kind[str])}}}"
+    return kind.__name__
+
+
+def _check_config(config: dict, table, command: str) -> None:
+    sections = {opt.section for opt in table} - {None}
+    unknown = (set(config) - sections
+               - {opt.key for opt in table if opt.section is None})
     if unknown:
-        raise ConfigError(f"unknown bench schemes: {sorted(unknown)}")
-    return bench_mod.run_bench(
-        schemes=schemes, grid=grid,
-        paths=int(config.get("paths", 256)),
-        trials=int(config.get("trials", 10)),
-        hurst=float(config.get("hurst", 0.3)),
-        seed=int(config.get("seed", 0)))
+        raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
+    for section in sections & set(config):
+        if not isinstance(config[section], dict):
+            raise ConfigError(f"config section {section!r} must be an object")
+        bad = set(config[section]) - {opt.key for opt in table
+                                      if opt.section == section}
+        if bad:
+            raise ConfigError(
+                f"unknown keys in config section {section!r}: {sorted(bad)}")
+    for opt in table:
+        holder = config if opt.section is None else config.get(opt.section, {})
+        if opt.key not in holder:
+            continue
+        value = holder[opt.key]
+        name = opt.key if opt.section is None else f"{opt.section}.{opt.key}"
+        if not _valid(opt.type, value):
+            raise ConfigError(f"config value {name} must be "
+                              f"{_type_name(opt.type)}, got {value!r}")
+        if opt.choices is not None:
+            bad = [v for v in ([value] if isinstance(value, str) else value)
+                   if v not in opt.choices]
+            if bad:
+                raise ConfigError(f"unknown {command} {name}: {bad}, "
+                                  f"choose from {opt.choices}")
+
+
+def _split(text: str, kind) -> list:
+    """Comma-separated flag text as the list a config file holds."""
+    items = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if kind is str:
+        return items
+    try:
+        return [kind(float(tok)) for tok in items]
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
 # ----------------------------------------------------------------------
 # argument parsing
 # ----------------------------------------------------------------------
-
-def _add_model_flags(parser) -> None:
-    parser.add_argument("--model", choices=("rbergomi", "gbergomi",
-                                            "rheston_gjrs"))
-    for flag in ("xi0", "nu", "hurst", "rho", "spot", "eta", "kappa",
-                 "theta", "xi", "y0"):
-        parser.add_argument(f"--{flag}", type=float)
-    parser.add_argument("--beta-decay", type=float, dest="beta_decay")
-
-
-def _add_mc_flags(parser) -> None:
-    parser.add_argument("--paths", type=int)
-    parser.add_argument("--steps", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--horizon", type=float)
-    parser.add_argument("--scheme", choices=_SIMULATE_SCHEMES[:3])
-    parser.add_argument("--method", choices=("fft", "naive"))
-    parser.add_argument("--antithetic", action=argparse.BooleanOptionalAction,
-                        default=None)
-    parser.add_argument("--variance-reduction",
-                        choices=("conditional_bs", "none"),
-                        dest="variance_reduction")
-
-
-def _model_overrides(config: dict, args) -> None:
-    _set_override(config, "model", "type", args.model)
-    for flag in ("xi0", "nu", "hurst", "rho", "spot", "eta", "kappa",
-                 "theta", "xi", "y0"):
-        _set_override(config, "model", flag, getattr(args, flag))
-    _set_override(config, "model", "beta", args.beta_decay)
-
-
-def _mc_overrides(config: dict, args) -> None:
-    for flag in ("paths", "steps", "seed", "horizon", "scheme", "method",
-                 "antithetic", "variance_reduction"):
-        _set_override(config, "mc", flag, getattr(args, flag))
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -506,123 +494,49 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int,
                         help="FFT worker cap (env: ROUGHSIM_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="generate Volterra path sets")
-    p.add_argument("--config")
-    p.add_argument("--kernel", choices=("rl", "gamma", "powerlaw"))
-    p.add_argument("--hurst", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--paths", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--scheme", choices=_SIMULATE_SCHEMES)
-    p.add_argument("--method", choices=("fft", "naive"))
-    p.add_argument("--format", choices=("csv", "binary"))
-    p.add_argument("--prefix")
-    p.add_argument("--output-dir", default=".")
-
-    p = sub.add_parser("smile", help="implied-volatility curve via MC")
-    p.add_argument("--config")
-    _add_model_flags(p)
-    _add_mc_flags(p)
-    p.add_argument("--strikes", help="comma-separated strike list")
-    p.add_argument("--payoff", choices=("call", "put"))
-    p.add_argument("--prefix")
-    p.add_argument("--output-dir", default=".")
-
-    p = sub.add_parser("price", help="single European contract via MC")
-    p.add_argument("--config")
-    _add_model_flags(p)
-    _add_mc_flags(p)
-    p.add_argument("--strike", type=float)
-    p.add_argument("--payoff", choices=("call", "put"))
-
-    p = sub.add_parser("american", help="bushy-tree American pricing")
-    p.add_argument("--config")
-    _add_model_flags(p)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--rate", type=float)
-    p.add_argument("--dividend", type=float)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--branching", type=int)
-    p.add_argument("--weights", choices=("moment_matched", "left_point"))
-    p.add_argument("--strike", type=float)
-    p.add_argument("--payoff", choices=("call", "put"))
-    p.add_argument("--dump-tree", nargs="?", const="tree.csv",
-                   dest="dump_tree", help="level-ordered node CSV (depth<=6)")
-    p.add_argument("--output-dir", default=".")
-
-    p = sub.add_parser("validate", help="run the named invariant suites")
-    p.add_argument("--config")
-    p.add_argument("--hursts", help="comma-separated Hurst grid")
-    p.add_argument("--covariance-paths", type=int, dest="covariance_paths")
-    p.add_argument("--martingale-paths", type=int, dest="martingale_paths")
-    p.add_argument("--suites", help="comma-separated invariant suite names")
-    p.add_argument("--corrupt-weight-table", type=float, default=0.0,
-                   dest="corrupt",
-                   help="fault-injection self-test: scale a weight-table "
-                        "entry by (1+x); the run must fail by name")
-
-    p = sub.add_parser("bench", help="median timing table per scheme")
-    p.add_argument("--config")
-    p.add_argument("--schemes", help="comma-separated scheme list")
-    p.add_argument("--grid", help="comma-separated step counts")
-    p.add_argument("--paths", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--hurst", type=float)
+    for name, (about, handler, table) in _COMMANDS.items():
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(run=handler)
+        p.add_argument("--config")
+        for opt in table:
+            if opt.flag is None:
+                continue
+            kind = opt.type[0] if isinstance(opt.type, tuple) else opt.type
+            if kind is bool:
+                kw = {"action": argparse.BooleanOptionalAction}
+            elif isinstance(kind, list):
+                kw = {}  # comma-separated text, split by _assemble_config
+            else:
+                kw = {"type": kind, "choices": opt.choices}
+            if opt.const is not None:
+                kw.update(nargs="?", const=opt.const)
+            p.add_argument(_flag(opt), help=opt.help, **kw)
+        if name == "validate":
+            p.add_argument("--corrupt-weight-table", type=float, default=0.0,
+                           dest="corrupt", help="fault-injection self-test: "
+                           "scale a weight-table entry by (1+x); the run must "
+                           "fail by name")
+        if name in ("simulate", "smile", "american"):
+            p.add_argument("--output-dir", default=".")
     return parser
 
 
 def _assemble_config(args) -> dict:
     config = _load_config_file(args.config) if args.config else {}
-    cmd = args.command
-    if cmd == "simulate":
-        _set_override(config, "kernel", "type", args.kernel)
-        _set_override(config, "kernel", "hurst", args.hurst)
-        _set_override(config, "kernel", "alpha", args.alpha)
-        _set_override(config, "kernel", "beta", args.beta)
-        for flag in ("paths", "steps", "seed", "horizon", "scheme", "method"):
-            _set_override(config, "mc", flag, getattr(args, flag))
-        _set_override(config, "output", "format", args.format)
-        _set_override(config, "output", "prefix", args.prefix)
-    elif cmd in ("smile", "price"):
-        _model_overrides(config, args)
-        _mc_overrides(config, args)
-        if cmd == "smile":
-            if args.strikes is not None:
-                config["strikes"] = _parse_floats(args.strikes)
-            _set_override(config, "output", "prefix", args.prefix)
-        else:
-            _set_override(config, None, "strike", args.strike)
-        _set_override(config, None, "payoff", args.payoff)
-    elif cmd == "american":
-        _model_overrides(config, args)
-        for flag in ("depth", "rate", "dividend", "horizon", "branching",
-                     "weights"):
-            _set_override(config, "tree", flag, getattr(args, flag))
-        _set_override(config, None, "strike", args.strike)
-        _set_override(config, None, "payoff", args.payoff)
-        _set_override(config, None, "dump_tree", args.dump_tree)
-    elif cmd == "validate":
-        if args.hursts is not None:
-            config["hursts"] = _parse_floats(args.hursts)
-        if args.suites is not None:
-            config["suites"] = [s.strip() for s in args.suites.split(",")
-                                if s.strip()]
-        _set_override(config, None, "covariance_paths", args.covariance_paths)
-        _set_override(config, None, "martingale_paths", args.martingale_paths)
-    elif cmd == "bench":
-        if args.schemes is not None:
-            config["schemes"] = [s.strip() for s in args.schemes.split(",")
-                                 if s.strip()]
-        if args.grid is not None:
-            config["grid"] = [int(n) for n in _parse_floats(args.grid)]
-        for flag in ("paths", "trials", "seed", "hurst"):
-            _set_override(config, None, flag, getattr(args, flag))
-    _check_keys(config, _SCHEMAS[cmd], cmd)
+    table = _COMMANDS[args.command][2]
+    for opt in table:
+        if opt.flag is None:
+            continue
+        value = getattr(args, _flag(opt)[2:].replace("-", "_"))
+        if value is None:
+            continue
+        if isinstance(opt.type, list):
+            value = _split(value, opt.type[0])
+        holder = config if opt.section is None else config.setdefault(
+            opt.section, {})
+        if isinstance(holder, dict):  # else _check_config names the section
+            holder[opt.key] = value
+    _check_config(config, table, args.command)
     return config
 
 
@@ -632,27 +546,12 @@ def main(argv=None) -> int:
         if args.threads is not None:
             set_threads(args.threads)
         config = _assemble_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out_dir = Path(getattr(args, "output_dir", "."))
     try:
-        if args.command == "simulate":
-            report = cmd_simulate(config, out_dir)
-        elif args.command == "smile":
-            report = cmd_smile(config, out_dir)
-        elif args.command == "price":
-            report = cmd_price(config, out_dir)
-        elif args.command == "american":
-            report = cmd_american(config, out_dir)
-        elif args.command == "validate":
-            report = cmd_validate(config, corrupt=args.corrupt)
-        else:
-            report = cmd_bench(config)
+        report = args.run(config, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.integrate import quad
 
 _QUAD_TOL = 1e-12
-_KINDS = ("rl", "gamma", "powerlaw")
+KERNEL_KINDS = ("rl", "gamma", "powerlaw")
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,9 @@ class KernelSpec:
     beta: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown kernel kind {self.kind!r}, want one of {_KINDS}")
+        if self.kind not in KERNEL_KINDS:
+            raise ValueError(
+                f"unknown kernel kind {self.kind!r}, want one of {KERNEL_KINDS}")
         if not -1.0 < self.alpha < 1.0:
             raise ValueError(f"kernel alpha must lie in (-1, 1), got {self.alpha}")
         if self.kind == "rl":
@@ -115,11 +116,19 @@ def kernel_from_config(cfg: dict) -> KernelSpec:
     """Build a KernelSpec from a config mapping.
 
     Accepted keys: type ("rl" | "gamma" | "powerlaw"), alpha, beta, and
-    for type "rl" the sugar key hurst (= alpha + 1/2).
+    for type "rl" the sugar key hurst (= alpha + 1/2). A key that the
+    type does not take (beta for "rl", hurst otherwise) is rejected by
+    name rather than ignored.
     """
     if "type" not in cfg:
         raise ValueError("kernel config needs a 'type' key")
     kind = cfg["type"]
+    if kind not in KERNEL_KINDS:
+        raise ValueError(f"unknown kernel type {kind!r}")
+    foreign = set(cfg) - {"type", "alpha", "hurst" if kind == "rl" else "beta"}
+    if foreign:
+        raise ValueError(
+            f"unknown kernel config keys for type {kind!r}: {sorted(foreign)}")
     if kind == "rl":
         if "hurst" in cfg:
             if "alpha" in cfg:
@@ -128,12 +137,10 @@ def kernel_from_config(cfg: dict) -> KernelSpec:
         if "alpha" not in cfg:
             raise ValueError("rl kernel config needs alpha or hurst")
         return riemann_liouville(alpha=float(cfg["alpha"]))
-    if kind in ("gamma", "powerlaw"):
-        if "alpha" not in cfg or "beta" not in cfg:
-            raise ValueError(f"{kind} kernel config needs alpha and beta")
-        make = gamma_fractional if kind == "gamma" else power_law
-        return make(float(cfg["alpha"]), float(cfg["beta"]))
-    raise ValueError(f"unknown kernel type {kind!r}")
+    if "alpha" not in cfg or "beta" not in cfg:
+        raise ValueError(f"{kind} kernel config needs alpha and beta")
+    make = gamma_fractional if kind == "gamma" else power_law
+    return make(float(cfg["alpha"]), float(cfg["beta"]))
 
 
 # ----------------------------------------------------------------------

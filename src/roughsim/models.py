@@ -189,6 +189,8 @@ class RoughHestonGJRS:
 
 BERGOMI_VARIANTS = (RoughBergomi, GammaBergomi)
 MODEL_VARIANTS = (RoughBergomi, GammaBergomi, RoughHestonGJRS)
+# config `type` names, in MODEL_VARIANTS order
+MODEL_TYPES = ("rbergomi", "gbergomi", "rheston_gjrs")
 
 
 # ----------------------------------------------------------------------
@@ -205,6 +207,29 @@ def squared_integral_profile(kernel: KernelSpec, grid: Grid) -> np.ndarray:
     return q
 
 
+def variance_map(model, phi, q, xi, stats=None):
+    """V = Phi(phi) on an array of Volterra values or on one value.
+
+    Bergomi variants: xi * exp(2 nu C_H phi - 2 nu^2 C_H^2 q), where q =
+    Q(t) and xi = xi0(t) are taken at phi's times (they broadcast).
+    RoughHestonGJRS: max(eta + phi, 0), ignoring q and xi; when `stats` is
+    given, the clamped cells are counted into it. Monte Carlo
+    (`phi_apply`) and the trees both call this map, so they agree bitwise.
+    """
+    if isinstance(model, BERGOMI_VARIANTS):
+        c_h = math.sqrt(2.0 * model.hurst)
+        return xi * np.exp(2.0 * model.nu * c_h * phi
+                           - 2.0 * model.nu ** 2 * c_h ** 2 * q)
+    if isinstance(model, RoughHestonGJRS):
+        v = model.eta + phi
+        if stats is not None:
+            clamped = int(np.count_nonzero(v < 0.0))
+            stats["clamp_cells"] = clamped
+            stats["clamp_fraction"] = clamped / np.size(v)
+        return np.maximum(v, 0.0)
+    raise TypeError(f"unsupported model {type(model).__name__}")
+
+
 def phi_apply(model, volterra: PathSet, grid: Grid) -> PathSet:
     """Map Volterra paths phi to variance paths V = Phi(phi).
 
@@ -216,22 +241,12 @@ def phi_apply(model, volterra: PathSet, grid: Grid) -> PathSet:
         raise ValueError(
             f"path grid {volterra.grid} does not match requested grid {grid}"
         )
-    phi = volterra.values
     stats = dict(volterra.stats)
+    q = xi = None
     if isinstance(model, BERGOMI_VARIANTS):
-        c_h = math.sqrt(2.0 * model.hurst)
         q = squared_integral_profile(model.kernel(), grid)
         xi = model.xi0(grid.times)
-        v = xi * np.exp(2.0 * model.nu * c_h * phi
-                        - 2.0 * model.nu ** 2 * c_h ** 2 * q)
-    elif isinstance(model, RoughHestonGJRS):
-        v = model.eta + phi
-        clamped = int(np.count_nonzero(v < 0.0))
-        stats["clamp_cells"] = clamped
-        stats["clamp_fraction"] = clamped / v.size
-        v = np.maximum(v, 0.0)
-    else:
-        raise TypeError(f"unsupported model {type(model).__name__}")
+    v = variance_map(model, volterra.values, q, xi, stats)
     return PathSet(values=v, grid=grid, scheme_tag=volterra.scheme_tag,
                    seed=volterra.seed, stats=stats)
 
@@ -246,7 +261,7 @@ def model_from_config(cfg: dict):
     kind = cfg.pop("type", None)
     if kind is None:
         raise ValueError("model config requires a 'type' key")
-    if kind not in ("rbergomi", "gbergomi", "rheston_gjrs"):
+    if kind not in MODEL_TYPES:
         raise ValueError(f"unknown model type {kind!r}")
     try:
         common = {"rho": cfg.pop("rho"), "spot": cfg.pop("spot", 1.0)}

@@ -25,10 +25,16 @@ from scipy.special import ndtr
 from roughsim.kernels import Grid
 from roughsim.models import phi_apply
 from roughsim.shocks import NoiseConfig, base_group, draw_shocks
-from roughsim.volterra import PathSet, hybrid_scheme_rl, rdonsker_volterra
+from roughsim.volterra import (
+    CONV_METHODS,
+    PathSet,
+    hybrid_scheme_rl,
+    rdonsker_volterra,
+)
 
-_SCHEMES = ("rdonsker_left", "rdonsker_matched", "hybrid")
-_PAYOFFS = ("call", "put")
+SCHEMES = ("rdonsker_matched", "rdonsker_left", "hybrid")
+PAYOFFS = ("call", "put")
+VARIANCE_REDUCTIONS = ("conditional_bs", "none")
 # chunk sizing: cap the per-chunk element count so several M x n
 # temporaries stay well under typical memory budgets
 _CHUNK_ELEMENTS = 8_388_608
@@ -53,12 +59,12 @@ class MCConfig:
     def __post_init__(self):
         if self.num_paths < 1:
             raise ValueError("num_paths must be >= 1")
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; pick from {_SCHEMES}")
-        if self.variance_reduction not in ("none", "conditional_bs"):
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}; pick from {SCHEMES}")
+        if self.variance_reduction not in VARIANCE_REDUCTIONS:
             raise ValueError(
                 f"unknown variance_reduction {self.variance_reduction!r}")
-        if self.method not in ("fft", "naive"):
+        if self.method not in CONV_METHODS:
             raise ValueError(f"unknown convolution method {self.method!r}")
 
 
@@ -318,7 +324,7 @@ def _conditional_group_means(model, config: MCConfig, strikes: np.ndarray,
 def conditional_bs_estimate(model, config: MCConfig, strike: float,
                             payoff: str = "call") -> tuple:
     """(mean, stderr) of the conditional Black-Scholes price estimator."""
-    if payoff not in _PAYOFFS:
+    if payoff not in PAYOFFS:
         raise ValueError(f"unknown payoff {payoff!r}")
     groups = _conditional_group_means(model, config, np.array([strike]),
                                       payoff, {})
@@ -329,7 +335,7 @@ def conditional_bs_estimate(model, config: MCConfig, strike: float,
 def plain_mc_estimate(model, config: MCConfig, strike: float,
                       payoff: str = "call") -> tuple:
     """(mean, stderr) of the plain payoff-averaging estimator."""
-    if payoff not in _PAYOFFS:
+    if payoff not in PAYOFFS:
         raise ValueError(f"unknown payoff {payoff!r}")
     groups = _plain_group_means(model, config, np.array([strike]), payoff, {})
     means, errs = _mean_stderr(groups)
@@ -363,7 +369,7 @@ def smile(model, config: MCConfig, strikes, payoff: str = "call") -> SmileResult
         raise ValueError("strikes must be a nonempty 1-d array")
     if np.any(strikes <= 0.0) or np.any(np.diff(strikes) <= 0.0):
         raise ValueError("strikes must be positive and strictly increasing")
-    if payoff not in _PAYOFFS:
+    if payoff not in PAYOFFS:
         raise ValueError(f"unknown payoff {payoff!r}")
     stats = {}
     start = time.perf_counter()

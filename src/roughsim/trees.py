@@ -40,18 +40,15 @@ import numpy as np
 from scipy.special import ndtr
 
 from roughsim.kernels import Grid, left_point_weights, optimal_eval_weights
-from roughsim.models import BERGOMI_VARIANTS, squared_integral_profile
+from roughsim.models import (
+    BERGOMI_VARIANTS,
+    squared_integral_profile,
+    variance_map,
+)
 from roughsim.volterra import DiffusionSpec
 
-
-def _clip_domain(state, domain):
-    lo, hi = domain
-    if lo is None and hi is None:
-        return state
-    return np.clip(state, lo, hi)
-
 _MAX_DEPTH = {4: 12, 2: 24}
-_WEIGHTS = ("moment_matched", "left_point")
+WEIGHTS = ("moment_matched", "left_point")
 
 
 # ----------------------------------------------------------------------
@@ -102,7 +99,7 @@ class TreeConfig:
             object.__setattr__(
                 self, "weights",
                 "left_point" if is_diffusion else "moment_matched")
-        elif self.weights not in _WEIGHTS:
+        elif self.weights not in WEIGHTS:
             raise ValueError(f"unknown weights rule {self.weights!r}")
         elif self.weights == "moment_matched" and is_diffusion:
             raise ValueError("moment_matched weights need a Brownian driver")
@@ -226,14 +223,16 @@ class _LevelAllocator:
         return self._scratch
 
 
-def _phi_to_variance(model, phi, level_time_index: int, q_profile, xi_values):
-    """Apply the model's variance map at one level (array or scalar)."""
+def _variance_inputs(model, grid: Grid) -> list:
+    """Per-level (q, xi) arguments of `variance_map`.
+
+    Q(t_i) and xi0(t_i) for the Bergomi variants; the affine map of
+    RoughHestonGJRS takes neither.
+    """
     if isinstance(model, BERGOMI_VARIANTS):
-        c_h = math.sqrt(2.0 * model.hurst)
-        gain = 2.0 * model.nu * c_h
-        comp = -2.0 * model.nu ** 2 * c_h ** 2 * q_profile[level_time_index]
-        return xi_values[level_time_index] * np.exp(gain * phi + comp)
-    return np.maximum(model.eta + phi, 0.0)
+        q = squared_integral_profile(model.kernel(), grid)
+        return list(zip(q, model.xi0(grid.times)))
+    return [(None, None)] * (grid.n + 1)
 
 
 def build_tree(config: TreeConfig) -> BushyTree:
@@ -253,17 +252,11 @@ def build_tree(config: TreeConfig) -> BushyTree:
     weights = _tree_weights(config)
     driver = model.driver()
     diffusion = driver if isinstance(driver, DiffusionSpec) else None
-
-    if isinstance(model, BERGOMI_VARIANTS):
-        q_profile = squared_integral_profile(model.kernel(), grid)
-        xi_values = model.xi0(grid.times)
-    else:
-        q_profile = xi_values = None
+    inputs = _variance_inputs(model, grid)
 
     alloc = _LevelAllocator(config.max_in_memory_bytes)
     log_stock = [np.zeros(1)]
-    variance = [np.array([_phi_to_variance(model, 0.0, 0, q_profile,
-                                           xi_values)])]
+    variance = [np.array([variance_map(model, 0.0, *inputs[0])])]
     increments = [None]
     sqrt_dt = np.sqrt(dt)
     growth = (config.rate - config.dividend) * dt
@@ -280,7 +273,7 @@ def build_tree(config: TreeConfig) -> BushyTree:
         if diffusion is None:
             dy_view[:] = (sqrt_dt * zetas)[None, :]
         else:
-            clipped = _clip_domain(y_state, diffusion.domain)
+            clipped = diffusion.clip(y_state)
             drift = np.asarray(diffusion.drift(clipped), dtype=float)
             diff = np.asarray(diffusion.diffusion(clipped), dtype=float)
             dy_view[:] = drift[:, None] * dt + diff[:, None] * (sqrt_dt * zetas)
@@ -295,7 +288,7 @@ def build_tree(config: TreeConfig) -> BushyTree:
             phi.reshape(b ** level, -1)[...] += contrib[:, None]
 
         v = alloc.make(size)
-        v[:] = _phi_to_variance(model, phi, i, q_profile, xi_values)
+        v[:] = variance_map(model, phi, *inputs[i])
         variance.append(v)
 
         # log-stock Euler step from the parent level
@@ -330,18 +323,14 @@ def replay_leaf(tree: BushyTree, leaf: int) -> float:
     weights = _tree_weights(config)
     driver = model.driver()
     diffusion = driver if isinstance(driver, DiffusionSpec) else None
-    if isinstance(model, BERGOMI_VARIANTS):
-        q_profile = squared_integral_profile(model.kernel(), grid)
-        xi_values = model.xi0(grid.times)
-    else:
-        q_profile = xi_values = None
+    inputs = _variance_inputs(model, grid)
 
     digits = [(leaf // b ** (n - l)) % b for l in range(1, n + 1)]
     sqrt_dt = np.sqrt(dt)
     growth = (config.rate - config.dividend) * dt
     half_dt = -0.5 * dt
     x = np.float64(0.0)
-    v_prev = np.float64(_phi_to_variance(model, 0.0, 0, q_profile, xi_values))
+    v_prev = np.float64(variance_map(model, 0.0, *inputs[0]))
     y_state = None if diffusion is None else np.float64(diffusion.y0)
     dy_path = []
     for i in range(1, n + 1):
@@ -349,7 +338,7 @@ def replay_leaf(tree: BushyTree, leaf: int) -> float:
         if diffusion is None:
             dy = np.float64(sqrt_dt * zetas[r])
         else:
-            clipped = _clip_domain(y_state, diffusion.domain)
+            clipped = diffusion.clip(y_state)
             drift = np.float64(diffusion.drift(clipped))
             diff = np.float64(diffusion.diffusion(clipped))
             dy = drift * np.float64(dt) + diff * (sqrt_dt * zetas[r])
@@ -358,7 +347,7 @@ def replay_leaf(tree: BushyTree, leaf: int) -> float:
         phi = np.float64(0.0)
         for m in range(1, i + 1):
             phi += weights[m - 1] * dy_path[i - m]
-        v = np.float64(_phi_to_variance(model, phi, i, q_profile, xi_values))
+        v = np.float64(variance_map(model, phi, *inputs[i]))
         base = (x + growth) + half_dt * v_prev
         x = base + np.sqrt(dt * v_prev) * stock_shocks[r]
         v_prev = v

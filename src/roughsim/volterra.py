@@ -29,6 +29,7 @@ from roughsim.kernels import (
 from roughsim.shocks import STREAM_CHOLESKY, STREAM_HYBRID_AUX, path_rng
 
 _BINARY_MAGIC = b"RVOL1"
+CONV_METHODS = ("fft", "naive")
 
 
 # ----------------------------------------------------------------------
@@ -49,6 +50,13 @@ class DiffusionSpec:
     y0: float
     domain: tuple = (None, None)
     name: str = "diffusion"
+
+    def clip(self, state):
+        """The state clipped to `domain`; `state` itself if unbounded."""
+        lo, hi = self.domain
+        if lo is None and hi is None:
+            return state
+        return np.clip(state, lo, hi)
 
 
 def check_diffusion_coefficients(spec: DiffusionSpec, lo: float, hi: float,
@@ -148,15 +156,13 @@ def euler_diffusion(spec: DiffusionSpec, zeta: np.ndarray, grid: Grid) -> PathSe
         raise ValueError(f"shock columns {n} do not match grid n={grid.n}")
     dt = grid.dt
     sq = np.sqrt(dt)
-    lo, hi = spec.domain
     values = np.empty((m, n + 1))
     values[:, 0] = spec.y0
     y = np.full(m, float(spec.y0))
     clips = 0
     for k in range(n):
-        yc = y
-        if lo is not None or hi is not None:
-            yc = np.clip(y, lo, hi)
+        yc = spec.clip(y)
+        if yc is not y:
             clips += int(np.count_nonzero(yc != y))
         y = y + spec.drift(yc) * dt + spec.diffusion(yc) * sq * zeta[:, k]
         if not np.all(np.isfinite(y)):

@@ -5,11 +5,15 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import roughsim
+from roughsim import cli
 from roughsim.cli import main
 from roughsim.volterra import load_binary
 
@@ -286,3 +290,164 @@ def test_module_entry_point_and_env_threads(tmp_path):
                                              "ROUGHSIM_THREADS": "3"})
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["threads"] == 3
+
+
+# ----------------------------------------------------------------------
+# config values are checked by type and choice
+# ----------------------------------------------------------------------
+
+_FLAT_MODEL = {"type": "rbergomi", "xi0": 0.04, "nu": 0.0, "hurst": 0.3,
+               "rho": 0.0}
+
+
+def test_config_string_bool_is_config_error(tmp_path, capsys):
+    # bool("false") is True: a string must not switch antithetics on
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": _FLAT_MODEL, "mc": {
+        "paths": 64, "steps": 8, "antithetic": "false"}}))
+    code, _, err = _run(capsys, ["smile", "--config", str(cfg),
+                                 "--output-dir", str(tmp_path)])
+    assert code == 1 and "mc.antithetic" in err
+    assert not (tmp_path / "smile.csv").exists()
+
+
+def test_config_covariance_seeds_must_be_an_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"covariance_seeds": [1, 2]}))
+    code, _, err = _run(capsys, ["validate", "--config", str(cfg)])
+    assert code == 1 and "covariance_seeds" in err
+    cfg.write_text(json.dumps({"covariance_seeds": {"bogus": 1}}))
+    code, _, err = _run(capsys, ["validate", "--config", str(cfg)])
+    assert code == 1 and "bogus" in err
+
+
+def test_config_choices_match_the_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for bad in ({"mc": {"scheme": "cholesky"}}, {"payoff": "straddle"},
+                {"model": {**_FLAT_MODEL, "type": "heston"}}):
+        cfg.write_text(json.dumps({"model": _FLAT_MODEL, **bad}))
+        code, _, err = _run(capsys, ["price", "--config", str(cfg)])
+        assert code == 1 and "choose from" in err, bad
+    with pytest.raises(SystemExit):  # the flag refuses the same value
+        main(["price", "--scheme", "cholesky"])
+    capsys.readouterr()
+
+
+def test_simulate_kernel_rejects_foreign_keys(tmp_path, capsys):
+    code, _, err = _run(capsys, [
+        "simulate", "--kernel", "gamma", "--alpha", "-0.2", "--beta", "-1",
+        "--hurst", "0.4", "--output-dir", str(tmp_path)])
+    assert code == 1 and "hurst" in err
+    assert not (tmp_path / "paths.csv").exists()
+
+
+# ----------------------------------------------------------------------
+# config round-trip: flags and a config file give the same config
+# ----------------------------------------------------------------------
+
+_NUM = st.floats(allow_nan=False, allow_infinity=False)
+_INT = st.integers(-10 ** 6, 10 ** 6)
+_NAME = st.text(alphabet="abcxyz_-.0123", min_size=1, max_size=8)
+
+
+def _pick(*names):
+    return st.sampled_from(names)
+
+
+_MODEL_FLAGS = {
+    "--model": ("model.type", _pick("rbergomi", "gbergomi", "rheston_gjrs")),
+    "--beta-decay": ("model.beta", _NUM),
+    **{f"--{k}": (f"model.{k}", _NUM) for k in (
+        "xi0", "nu", "hurst", "rho", "spot", "eta", "kappa", "theta", "xi",
+        "y0")},
+}
+_MC_FLAGS = {
+    **{f"--{k}": (f"mc.{k}", _INT) for k in ("paths", "steps", "seed")},
+    "--horizon": ("mc.horizon", _NUM),
+    "--method": ("mc.method", _pick("fft", "naive")),
+}
+_PRICING_FLAGS = {
+    **_MODEL_FLAGS, **_MC_FLAGS,
+    "--scheme": ("mc.scheme", _pick("rdonsker_matched", "rdonsker_left",
+                                    "hybrid")),
+    "--antithetic": ("mc.antithetic", st.booleans()),
+    "--variance-reduction": ("mc.variance_reduction",
+                             _pick("conditional_bs", "none")),
+}
+_PAYOFF_FLAG = {"--payoff": ("payoff", _pick("call", "put"))}
+# subcommand -> flag -> (config place, value strategy)
+_FLAGS = {
+    "simulate": {
+        **_MC_FLAGS,
+        "--kernel": ("kernel.type", _pick("rl", "gamma", "powerlaw")),
+        **{f"--{k}": (f"kernel.{k}", _NUM) for k in ("hurst", "alpha",
+                                                     "beta")},
+        "--scheme": ("mc.scheme", _pick("rdonsker_matched", "rdonsker_left",
+                                        "hybrid", "cholesky")),
+        "--format": ("output.format", _pick("csv", "binary")),
+        "--prefix": ("output.prefix", _NAME),
+    },
+    "smile": {**_PRICING_FLAGS, **_PAYOFF_FLAG,
+              "--strikes": ("strikes", st.lists(_NUM, max_size=4)),
+              "--prefix": ("output.prefix", _NAME)},
+    "price": {**_PRICING_FLAGS, **_PAYOFF_FLAG, "--strike": ("strike", _NUM)},
+    "american": {
+        **_MODEL_FLAGS, **_PAYOFF_FLAG,
+        **{f"--{k}": (f"tree.{k}", _INT) for k in ("depth", "branching")},
+        **{f"--{k}": (f"tree.{k}", _NUM) for k in ("rate", "dividend",
+                                                   "horizon")},
+        "--weights": ("tree.weights", _pick("moment_matched", "left_point")),
+        "--strike": ("strike", _NUM),
+        "--dump-tree": ("dump_tree", _NAME),
+    },
+    "validate": {
+        "--hursts": ("hursts", st.lists(_NUM, max_size=4)),
+        "--covariance-paths": ("covariance_paths", _INT),
+        "--martingale-paths": ("martingale_paths", _INT),
+        "--suites": ("suites", st.lists(_pick(
+            "moment_identity", "fft_naive", "covariance", "martingale"),
+            max_size=4)),
+    },
+    "bench": {
+        "--schemes": ("schemes", st.lists(_pick(
+            "rdonsker-fft", "rdonsker-naive", "hybrid", "markovian-euler"),
+            max_size=4)),
+        "--grid": ("grid", st.lists(_INT, max_size=4)),
+        **{f"--{k}": (k, _INT) for k in ("paths", "trials", "seed")},
+        "--hurst": ("hurst", _NUM),
+    },
+}
+
+
+def _flag_text(flag, value):
+    if isinstance(value, bool):
+        return flag if value else "--no-" + flag[2:]
+    if isinstance(value, list):
+        return f"{flag}=" + ",".join(repr(v) if not isinstance(v, str) else v
+                                     for v in value)
+    return f"{flag}={value if isinstance(value, str) else repr(value)}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_flags_and_config_file_round_trip(data):
+    command = data.draw(st.sampled_from(sorted(_FLAGS)))
+    chosen = data.draw(st.lists(st.sampled_from(sorted(_FLAGS[command])),
+                                unique=True))
+    argv, expected = [command], {}
+    for flag in chosen:
+        place, strategy = _FLAGS[command][flag]
+        value = data.draw(strategy)
+        argv.append(_flag_text(flag, value))
+        *section, key = place.split(".")
+        holder = expected.setdefault(section[0], {}) if section else expected
+        holder[key] = value
+    from_flags = cli._assemble_config(cli.build_parser().parse_args(argv))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(expected, fh)
+        from_file = cli._assemble_config(
+            cli.build_parser().parse_args([command, "--config", path]))
+    assert from_flags == expected and from_file == expected
+    assert cli._config_hash(from_flags) == cli._config_hash(from_file)

@@ -87,6 +87,19 @@ def test_kernel_from_config():
         kernel_from_config({"type": "gamma", "alpha": 0.25})  # beta required
 
 
+def test_kernel_from_config_rejects_keys_of_other_types():
+    with pytest.raises(ValueError, match="beta"):
+        kernel_from_config({"type": "rl", "hurst": 0.1, "beta": -1.0})
+    with pytest.raises(ValueError, match="hurst"):
+        kernel_from_config({"type": "gamma", "alpha": -0.2, "beta": -1.0,
+                            "hurst": 0.4})
+    with pytest.raises(ValueError, match="hurst"):
+        kernel_from_config({"type": "powerlaw", "alpha": 0.5, "beta": -2.0,
+                            "hurst": 0.3})
+    with pytest.raises(ValueError, match="gamma"):
+        kernel_from_config({"type": "rl", "alpha": 0.1, "gamma": 1.0})
+
+
 # ----------------------------------------------------------------------
 # eval_g
 # ----------------------------------------------------------------------
