@@ -1,16 +1,15 @@
 """Timing benchmarks: path-generation schemes and the full pricing pipeline.
 
 `time_path_generation` measures one timed unit = shock draw plus scheme
-transform, reporting the median over a configurable trial count (ten by
-default, matching the protocol of averaging speeds over repeated trials).
+transform (`validation.sample_paths`, as in `roughsim simulate`),
+reporting the median over a configurable trial count (ten by default).
 The `markovian-euler` scheme is the complexity baseline: a driftless
 one-factor log-normal variance driver whose path step is a plain running
 sum, i.e. the O(M·n) Euler cost floor with the identical shock draw.
 
-`time_full_pipeline` times terminal-payoff estimation end to end
-(correlated shocks → variance paths → log-stock → payoff mean) in
-memory-bounded chunks, for the FFT scheme against the same Markovian
-baseline.
+`time_full_pipeline` times the library's plain Monte-Carlo pipeline
+(what `pricing.plain_mc_estimate` runs, antithetics off) for an ATM
+call; `markovian-euler` replaces only its variance stage by the baseline.
 """
 
 from __future__ import annotations
@@ -21,30 +20,31 @@ from statistics import median
 import numpy as np
 
 from .kernels import Grid, riemann_liouville
-from .models import RoughBergomi, phi_apply
-from .pricing import _logstock_from_variance
+from .models import RoughBergomi
+from .pricing import MCConfig, _estimate, _variance_chunk
 from .shocks import NoiseConfig, draw_shocks
-from .volterra import hybrid_scheme_rl, rdonsker_volterra
+from .validation import sample_paths
+from .volterra import PathSet
 
 BENCH_SCHEMES = ("rdonsker-fft", "rdonsker-naive", "hybrid", "markovian-euler")
 BENCH_GRID = (256, 1024, 4096, 8192)
-_PIPELINE_KINDS = ("rdonsker-fft", "markovian-euler")
+_SAMPLERS = {"rdonsker-fft": ("rdonsker_matched", "fft"),
+             "rdonsker-naive": ("rdonsker_matched", "naive"),
+             "hybrid": ("hybrid", "fft")}
 
 
 def _generate_once(scheme: str, hurst: float, grid: Grid, paths: int,
                    seed: int) -> np.ndarray:
     """One timed unit: draw shocks, then run the scheme transform."""
-    zeta = draw_shocks(NoiseConfig(distribution="gaussian", paths=paths,
-                                   steps=grid.n, rho=0.0, seed=seed)).zeta
     if scheme == "markovian-euler":
+        zeta = draw_shocks(NoiseConfig(distribution="gaussian", paths=paths,
+                                       steps=grid.n, rho=0.0, seed=seed)).zeta
         return np.cumsum(np.sqrt(grid.dt) * zeta, axis=1)
-    if scheme == "hybrid":
-        return hybrid_scheme_rl(hurst, zeta, grid, seed).values
-    if scheme in ("rdonsker-fft", "rdonsker-naive"):
-        method = "fft" if scheme == "rdonsker-fft" else "naive"
-        return rdonsker_volterra(riemann_liouville(hurst=hurst), "brownian",
-                                 zeta, grid, method=method).values
-    raise ValueError(f"unknown benchmark scheme {scheme!r}")
+    if scheme not in _SAMPLERS:
+        raise ValueError(f"unknown benchmark scheme {scheme!r}")
+    sampler, method = _SAMPLERS[scheme]
+    return sample_paths(sampler, riemann_liouville(hurst=hurst), grid, paths,
+                        seed, method).values
 
 
 def time_path_generation(scheme: str, steps: int, *, paths: int = 256,
@@ -63,33 +63,32 @@ def time_path_generation(scheme: str, steps: int, *, paths: int = 256,
     return median(times)
 
 
-def _pipeline_payoff_mean(kind: str, steps: int, paths: int, seed: int, *,
-                          hurst: float = 0.3, xi0: float = 0.04,
-                          nu: float = 1.0, rho: float = -0.7,
-                          chunk_paths: int = 20_000) -> float:
-    """ATM-call payoff mean through the full chunked simulation pipeline."""
-    if kind not in _PIPELINE_KINDS:
+def _markovian_variance(model, config: MCConfig, shocks,
+                        base_offset: int) -> PathSet:
+    """Variance stage of the baseline: xi0 e^{2 nu W - 2 nu^2 t}."""
+    grid, nu = config.grid, model.nu
+    w = np.zeros((shocks.zeta.shape[0], grid.n + 1))
+    np.cumsum(np.sqrt(grid.dt) * shocks.zeta, axis=1, out=w[:, 1:])
+    v = model.xi0(grid.times) * np.exp(2.0 * nu * w - 2.0 * nu ** 2 * grid.times)
+    return PathSet(values=v, grid=grid, scheme_tag="markovian-euler")
+
+
+_PIPELINE_STAGES = {"rdonsker-fft": _variance_chunk,
+                    "markovian-euler": _markovian_variance}
+
+
+def _pipeline_price(kind: str, steps: int, paths: int, seed: int, *,
+                    hurst: float = 0.3, xi0: float = 0.04, nu: float = 1.0,
+                    rho: float = -0.7) -> float:
+    """ATM-call price of the library's plain Monte-Carlo pipeline."""
+    if kind not in _PIPELINE_STAGES:
         raise ValueError(f"unknown pipeline kind {kind!r}")
-    grid = Grid(steps, 1.0)
-    config = NoiseConfig(distribution="gaussian", paths=paths,
-                         steps=steps, rho=rho, seed=seed)
     model = RoughBergomi(xi0=xi0, nu=nu, hurst=hurst, rho=rho)
-    kernel = model.kernel()
-    total = 0.0
-    for start in range(0, paths, chunk_paths):
-        stop = min(start + chunk_paths, paths)
-        shocks = draw_shocks(config, base_range=(start, stop))
-        if kind == "markovian-euler":
-            w = np.zeros((stop - start, steps + 1))
-            np.cumsum(np.sqrt(grid.dt) * shocks.zeta, axis=1, out=w[:, 1:])
-            v = xi0 * np.exp(2.0 * nu * w - 2.0 * nu ** 2 * grid.times)
-        else:
-            phi = rdonsker_volterra(kernel, "brownian", shocks.zeta, grid,
-                                    method="fft")
-            v = phi_apply(model, phi, grid).values
-        x = _logstock_from_variance(v, shocks.xi, grid)
-        total += float(np.maximum(np.exp(x[:, -1]) - 1.0, 0.0).sum())
-    return total / paths
+    config = MCConfig(num_paths=paths, grid=Grid(steps, 1.0),
+                      variance_reduction="none", antithetic=False, seed=seed)
+    means, _, _ = _estimate(model, config, np.array([1.0]), "call", "none",
+                            variance=_PIPELINE_STAGES[kind])
+    return float(means[0])
 
 
 def time_full_pipeline(kind: str, steps: int = 1024, paths: int = 100_000, *,
@@ -100,7 +99,7 @@ def time_full_pipeline(kind: str, steps: int = 1024, paths: int = 100_000, *,
     times = []
     for trial in range(trials):
         start = time.perf_counter()
-        _pipeline_payoff_mean(kind, steps, paths, seed + trial)
+        _pipeline_price(kind, steps, paths, seed + trial)
         times.append(time.perf_counter() - start)
     return median(times)
 

@@ -26,6 +26,7 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import NamedTuple
@@ -37,17 +38,7 @@ from . import validation
 from ._config import set_threads, get_threads
 from .kernels import KERNEL_KINDS, Grid, kernel_from_config
 from .models import MODEL_TYPES, model_from_config
-from .pricing import (
-    PAYOFFS,
-    SCHEMES,
-    VARIANCE_REDUCTIONS,
-    MCConfig,
-    conditional_bs_estimate,
-    implied_vol,
-    plain_mc_estimate,
-    smile,
-)
-from .shocks import NoiseConfig, draw_shocks
+from .pricing import PAYOFFS, SCHEMES, VARIANCE_REDUCTIONS, MCConfig, smile
 from .trees import (
     WEIGHTS,
     TreeConfig,
@@ -56,14 +47,7 @@ from .trees import (
     put_payoff,
     tree_price_american,
 )
-from .volterra import (
-    CONV_METHODS,
-    cholesky_exact_rl,
-    hybrid_scheme_rl,
-    rdonsker_volterra,
-    save_binary,
-    save_csv,
-)
+from .volterra import CONV_METHODS, save_binary, save_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -75,6 +59,15 @@ _TREE_DUMP = "tree.csv"
 
 class ConfigError(Exception):
     """Invalid configuration (bad file, unknown key, bad value)."""
+
+
+@contextmanager
+def _config_errors():
+    """Raise a ValueError from the block as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ----------------------------------------------------------------------
@@ -145,6 +138,13 @@ def _write_json(path, payload) -> None:
 # subcommand implementations
 # ----------------------------------------------------------------------
 
+def _output_dir(args) -> Path:
+    """The --output-dir, created with its parents if missing."""
+    out_dir = Path(args.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
 def _mc_settings(config: dict, paths: int) -> dict:
     """The `mc` section over MCConfig's defaults and the command's own."""
     defaults = {f.name: f.default for f in fields(MCConfig)
@@ -155,36 +155,17 @@ def _mc_settings(config: dict, paths: int) -> dict:
 
 def cmd_simulate(config: dict, args) -> dict:
     start = time.perf_counter()
-    out_dir = Path(args.output_dir)
     kernel_cfg = {"type": "rl", **config.get("kernel", {})}
     if kernel_cfg["type"] == "rl" and "alpha" not in kernel_cfg:
         kernel_cfg.setdefault("hurst", 0.3)
     mc = _mc_settings(config, 100)
     output = {"format": "csv", "prefix": "paths", **config.get("output", {})}
-    scheme, paths_n, seed = mc["scheme"], mc["paths"], mc["seed"]
-    try:
+    with _config_errors():
         kernel = kernel_from_config(kernel_cfg)
         grid = Grid(mc["steps"], float(mc["horizon"]))
-        if scheme in ("hybrid", "cholesky") and kernel.kind != "rl":
-            raise ValueError(f"scheme {scheme!r} requires the "
-                             "Riemann-Liouville kernel")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    if scheme == "cholesky":
-        paths = cholesky_exact_rl(kernel, grid, paths_n, seed)
-    else:
-        zeta = draw_shocks(NoiseConfig(distribution="gaussian",
-                                       paths=paths_n, steps=grid.n,
-                                       rho=0.0, seed=seed)).zeta
-        if scheme == "hybrid":
-            paths = hybrid_scheme_rl(kernel.hurst, zeta, grid, seed)
-        else:
-            mode = ("moment_matched" if scheme == "rdonsker_matched"
-                    else "left_point")
-            paths = rdonsker_volterra(kernel, "brownian", zeta, grid,
-                                      eval_mode=mode, method=mc["method"])
-            paths.seed = seed
+        out_dir = _output_dir(args)
+        paths = validation.sample_paths(mc["scheme"], kernel, grid,
+                                        mc["paths"], mc["seed"], mc["method"])
 
     csv = output["format"] == "csv"
     data_path = out_dir / (output["prefix"] + (".csv" if csv else ".bin"))
@@ -201,30 +182,22 @@ def _model_and_mc(config: dict):
     if "model" not in config:
         raise ConfigError("missing config section 'model'")
     mc = _mc_settings(config, 40_000)
-    try:
-        model = model_from_config(config["model"])
-        mc_config = MCConfig(
+    with _config_errors():
+        return model_from_config(config["model"]), MCConfig(
             num_paths=mc["paths"], grid=Grid(mc["steps"], float(mc["horizon"])),
             scheme=mc["scheme"], variance_reduction=mc["variance_reduction"],
             antithetic=mc["antithetic"], seed=mc["seed"], method=mc["method"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return model, mc_config
 
 
 def cmd_smile(config: dict, args) -> dict:
     start = time.perf_counter()
     model, mc_config = _model_and_mc(config)
-    strikes = np.asarray(config.get("strikes", [0.8, 0.9, 0.95, 1.0, 1.05,
-                                                1.1, 1.2]), dtype=float)
-    prefix = config.get("output", {}).get("prefix", "smile")
-    try:
+    out_dir = _output_dir(args)
+    strikes = config.get("strikes", [0.8, 0.9, 0.95, 1.0, 1.05, 1.1, 1.2])
+    with _config_errors():
         result = smile(model, mc_config, strikes,
                        payoff=config.get("payoff", "call"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    out_dir = Path(args.output_dir)
+    prefix = config.get("output", {}).get("prefix", "smile")
     csv_path = out_dir / f"{prefix}.csv"
     rows = np.column_stack([result.strikes, result.prices, result.stderrs,
                             result.implied_vols])
@@ -241,25 +214,17 @@ def cmd_smile(config: dict, args) -> dict:
 
 def cmd_price(config: dict, args) -> dict:
     start = time.perf_counter()
-    model, mc_config = _model_and_mc(config)
     strike = float(config.get("strike", 1.0))
-    payoff = config.get("payoff", "call")
-    if strike <= 0.0:
-        raise ConfigError(f"strike must be positive, got {strike}")
-    estimator = (conditional_bs_estimate
-                 if mc_config.variance_reduction == "conditional_bs"
-                 else plain_mc_estimate)
-    price, stderr = estimator(model, mc_config, strike, payoff=payoff)
-    call_equivalent = price if payoff == "call" else price + model.spot - strike
-    try:
-        vol = implied_vol(call_equivalent, model.spot, strike,
-                          mc_config.grid.T)
-    except ValueError:
-        vol = float("nan")
+    model, mc_config = _model_and_mc(config)
+    with _config_errors():
+        result = smile(model, mc_config, [strike],
+                       payoff=config.get("payoff", "call"))
     return {
-        "strike": strike, "payoff": payoff,
-        "price": price, "stderr": stderr, "implied_vol": vol,
-        "metadata": _metadata("price", config, [mc_config.scheme],
+        "strike": strike, "payoff": result.metadata["payoff"],
+        "price": float(result.prices[0]), "stderr": float(result.stderrs[0]),
+        "implied_vol": float(result.implied_vols[0]),
+        "implied_vol_nan_reason": result.metadata["iv_nan_reasons"].get(0),
+        "metadata": _metadata("price", config, [result.metadata["scheme"]],
                               time.perf_counter() - start),
     }
 
@@ -281,16 +246,17 @@ def cmd_american(config: dict, args) -> dict:
         raise ConfigError("missing config section 'model'")
     strike = float(config.get("strike", 1.0))
     payoff_name = config.get("payoff", "put")
-    try:
+    with _config_errors():
         model = model_from_config(config["model"])
         tree_config = TreeConfig(model=model,
                                  **{"depth": 10, **config.get("tree", {})})
         payoff = (call_payoff if payoff_name == "call" else put_payoff)(strike)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     dump = config.get("dump_tree")
     if dump and tree_config.depth > 6:
         raise ConfigError("--dump-tree is limited to depth <= 6")
+    if dump:
+        dump_path = _output_dir(args) / (
+            dump if isinstance(dump, str) else _TREE_DUMP)
 
     tree = build_tree(tree_config)
     details = tree_price_american(tree, payoff, details=True)
@@ -308,8 +274,6 @@ def cmd_american(config: dict, args) -> dict:
     record["metadata"]["exercise_counts"] = [
         int(c) for c in details["exercise_counts"]]
     if dump:
-        dump_path = Path(args.output_dir) / (
-            dump if isinstance(dump, str) else _TREE_DUMP)
         _dump_tree_csv(tree, dump_path)
         record["metadata"]["tree_dump"] = str(dump_path)
     return record
@@ -321,10 +285,8 @@ def cmd_validate(config: dict, args) -> dict:
         def hook(weights):
             weights[0] *= 1.0 + args.corrupt
             return weights
-    try:
+    with _config_errors():
         return validation.run_invariants(weight_hook=hook, **config)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def cmd_bench(config: dict, args) -> dict:
@@ -379,7 +341,7 @@ _COMMANDS = {
     "simulate": ("generate Volterra path sets", cmd_simulate, (
         Opt("kernel", "type", str, KERNEL_KINDS, flag="--kernel"),
         *(Opt("kernel", key) for key in ("hurst", "alpha", "beta")),
-        *_mc(SCHEMES + ("cholesky",)),
+        *_mc(validation.SAMPLERS),
         Opt("output", "format", str, ("csv", "binary")),
         Opt("output", "prefix", str))),
     "smile": ("implied-volatility curve via MC", cmd_smile, (
@@ -487,8 +449,21 @@ def _split(text: str, kind) -> list:
 # argument parsing
 # ----------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Keeps `--flag=--` as the value `--`: argparse before Python 3.12
+    drops every `--` as the end-of-options marker, but an option never
+    takes a separate `--`, and each option here takes at most one value."""
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="roughsim",
         description="Rough-volatility simulation, smiles and tree pricing")
     parser.add_argument("--threads", type=int,

@@ -11,12 +11,16 @@ Paths are processed in fixed-size chunks (per-path counter RNG makes the
 chunked run bitwise identical to a monolithic one), keeping memory flat
 at desk-scale path counts. Estimator statistics are computed over
 antithetic group means when antithetics are on.
+
+`scheme_paths` is the one scheme dispatch and `_chunked` the one chunk
+loop; every estimator is a per-chunk function passed to it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq
@@ -125,11 +129,19 @@ def bs_put(forward, strike: float, total_variance):
         else max(value, 0.0)
 
 
+class NoImpliedVol(ValueError):
+    """No volatility reproduces a price; `reason` says why."""
+
+    def __init__(self, reason: str, message: str):
+        super().__init__(message)
+        self.reason = reason
+
+
 def implied_vol(price: float, forward: float, strike: float,
                 maturity: float) -> float:
     """Invert the Black-Scholes call price to a volatility.
 
-    Bracketed root-finding on sigma in [1e-6, 5]; raises ValueError when
+    Bracketed root-finding on sigma in [1e-6, 5]; raises NoImpliedVol when
     the price sits outside the open no-arbitrage band (intrinsic, forward)
     or outside the bracket's price range.
     """
@@ -137,7 +149,8 @@ def implied_vol(price: float, forward: float, strike: float,
         raise ValueError("maturity must be positive")
     intrinsic = max(forward - strike, 0.0)
     if not intrinsic < price < forward:
-        raise ValueError(
+        raise NoImpliedVol(
+            "above forward" if price >= forward else "below intrinsic",
             f"price {price} outside open no-arbitrage bounds "
             f"({intrinsic}, {forward}); no implied volatility"
         )
@@ -147,59 +160,76 @@ def implied_vol(price: float, forward: float, strike: float,
         return bs_call(forward, strike, sigma * sigma * maturity) - price
 
     if gap(lo) >= 0.0 or gap(hi) <= 0.0:
-        raise ValueError(f"no volatility in [{lo}, {hi}] reproduces price {price}")
+        raise NoImpliedVol(
+            "no bracket", f"no volatility in [{lo}, {hi}] reproduces price {price}")
     return float(brentq(gap, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200))
 
 
 # ----------------------------------------------------------------------
-# variance-path pipeline (chunked)
+# the pipeline: one scheme dispatch, one chunk loop
 # ----------------------------------------------------------------------
 
-def _noise_config(model, config: MCConfig) -> NoiseConfig:
-    return NoiseConfig(distribution="gaussian", paths=config.num_paths,
-                       steps=config.grid.n, rho=model.rho, seed=config.seed,
-                       antithetic=config.antithetic)
+def scheme_paths(kernel, driver, shocks: np.ndarray, grid: Grid, scheme: str,
+                 method: str = "fft", *, seed: int = 0,
+                 antithetic_group: int = 1, base_offset: int = 0) -> PathSet:
+    """Volterra paths G^alpha Y of one scheme from the driver's shocks.
+
+    `rdonsker_matched` / `rdonsker_left`: the rDonsker convolution by
+    `method`, with moment-matched / left-point weights. `hybrid`: the
+    kappa = 1 hybrid scheme (RL kernel, Brownian driver), whose auxiliary
+    normals come from `seed`'s streams, see `hybrid_scheme_rl`.
+    """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown sampler {scheme!r}")
+    if scheme == "hybrid":
+        if kernel.kind != "rl" or driver != "brownian":
+            raise ValueError("hybrid scheme requires a Riemann-Liouville "
+                             "kernel with a Brownian driver")
+        return hybrid_scheme_rl(kernel.hurst, shocks, grid, seed=seed,
+                                antithetic_group=antithetic_group,
+                                base_offset=base_offset)
+    mode = "moment_matched" if scheme == "rdonsker_matched" else "left_point"
+    return rdonsker_volterra(kernel, driver, shocks, grid, eval_mode=mode,
+                             method=method)
 
 
 def _variance_chunk(model, config: MCConfig, shocks, base_offset: int) -> PathSet:
-    """Volterra paths for one shock chunk, mapped through Phi."""
-    kernel = model.kernel()
-    driver = model.driver()
-    if config.scheme == "hybrid":
-        if kernel.kind != "rl" or driver != "brownian":
-            raise ValueError(
-                "hybrid scheme requires a Riemann-Liouville kernel with a "
-                "Brownian driver"
-            )
-        vol = hybrid_scheme_rl(model.hurst, shocks.zeta, config.grid,
-                               seed=config.seed,
-                               antithetic_group=shocks.antithetic_group,
-                               base_offset=base_offset)
-    else:
-        mode = ("moment_matched" if config.scheme == "rdonsker_matched"
-                else "left_point")
-        vol = rdonsker_volterra(kernel, driver, shocks.zeta, config.grid,
-                                eval_mode=mode, method=config.method)
+    """Variance paths V = Phi(G^alpha Y) for one shock chunk."""
+    vol = scheme_paths(model.kernel(), model.driver(), shocks.zeta,
+                       config.grid, config.scheme, config.method,
+                       seed=config.seed,
+                       antithetic_group=shocks.antithetic_group,
+                       base_offset=base_offset)
     return phi_apply(model, vol, config.grid)
 
 
-def _iter_variance_chunks(model, config: MCConfig):
-    """Yield (variance PathSet, shocks) chunk pairs covering all paths."""
-    ncfg = _noise_config(model, config)
-    group = base_group(ncfg)
+def _chunked(model, config: MCConfig, per_chunk, *, group_means: bool = True,
+             variance=_variance_chunk) -> tuple:
+    """(rows in path order, merged stats) of `per_chunk(v, shocks)`.
+
+    Per chunk: draw shocks, build variance paths `v` by `variance`, apply
+    `per_chunk`, and take antithetic group means if `group_means`. Shock
+    streams are keyed by absolute path index, so no result depends on
+    the chunk size.
+    """
+    noise = NoiseConfig(distribution="gaussian", paths=config.num_paths,
+                        steps=config.grid.n, rho=model.rho, seed=config.seed,
+                        antithetic=config.antithetic)
+    group = base_group(noise)
     total_base = config.num_paths // group
     rows_cap = max(group, _CHUNK_ELEMENTS // max(config.grid.n, 1))
     base_step = max(1, rows_cap // group)
+    blocks, stats = [], {}
     for start in range(0, total_base, base_step):
         stop = min(total_base, start + base_step)
-        shocks = draw_shocks(ncfg, base_range=(start, stop))
-        yield _variance_chunk(model, config, shocks, start), shocks
-
-
-def _merge_stats(total: dict, stats: dict) -> None:
-    for key in ("clamp_cells", "domain_clips"):
-        if key in stats:
-            total[key] = total.get(key, 0) + stats[key]
+        shocks = draw_shocks(noise, base_range=(start, stop))
+        v = variance(model, config, shocks, start)
+        rows = per_chunk(v, shocks)
+        blocks.append(_group_means(rows, group) if group_means else rows)
+        for key in ("clamp_cells", "domain_clips"):
+            if key in v.stats:
+                stats[key] = stats.get(key, 0) + v.stats[key]
+    return np.concatenate(blocks), stats
 
 
 # ----------------------------------------------------------------------
@@ -209,9 +239,7 @@ def _merge_stats(total: dict, stats: dict) -> None:
 def _group_means(values: np.ndarray, group: int) -> np.ndarray:
     if group == 1:
         return values
-    if values.ndim == 1:
-        return values.reshape(-1, group).mean(axis=1)
-    return values.reshape(-1, group, values.shape[1]).mean(axis=1)
+    return values.reshape(-1, group, *values.shape[1:]).mean(axis=1)
 
 
 def _mean_stderr(groups: np.ndarray) -> tuple:
@@ -251,40 +279,27 @@ def simulate_logstock(model, config: MCConfig) -> PathSet:
     Materializes the full M x (n+1) array; for estimator-only work the
     pricing entry points below stream chunks instead.
     """
-    parts = []
-    stats = {}
-    tag = None
-    for v, shocks in _iter_variance_chunks(model, config):
-        parts.append(_logstock_from_variance(v.values, shocks.xi, config.grid))
-        _merge_stats(stats, v.stats)
-        tag = v.scheme_tag
-    return PathSet(values=np.vstack(parts), grid=config.grid,
-                   scheme_tag=f"{tag}_logstock", seed=config.seed, stats=stats)
+    x, stats = _chunked(
+        model, config,
+        lambda v, shocks: _logstock_from_variance(v.values, shocks.xi,
+                                                  config.grid),
+        group_means=False)
+    return PathSet(values=x, grid=config.grid,
+                   scheme_tag=f"{config.scheme}_logstock", seed=config.seed,
+                   stats=stats)
 
 
-def _payoff_matrix(terminal_stock: np.ndarray, strikes: np.ndarray,
-                   payoff: str) -> np.ndarray:
-    if payoff == "call":
-        return np.maximum(terminal_stock[:, None] - strikes[None, :], 0.0)
-    return np.maximum(strikes[None, :] - terminal_stock[:, None], 0.0)
+def _path_payoffs(model, grid: Grid, strikes: np.ndarray, payoff: str,
+                  v: PathSet, shocks) -> np.ndarray:
+    """Per-path payoffs of the simulated terminal stock (plain estimator)."""
+    x = _logstock_from_variance(v.values, shocks.xi, grid)
+    stock = model.spot * np.exp(x[:, -1])[:, None]
+    return np.maximum(stock - strikes if payoff == "call" else strikes - stock,
+                      0.0)
 
 
-def _plain_group_means(model, config: MCConfig, strikes: np.ndarray,
-                       payoff: str, stats: dict) -> np.ndarray:
-    group = base_group(_noise_config(model, config))
-    blocks = []
-    for v, shocks in _iter_variance_chunks(model, config):
-        x = _logstock_from_variance(v.values, shocks.xi, config.grid)
-        terminal = model.spot * np.exp(x[:, -1])
-        blocks.append(_group_means(_payoff_matrix(terminal, strikes, payoff),
-                                   group))
-        _merge_stats(stats, v.stats)
-    return np.vstack(blocks)
-
-
-def _conditional_path_prices(model, v: np.ndarray, zeta: np.ndarray,
-                             grid: Grid, strikes: np.ndarray,
-                             payoff: str) -> np.ndarray:
+def _conditional_path_prices(model, grid: Grid, strikes: np.ndarray,
+                             payoff: str, v: PathSet, shocks) -> np.ndarray:
     """Per-path Romano-Touzi prices for every strike.
 
     X1 collects the volatility-measurable part of the log-stock (order
@@ -293,11 +308,11 @@ def _conditional_path_prices(model, v: np.ndarray, zeta: np.ndarray,
     is priced in closed form.
     """
     dt = grid.dt
-    vleft = v[:, :-1]
+    vleft = v.values[:, :-1]
     rho = model.rho
     integral = dt * vleft.sum(axis=1)
     x1 = -0.5 * rho * rho * integral \
-        + rho * np.sqrt(dt) * np.einsum("ij,ij->i", np.sqrt(vleft), zeta)
+        + rho * np.sqrt(dt) * np.einsum("ij,ij->i", np.sqrt(vleft), shocks.zeta)
     residual = (1.0 - rho * rho) * integral
     fwd = model.spot * np.exp(x1)
     out = np.empty((len(fwd), len(strikes)))
@@ -309,47 +324,44 @@ def _conditional_path_prices(model, v: np.ndarray, zeta: np.ndarray,
     return out
 
 
-def _conditional_group_means(model, config: MCConfig, strikes: np.ndarray,
-                             payoff: str, stats: dict) -> np.ndarray:
-    group = base_group(_noise_config(model, config))
-    blocks = []
-    for v, shocks in _iter_variance_chunks(model, config):
-        prices = _conditional_path_prices(model, v.values, shocks.zeta,
-                                          config.grid, strikes, payoff)
-        blocks.append(_group_means(prices, group))
-        _merge_stats(stats, v.stats)
-    return np.vstack(blocks)
+_PATH_ESTIMATES = {"conditional_bs": _conditional_path_prices,
+                   "none": _path_payoffs}
+
+
+def _estimate(model, config: MCConfig, strikes: np.ndarray, payoff: str,
+              variance_reduction: str, variance=_variance_chunk) -> tuple:
+    """(means, stderrs, stats) per strike of one estimator over all paths."""
+    if payoff not in PAYOFFS:
+        raise ValueError(f"unknown payoff {payoff!r}")
+    per_chunk = partial(_PATH_ESTIMATES[variance_reduction], model,
+                        config.grid, strikes, payoff)
+    groups, stats = _chunked(model, config, per_chunk, variance=variance)
+    return (*_mean_stderr(groups), stats)
 
 
 def conditional_bs_estimate(model, config: MCConfig, strike: float,
                             payoff: str = "call") -> tuple:
     """(mean, stderr) of the conditional Black-Scholes price estimator."""
-    if payoff not in PAYOFFS:
-        raise ValueError(f"unknown payoff {payoff!r}")
-    groups = _conditional_group_means(model, config, np.array([strike]),
-                                      payoff, {})
-    means, errs = _mean_stderr(groups)
+    means, errs, _ = _estimate(model, config, np.array([strike]), payoff,
+                               "conditional_bs")
     return float(means[0]), float(errs[0])
 
 
 def plain_mc_estimate(model, config: MCConfig, strike: float,
                       payoff: str = "call") -> tuple:
     """(mean, stderr) of the plain payoff-averaging estimator."""
-    if payoff not in PAYOFFS:
-        raise ValueError(f"unknown payoff {payoff!r}")
-    groups = _plain_group_means(model, config, np.array([strike]), payoff, {})
-    means, errs = _mean_stderr(groups)
+    means, errs, _ = _estimate(model, config, np.array([strike]), payoff,
+                               "none")
     return float(means[0]), float(errs[0])
 
 
 def martingale_statistic(model, config: MCConfig) -> tuple:
     """(mean, stderr) of e^{X(T)}; the exact value is 1."""
-    group = base_group(_noise_config(model, config))
-    blocks = []
-    for v, shocks in _iter_variance_chunks(model, config):
-        x = _logstock_from_variance(v.values, shocks.xi, config.grid)
-        blocks.append(_group_means(np.exp(x[:, -1]), group))
-    means, errs = _mean_stderr(np.concatenate(blocks)[:, None])
+    terminal, _ = _chunked(
+        model, config,
+        lambda v, shocks: np.exp(_logstock_from_variance(
+            v.values, shocks.xi, config.grid)[:, -1]))
+    means, errs = _mean_stderr(terminal[:, None])
     return float(means[0]), float(errs[0])
 
 
@@ -361,34 +373,30 @@ def smile(model, config: MCConfig, strikes, payoff: str = "call") -> SmileResult
     """Price a strike grid on shared paths and attach implied vols.
 
     Implied vols are solved from the call form (puts converted through
-    parity); entries whose price falls outside the no-arbitrage band are
-    reported as NaN.
+    parity). An entry with no implied vol is NaN, and
+    `metadata["iv_nan_reasons"]` maps its strike index to the reason
+    `implied_vol` gives: "below intrinsic", "above forward" or "no bracket".
     """
     strikes = np.asarray(strikes, dtype=float)
     if strikes.ndim != 1 or len(strikes) == 0:
         raise ValueError("strikes must be a nonempty 1-d array")
     if np.any(strikes <= 0.0) or np.any(np.diff(strikes) <= 0.0):
         raise ValueError("strikes must be positive and strictly increasing")
-    if payoff not in PAYOFFS:
-        raise ValueError(f"unknown payoff {payoff!r}")
-    stats = {}
     start = time.perf_counter()
-    if config.variance_reduction == "conditional_bs":
-        groups = _conditional_group_means(model, config, strikes, payoff, stats)
-    else:
-        groups = _plain_group_means(model, config, strikes, payoff, stats)
-    prices, stderrs = _mean_stderr(groups)
+    prices, stderrs, stats = _estimate(model, config, strikes, payoff,
+                                       config.variance_reduction)
     runtime = time.perf_counter() - start
 
     forward = model.spot
     vols = np.full(len(strikes), np.nan)
+    nan_reasons = {}
     for k, strike in enumerate(strikes):
         call_price = prices[k] if payoff == "call" \
             else prices[k] + forward - strike
         try:
             vols[k] = implied_vol(call_price, forward, strike, config.grid.T)
-        except ValueError:
-            pass
+        except NoImpliedVol as exc:
+            nan_reasons[k] = exc.reason
     metadata = {
         "model": type(model).__name__,
         "payoff": payoff,
@@ -404,6 +412,7 @@ def smile(model, config: MCConfig, strikes, payoff: str = "call") -> SmileResult
         "variance_convention": "C_H = sqrt(2H)",
         "runtime_seconds": runtime,
         "stats": stats,
+        "iv_nan_reasons": nan_reasons,
     }
     return SmileResult(strikes=strikes, prices=prices, stderrs=stderrs,
                        implied_vols=vols, metadata=metadata)

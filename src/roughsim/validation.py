@@ -21,17 +21,22 @@ import numpy as np
 
 from .kernels import Grid, optimal_eval_weights, riemann_liouville
 from .models import model_from_config
-from .pricing import MCConfig, martingale_statistic
+from .pricing import (
+    SCHEMES,
+    MCConfig,
+    martingale_statistic,
+    scheme_paths,
+)
 from .shocks import NoiseConfig, draw_shocks
 from .volterra import (
+    PathSet,
     cholesky_exact_rl,
     convolve_gfo,
-    hybrid_scheme_rl,
-    rdonsker_volterra,
     volterra_covariance,
 )
 
 DEFAULT_HURSTS = (0.05, 0.1, 0.3, 0.75)
+SAMPLERS = SCHEMES + ("cholesky",)
 
 # frozen draws for the covariance suite. The matched scheme's own law is
 # 3.7e-3 (max entrywise) from the exact covariance at H=0.3, n=32, and the
@@ -114,18 +119,25 @@ def check_fft_naive(seed: int = 0) -> list:
         detail="max abs gap, n in 1..64 exhaustive plus 1024 x3")]
 
 
-def _sample_paths(sampler: str, hurst: float, grid: Grid, paths: int,
-                  seed: int) -> np.ndarray:
-    kernel = riemann_liouville(hurst=hurst)
+def sample_paths(sampler: str, kernel, grid: Grid, paths: int, seed: int,
+                 method: str = "fft") -> PathSet:
+    """Standalone paths of G^alpha W, Brownian-driven, seeded by `seed`.
+
+    `cholesky` samples the exact law (Riemann-Liouville kernel only);
+    every other sampler is a `pricing.scheme_paths` scheme run on iid
+    Gaussian shocks (rho = 0).
+    """
     if sampler == "cholesky":
-        return cholesky_exact_rl(kernel, grid, paths, seed).values
+        if kernel.kind != "rl":
+            raise ValueError("cholesky sampler requires the Riemann-Liouville "
+                             "kernel")
+        return cholesky_exact_rl(kernel, grid, paths, seed)
     zeta = draw_shocks(NoiseConfig(distribution="gaussian", paths=paths,
                                    steps=grid.n, rho=0.0, seed=seed)).zeta
-    if sampler == "hybrid":
-        return hybrid_scheme_rl(hurst, zeta, grid, seed).values
-    if sampler == "rdonsker_matched":
-        return rdonsker_volterra(kernel, "brownian", zeta, grid).values
-    raise ValueError(f"unknown sampler {sampler!r}")
+    out = scheme_paths(kernel, "brownian", zeta, grid, sampler, method,
+                       seed=seed)
+    out.seed = seed
+    return out
 
 
 def check_covariance(hurst: float = 0.3, steps: int = 32,
@@ -139,11 +151,12 @@ def check_covariance(hurst: float = 0.3, steps: int = 32,
     if seeds is None:
         seeds = COVARIANCE_SEEDS
     grid = Grid(steps, 1.0)
-    exact = volterra_covariance(riemann_liouville(hurst=hurst), grid)
+    kernel = riemann_liouville(hurst=hurst)
+    exact = volterra_covariance(kernel, grid)
     tol = COVARIANCE_TOL * float(np.sqrt(COVARIANCE_PATHS / paths))
     results = []
     for sampler, seed in seeds.items():
-        values = _sample_paths(sampler, hurst, grid, paths, seed)
+        values = sample_paths(sampler, kernel, grid, paths, seed).values
         empirical = values.T @ values / values.shape[0]
         stat = float(np.max(np.abs(empirical - exact)))
         results.append(InvariantResult(

@@ -1,16 +1,18 @@
-"""Benchmark harness: timing units, report schema, pipeline chunking."""
+"""Benchmark harness: timing units, report schema, the timed pipeline."""
 
-import numpy as np
 import pytest
 
+from roughsim import pricing
 from roughsim.bench import (
     BENCH_GRID,
     BENCH_SCHEMES,
-    _pipeline_payoff_mean,
+    _pipeline_price,
     run_bench,
     time_full_pipeline,
     time_path_generation,
 )
+from roughsim.kernels import Grid
+from roughsim.models import RoughBergomi
 
 
 def test_path_generation_timings_positive():
@@ -40,20 +42,26 @@ def test_report_schema_stable():
     assert BENCH_GRID == (256, 1024, 4096, 8192)
 
 
-def test_pipeline_chunking_is_exact():
-    whole = _pipeline_payoff_mean("rdonsker-fft", 32, 3000, seed=9,
-                                  chunk_paths=3000)
-    chunked = _pipeline_payoff_mean("rdonsker-fft", 32, 3000, seed=9,
-                                    chunk_paths=700)
-    assert whole == chunked
+def test_pipeline_chunking_is_exact(monkeypatch):
+    # the timed pipeline is the library's plain estimator, in any chunking
+    model = RoughBergomi(xi0=0.04, nu=1.0, hurst=0.3, rho=-0.7)
+    config = pricing.MCConfig(num_paths=3000, grid=Grid(32, 1.0),
+                              variance_reduction="none", antithetic=False,
+                              seed=9)
+    library, _ = pricing.plain_mc_estimate(model, config, 1.0)
+    whole = _pipeline_price("rdonsker-fft", 32, 3000, seed=9)
+    monkeypatch.setattr(pricing, "_CHUNK_ELEMENTS", 32 * 700)
+    chunked = _pipeline_price("rdonsker-fft", 32, 3000, seed=9)
+    assert whole == library
+    assert chunked == library
 
 
 def test_pipeline_kinds_produce_sane_prices():
     for kind in ("rdonsker-fft", "markovian-euler"):
-        price = _pipeline_payoff_mean(kind, 64, 4000, seed=3)
+        price = _pipeline_price(kind, 64, 4000, seed=3)
         assert 0.02 < price < 0.2  # ATM call, vol ~0.2, maturity 1
     with pytest.raises(ValueError, match="unknown pipeline kind"):
-        _pipeline_payoff_mean("hybrid", 32, 100, seed=0)
+        _pipeline_price("hybrid", 32, 100, seed=0)
 
 
 def test_full_pipeline_timing_positive():

@@ -124,10 +124,52 @@ def test_missing_model_key_is_config_error(capsys):
 
 
 def test_unwritable_output_dir_is_io_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")  # a directory cannot be made below a file
     code, _, err = _run(capsys, [
         "simulate", "--paths", "2", "--steps", "4",
-        "--output-dir", str(tmp_path / "does" / "not" / "exist")])
+        "--output-dir", str(blocker / "out")])
     assert code == 3 and "io error" in err
+
+
+def test_missing_output_dir_is_created(tmp_path, capsys):
+    rbergomi = ["--model", "rbergomi", "--xi0", "0.04", "--nu", "1.0",
+                "--hurst", "0.3", "--rho", "-0.7"]
+    runs = {
+        "simulate": (["--paths", "2", "--steps", "4"], "paths.csv"),
+        "smile": ([*rbergomi, "--paths", "8", "--steps", "4",
+                   "--strikes", "1.0"], "smile.csv"),
+        "american": ([*rbergomi, "--depth", "2", "--dump-tree"], "tree.csv"),
+    }
+    for command, (argv, artifact) in runs.items():
+        out_dir = tmp_path / command / "a" / "b"
+        code, _, err = _run(capsys, [command, *argv,
+                                     "--output-dir", str(out_dir)])
+        assert code == 0, err
+        assert (out_dir / artifact).is_file()
+
+
+def test_config_error_creates_no_output_dir(tmp_path, capsys):
+    runs = {
+        "simulate": ["--kernel", "gamma", "--alpha", "-0.2", "--beta", "-1",
+                     "--hurst", "0.4"],
+        "smile": ["--model", "rbergomi", "--xi0", "-0.04", "--nu", "1.0",
+                  "--hurst", "0.3", "--rho", "-0.7"],
+    }
+    for command, argv in runs.items():
+        out_dir = tmp_path / command / "out"
+        code, _, err = _run(capsys, [command, *argv,
+                                     "--output-dir", str(out_dir)])
+        assert code == 1 and "config error" in err, err
+        assert not (tmp_path / command).exists()
+
+
+def test_flag_value_of_double_dash_is_kept():
+    parser = cli.build_parser()
+    assert parser.parse_args(["american", "--dump-tree=--"]).dump_tree == "--"
+    assert parser.parse_args(["smile", "--prefix=--"]).prefix == "--"
+    assert parser.parse_args(["american", "--dump-tree"]).dump_tree \
+        == "tree.csv"
 
 
 def test_bad_model_parameters_are_config_errors(capsys):
@@ -171,6 +213,53 @@ def test_price_record_flat_model(capsys):
     cdf = lambda x: 0.5 * (1.0 + math.erf(x / math.sqrt(2)))  # noqa: E731
     bs_put_exact = 1.1 * cdf(0.2 - d1) - cdf(-d1)
     assert abs(record["price"] - bs_put_exact) < 1e-12
+
+
+_PRICE_ARGS = ["--model", "rbergomi", "--xi0", "0.04", "--nu", "1.0",
+               "--hurst", "0.1", "--rho", "-0.7", "--paths", "400",
+               "--steps", "16", "--seed", "4"]
+
+
+def test_price_is_one_strike_of_the_smile(tmp_path, capsys):
+    for payoff, strike in (("put", "0.9"), ("call", "1.2")):
+        code, out, _ = _run(capsys, ["price", *_PRICE_ARGS, "--strike", strike,
+                                     "--payoff", payoff])
+        assert code == 0
+        record = json.loads(out)
+        code, _, _ = _run(capsys, ["smile", *_PRICE_ARGS, "--strikes", strike,
+                                   "--payoff", payoff,
+                                   "--output-dir", str(tmp_path)])
+        assert code == 0
+        row = np.loadtxt(tmp_path / "smile.csv", delimiter=",", skiprows=1)
+        assert [record["price"], record["stderr"], record["implied_vol"]] \
+            == row[1:].tolist()
+        assert record["implied_vol_nan_reason"] is None
+
+
+def test_price_nan_implied_vol_names_its_reason(capsys):
+    # no plain-MC path ends above 3, so the price is 0: below intrinsic
+    code, out, _ = _run(capsys, ["price", *_PRICE_ARGS, "--strike", "3.0",
+                                 "--variance-reduction", "none"])
+    assert code == 0
+    record = json.loads(out)
+    assert record["price"] == 0.0 and math.isnan(record["implied_vol"])
+    assert record["implied_vol_nan_reason"] == "below intrinsic"
+
+
+def test_unrunnable_scheme_is_config_error(tmp_path, capsys):
+    small = ["--paths", "8", "--steps", "4"]
+    gbergomi = ["--model", "gbergomi", "--xi0", "0.04", "--nu", "1.0",
+                "--hurst", "0.3", "--rho", "-0.7", "--beta-decay", "1",
+                "--scheme", "hybrid", *small]
+    gamma = ["--kernel", "gamma", "--alpha", "-0.2", "--beta", "-1", *small,
+             "--output-dir", str(tmp_path)]
+    for argv in (["price", *gbergomi],
+                 ["smile", *gbergomi, "--output-dir", str(tmp_path)],
+                 ["simulate", *gamma, "--scheme", "hybrid"],
+                 ["simulate", *gamma, "--scheme", "cholesky"]):
+        code, _, err = _run(capsys, argv)
+        assert code == 1, (argv, err)
+        assert "config error" in err and "Riemann-Liouville" in err
 
 
 # ----------------------------------------------------------------------

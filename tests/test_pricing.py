@@ -4,11 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from roughsim import pricing
 from roughsim.kernels import Grid
 from roughsim.models import RoughBergomi, RoughHestonGJRS
 from roughsim.pricing import (
+    SCHEMES,
     MCConfig,
+    NoImpliedVol,
     bs_call,
     bs_put,
     conditional_bs_estimate,
@@ -103,6 +108,19 @@ def test_implied_vol_boundary_errors():
         implied_vol(0.05, 1.0, 1.0, -1.0)
 
 
+@pytest.mark.parametrize("price, strike, reason", [
+    (0.25, 0.75, "below intrinsic"),  # at intrinsic
+    (0.1, 0.75, "below intrinsic"),
+    (1.0, 0.75, "above forward"),
+    (1e-20, 1.0, "no bracket"),  # needs sigma < 1e-6
+    (0.9999, 1.0, "no bracket"),  # needs sigma > 5
+])
+def test_implied_vol_names_why_there_is_none(price, strike, reason):
+    with pytest.raises(NoImpliedVol) as info:
+        implied_vol(price, 1.0, strike, 1.0)
+    assert info.value.reason == reason
+
+
 # ----------------------------------------------------------------------
 # config validation
 # ----------------------------------------------------------------------
@@ -162,6 +180,52 @@ def test_logstock_constant_variance_moments():
     assert abs(terminal.mean() + 0.02) < 3 * terminal.std(ddof=1) / np.sqrt(m)
     var_err = 0.04 * np.sqrt(2.0 / m)
     assert abs(terminal.var(ddof=1) - 0.04) < 3 * var_err
+
+
+_CHUNK_MODELS = [(_rbergomi(hurst=0.2), scheme) for scheme in SCHEMES] + [
+    # clamps at zero, so the merged clamp stats are checked too
+    (RoughHestonGJRS(eta=0.01, kappa=1.0, theta=0.04, vol_of_vol=0.25,
+                     y0=0.04, hurst=0.3, rho=-0.7), "rdonsker_left")]
+_CHUNK_STRIKES = np.array([0.5, 0.9, 1.0, 1.2, 2.5])
+
+
+def _chunk_run(estimator, model, cfg):
+    if estimator == "martingale":
+        return martingale_statistic(model, cfg)
+    if estimator == "logstock":
+        x = simulate_logstock(model, cfg)
+        return x.values, x.stats
+    result = smile(model, cfg, _CHUNK_STRIKES, payoff="put")
+    reasons = result.metadata["iv_nan_reasons"]
+    assert sorted(reasons) == np.flatnonzero(np.isnan(result.implied_vols)).tolist()
+    return (result.prices, result.stderrs, result.implied_vols,
+            result.metadata["stats"], reasons)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chunk_elements=st.integers(1, 400), base_paths=st.integers(1, 30),
+       model_scheme=st.sampled_from(_CHUNK_MODELS), antithetic=st.booleans(),
+       estimator=st.sampled_from(["conditional_bs", "none", "martingale",
+                                  "logstock"]))
+def test_chunking_never_changes_a_result(chunk_elements, base_paths,
+                                         model_scheme, antithetic, estimator):
+    model, scheme = model_scheme
+    cfg = _config(paths=4 * base_paths if antithetic else base_paths, n=8,
+                  scheme=scheme, antithetic=antithetic, seed=base_paths,
+                  variance_reduction="none" if estimator == "none"
+                  else "conditional_bs")
+    whole = _chunk_run(estimator, model, cfg)
+    saved = pricing._CHUNK_ELEMENTS
+    pricing._CHUNK_ELEMENTS = chunk_elements
+    try:
+        chunked = _chunk_run(estimator, model, cfg)
+    finally:
+        pricing._CHUNK_ELEMENTS = saved
+    for a, b in zip(whole, chunked):
+        if isinstance(a, np.ndarray):
+            np.testing.assert_array_equal(a, b)  # NaN equals NaN here
+        else:
+            assert a == b
 
 
 def test_chunked_pipeline_matches_monolithic(monkeypatch):
@@ -269,6 +333,16 @@ def test_smile_call_prices_decrease_in_strike():
     assert np.all(np.diff(result.prices) < 0.0)
     assert np.all(result.prices >= 0.0)
     assert np.all(np.isfinite(result.implied_vols))
+
+
+def test_smile_names_why_each_implied_vol_is_nan():
+    # plain MC: no path ends above 3, so that call is worth 0 < intrinsic
+    model = _rbergomi()
+    cfg = _config(paths=256, n=8, variance_reduction="none", seed=4)
+    result = smile(model, cfg, [1.0, 3.0])
+    assert np.isfinite(result.implied_vols[0])
+    assert result.prices[1] == 0.0 and np.isnan(result.implied_vols[1])
+    assert result.metadata["iv_nan_reasons"] == {1: "below intrinsic"}
 
 
 def test_smile_strike_validation():
