@@ -39,6 +39,7 @@ from ._config import set_threads, get_threads
 from .kernels import KERNEL_KINDS, Grid, kernel_from_config
 from .models import MODEL_TYPES, model_from_config
 from .pricing import PAYOFFS, SCHEMES, VARIANCE_REDUCTIONS, MCConfig, smile
+from .shocks import check_seed
 from .trees import (
     WEIGHTS,
     TreeConfig,
@@ -163,6 +164,7 @@ def cmd_simulate(config: dict, args) -> dict:
     with _config_errors():
         kernel = kernel_from_config(kernel_cfg)
         grid = Grid(mc["steps"], float(mc["horizon"]))
+        check_seed(mc["seed"])
         out_dir = _output_dir(args)
         paths = validation.sample_paths(mc["scheme"], kernel, grid,
                                         mc["paths"], mc["seed"], mc["method"])
@@ -290,7 +292,8 @@ def cmd_validate(config: dict, args) -> dict:
 
 
 def cmd_bench(config: dict, args) -> dict:
-    return bench_mod.run_bench(**config)
+    with _config_errors():
+        return bench_mod.run_bench(**config)
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,7 @@ from scipy.special import ndtr
 
 from roughsim.kernels import Grid
 from roughsim.models import phi_apply
-from roughsim.shocks import NoiseConfig, base_group, draw_shocks
+from roughsim.shocks import NoiseConfig, base_group, check_seed, draw_shocks
 from roughsim.volterra import (
     CONV_METHODS,
     PathSet,
@@ -70,6 +70,7 @@ class MCConfig:
                 f"unknown variance_reduction {self.variance_reduction!r}")
         if self.method not in CONV_METHODS:
             raise ValueError(f"unknown convolution method {self.method!r}")
+        check_seed(self.seed)
 
 
 @dataclass

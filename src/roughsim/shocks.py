@@ -22,10 +22,54 @@ STREAM_CHOLESKY = 2
 _TAG_SHIFT = 48
 
 
-def path_rng(seed: int, path: int, stream: int = STREAM_SHOCKS) -> np.random.Generator:
-    """Counter-based generator for one path: key = (seed, tag<<48 | path)."""
-    key = np.array([seed, (stream << _TAG_SHIFT) | path], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def check_seed(seed) -> int:
+    """`seed` as an int; a ValueError naming it unless it is an integer in [0, 2**64).
+
+    Philox keys are unsigned 64-bit words, so a negative or larger seed
+    has no stream, and a float would be silently truncated to one.
+    """
+    if (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+            and 0 <= int(seed) < 2 ** 64):
+        return int(seed)
+    raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
+# the state of a Philox bit generator that has drawn nothing, less its key
+_FRESH_PHILOX = np.random.Philox(key=np.zeros(2, dtype=np.uint64)).state
+_FRESH_COUNTER = _FRESH_PHILOX["state"]["counter"]
+
+
+def path_rng(seed: int, path: int, stream: int = STREAM_SHOCKS, *,
+             reuse: np.random.Generator | None = None) -> np.random.Generator:
+    """Counter-based generator for one path: key = (seed, tag<<48 | path).
+
+    With `reuse`, a generator an earlier call returned, that generator's
+    Philox is reset to this key with a zero counter and an empty buffer,
+    and returned in place of a new one: it draws what a new one would,
+    without building two objects per path.
+    """
+    key = (check_seed(seed), (stream << _TAG_SHIFT) | path)
+    if reuse is None:
+        return np.random.Generator(
+            np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    reuse.bit_generator.state = {
+        **_FRESH_PHILOX, "state": {"counter": _FRESH_COUNTER, "key": key}}
+    return reuse
+
+
+def path_generators(seed: int, start: int, stop: int,
+                    stream: int = STREAM_SHOCKS):
+    """Yield, for paths start..stop-1, a generator drawing what `path_rng` draws.
+
+    One generator serves every path: `path_rng` re-keys it for each, so
+    the yielded object is the same one, valid until the next is taken.
+    Each path is keyed by a call to the module's `path_rng`, so whatever
+    wraps that name (the traced benchmark does) sees every path.
+    """
+    rng = None
+    for path in range(start, stop):
+        rng = path_rng(seed, path, stream, reuse=rng)
+        yield rng
 
 
 @dataclass(frozen=True)
@@ -43,7 +87,8 @@ class NoiseConfig:
     rho : float
         Driver correlation in [-1, 1].
     seed : int
-        Base seed; per-path streams derive from (seed, path index).
+        Base seed, an integer in [0, 2**64); per-path streams derive from
+        (seed, path index).
     antithetic : bool
         Expand sign-combination variates; requires M divisible by 4
         (by 2 when |rho| = 1, where the four tuples collapse pairwise).
@@ -59,6 +104,7 @@ class NoiseConfig:
     def __post_init__(self):
         if self.distribution not in _DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
+        check_seed(self.seed)
         if self.paths < 1:
             raise ValueError("paths must be >= 1")
         if self.steps < 1:
@@ -91,8 +137,7 @@ def _draw_base(distribution: str, start: int, stop: int, steps: int,
     """Two independent draws per base path in [start, stop)."""
     first = np.empty((stop - start, steps))
     second = np.empty((stop - start, steps))
-    for i, j in enumerate(range(start, stop)):
-        rng = path_rng(seed, j)
+    for i, rng in enumerate(path_generators(seed, start, stop)):
         if distribution == "gaussian":
             block = rng.standard_normal((2, steps))
         else:

@@ -4,8 +4,8 @@ Each suite returns `InvariantResult` records with a stable name, the
 measured statistic and its threshold, so failures identify exactly which
 invariant broke. `run_invariants` bundles the four suites — weight-table
 moment identity, FFT/naive convolution agreement, sampler covariance
-against the quadrature-exact law, and stock-martingale checks — into one
-JSON-serialisable report.
+against the exact law (the closed-form Riemann-Liouville covariance), and
+stock-martingale checks — into one JSON-serialisable report.
 
 The `weight_hook` argument is a fault-injection point for self-tests:
 it receives each moment-matched weight table before the identity is
@@ -43,6 +43,8 @@ SAMPLERS = SCHEMES + ("cholesky",)
 # sample noise at M=2e5 adds to that: over seeds 2000..2011 its max gap has
 # median 9.5e-3 and none is under the 5e-3 tolerance. Seed 1204 (4.6e-3)
 # is a draw that passes, so any change in draw order can flip this gate.
+# The exact covariance is the closed form; it is within 5e-13 of the
+# quadrature these figures were first measured against.
 COVARIANCE_PATHS = 200_000
 COVARIANCE_SEEDS = {"rdonsker_matched": 1204, "hybrid": 19, "cholesky": 20}
 COVARIANCE_TOL = 5e-3
@@ -142,7 +144,7 @@ def sample_paths(sampler: str, kernel, grid: Grid, paths: int, seed: int,
 
 def check_covariance(hurst: float = 0.3, steps: int = 32,
                      paths: int = COVARIANCE_PATHS, seeds=None) -> list:
-    """Empirical sampler covariance vs the quadrature-exact covariance.
+    """Empirical sampler covariance vs the exact, closed-form covariance.
 
     Entrywise tolerance 5e-3 at the reference path count, scaled by
     sqrt(reference/paths) when fewer paths are requested so the check

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import fft as sfft
-from scipy.integrate import quad
+from scipy.special import hyp2f1
 
 from roughsim import _config
 from roughsim.kernels import (
@@ -26,7 +26,14 @@ from roughsim.kernels import (
     optimal_eval_weights,
     _quad_piecewise,
 )
-from roughsim.shocks import STREAM_CHOLESKY, STREAM_HYBRID_AUX, path_rng
+# path_rng is not called here but stays importable from this module: the
+# per-path generators come from `path_generators`, which re-keys one by it
+from roughsim.shocks import (  # noqa: F401
+    STREAM_CHOLESKY,
+    STREAM_HYBRID_AUX,
+    path_generators,
+    path_rng,
+)
 
 _BINARY_MAGIC = b"RVOL1"
 CONV_METHODS = ("fft", "naive")
@@ -320,12 +327,15 @@ def hybrid_scheme_rl(hurst: float, shocks_base: np.ndarray, grid: Grid,
     c2 = np.sqrt(max(var_i - c1 * c1 * dt, 0.0))
     if c2 > 0.0:
         g = antithetic_group
+        h = max(g // 2, 1)  # rows of each group that carry +eta
+        # filled group by group: mirroring a whole (m/g, n) draw block
+        # allocates and frees a temporary that size, and so raises peak RSS
         eta = np.empty((m, n))
-        for b in range(m // g):
-            draw = path_rng(seed, base_offset + b,
-                            STREAM_HYBRID_AUX).standard_normal(n)
-            for r in range(g):
-                eta[g * b + r] = draw if r < g // 2 or g == 1 else -draw
+        for group, rng in zip(eta.reshape(m // g, g, n), path_generators(
+                seed, base_offset, base_offset + m // g, STREAM_HYBRID_AUX)):
+            rng.standard_normal(out=group[0])
+            group[1:h] = group[0]
+            np.negative(group[0], out=group[h:])
         exact = c1 * xi + c2 * eta
     else:
         exact = c1 * xi  # alpha = 0: the integral is the increment itself
@@ -339,28 +349,71 @@ def hybrid_scheme_rl(hurst: float, shocks_base: np.ndarray, grid: Grid,
 # exact sampler and its covariance oracle
 # ----------------------------------------------------------------------
 
+def _covariance_entry(kernel: KernelSpec, s: float, t: float) -> float:
+    """int_0^s g(t-u) g(s-u) du for 0 < s <= t, by adaptive quadrature."""
+    gap = t - s
+    if gap == 0.0:
+        f = lambda v: eval_g(kernel, v) ** 2
+        head = 2.0 * kernel.alpha
+    else:
+        f = lambda v: eval_g(kernel, v) * eval_g(kernel, gap + v)
+        head = kernel.alpha
+    return _quad_piecewise(f, 0.0, float(s), head)
+
+
+def _covariance_quadrature(kernel: KernelSpec, grid: Grid) -> np.ndarray:
+    """The grid covariance entry by entry by quadrature, for any kernel.
+
+    O(n^2) adaptive integrals: the gamma and power-law kernels' only
+    route, and the test oracle for the Riemann-Liouville closed form.
+    """
+    t = grid.times
+    cov = np.zeros((grid.n + 1, grid.n + 1))
+    for i in range(1, grid.n + 1):
+        for j in range(i, grid.n + 1):
+            cov[i, j] = cov[j, i] = _covariance_entry(kernel, t[i], t[j])
+    return cov
+
+
+def _covariance_rl(alpha: float, grid: Grid) -> np.ndarray:
+    """The Riemann-Liouville grid covariance in closed form.
+
+    For 0 < s < t, int_0^s (t-u)^a (s-u)^a du
+    = s^(a+1) t^a / (a+1) * 2F1(-a, 1; a+2; s/t), filled over the upper
+    triangle and mirrored, so the matrix is exactly symmetric; the
+    diagonal is t^(2H) / (2H) with 2H = 2a + 1.
+    """
+    two_h = 2.0 * alpha + 1.0
+    if two_h <= 0.0:
+        raise ValueError(f"covariance needs alpha > -1/2, got {alpha}")
+    t = grid.times[1:]
+    upper_i, upper_j = np.triu_indices(grid.n, k=1)
+    s, u = t[upper_i], t[upper_j]
+    upper = (s ** (alpha + 1.0) * u ** alpha / (alpha + 1.0)
+             * hyp2f1(-alpha, 1.0, alpha + 2.0, s / u))
+    cov = np.zeros((grid.n + 1, grid.n + 1))
+    inner = cov[1:, 1:]
+    inner[upper_i, upper_j] = upper
+    inner[upper_j, upper_i] = upper
+    np.fill_diagonal(inner, t ** two_h / two_h)
+    return cov
+
+
 @lru_cache(maxsize=8)
 def _covariance_cached(kernel: KernelSpec, grid: Grid) -> np.ndarray:
-    n = grid.n
-    t = grid.times
-    cov = np.zeros((n + 1, n + 1))
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            gap = t[j] - t[i]
-            if gap == 0.0:
-                f = lambda v: eval_g(kernel, v) ** 2
-                head = 2.0 * kernel.alpha
-            else:
-                f = lambda v, c=gap: eval_g(kernel, v) * eval_g(kernel, c + v)
-                head = kernel.alpha
-            cov[i, j] = cov[j, i] = _quad_piecewise(f, 0.0, float(t[i]), head)
+    if kernel.kind == "rl":
+        cov = _covariance_rl(kernel.alpha, grid)
+    else:
+        cov = _covariance_quadrature(kernel, grid)
     cov.setflags(write=False)
     return cov
 
 
 def volterra_covariance(kernel: KernelSpec, grid: Grid) -> np.ndarray:
-    """Cov(Z_s, Z_t) = int_0^{s^t} g(t-u) g(s-u) du on the grid, by quadrature.
+    """Cov(Z_s, Z_t) = int_0^{s^t} g(t-u) g(s-u) du on the grid.
 
+    In closed form (a Gauss hypergeometric function) for the
+    Riemann-Liouville kernel, by adaptive quadrature for the others.
     Entry [i, j] covers times (t_i, t_j); row and column 0 are zero. The
     result is cached per (kernel, grid) and returned read-only.
     """
@@ -371,7 +424,8 @@ def cholesky_exact_rl(kernel: KernelSpec, grid: Grid, num_paths: int,
                       seed: int) -> PathSet:
     """Exact joint Gaussian samples of (G^alpha W)(t_1..t_n).
 
-    Dense Cholesky of the quadrature covariance (jitter 1e-12); meant for
+    Dense Cholesky of the closed-form covariance (jitter 1e-12), driven by
+    the STREAM_CHOLESKY normals of paths 0..num_paths-1; meant for
     validation, so the grid is capped at n <= 512.
     """
     if grid.n > 512:
@@ -382,8 +436,9 @@ def cholesky_exact_rl(kernel: KernelSpec, grid: Grid, num_paths: int,
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("covariance not positive definite after jitter") from exc
     normals = np.empty((num_paths, grid.n))
-    for j in range(num_paths):
-        normals[j] = path_rng(seed, j, STREAM_CHOLESKY).standard_normal(grid.n)
+    for row, rng in zip(normals, path_generators(seed, 0, num_paths,
+                                                 STREAM_CHOLESKY)):
+        rng.standard_normal(out=row)
     values = np.zeros((num_paths, grid.n + 1))
     values[:, 1:] = normals @ factor.T
     return PathSet(values=values, grid=grid, scheme_tag="cholesky", seed=seed)

@@ -410,6 +410,32 @@ def test_config_covariance_seeds_must_be_an_object(tmp_path, capsys):
     assert code == 1 and "bogus" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["price", *_PRICE_ARGS[:-1], "-1"],
+    ["simulate", "--paths", "2", "--steps", "4", "--seed", "-1"],
+    ["simulate", "--scheme", "cholesky", "--paths", "2", "--steps", "4",
+     "--seed", "18446744073709551616"],
+    ["bench", "--grid", "16", "--paths", "8", "--trials", "1", "--seed", "-1"],
+])
+def test_out_of_range_seed_is_config_error(argv, tmp_path, capsys):
+    if argv[0] == "simulate":
+        argv = argv + ["--output-dir", str(tmp_path / "out")]
+    code, _, err = _run(capsys, argv)
+    assert code == 1
+    assert err.startswith("config error") and "seed" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_covariance_seed_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": ["covariance"],
+                               "covariance_paths": 100,
+                               "covariance_seeds": {"cholesky": -1}}))
+    code, _, err = _run(capsys, ["validate", "--config", str(cfg)])
+    assert code == 1
+    assert err.startswith("config error") and "seed" in err
+
+
 def test_config_choices_match_the_flags(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for bad in ({"mc": {"scheme": "cholesky"}}, {"payoff": "straddle"},

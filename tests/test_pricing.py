@@ -135,6 +135,10 @@ def test_mcconfig_validation():
         MCConfig(num_paths=8, grid=grid, variance_reduction="cv")
     with pytest.raises(ValueError):
         MCConfig(num_paths=8, grid=grid, method="dft")
+    for seed in (2.5, -1, 2 ** 64, "0"):
+        with pytest.raises(ValueError, match="seed"):
+            MCConfig(num_paths=8, grid=grid, seed=seed)
+    MCConfig(num_paths=8, grid=grid, seed=np.uint64(2 ** 64 - 1))
 
 
 def test_hybrid_requires_rl_brownian():

@@ -2,8 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from roughsim.shocks import NoiseConfig, ShockMatrices, antithetic_expand, draw_shocks
+from roughsim.shocks import (
+    STREAM_CHOLESKY,
+    STREAM_HYBRID_AUX,
+    STREAM_SHOCKS,
+    NoiseConfig,
+    ShockMatrices,
+    antithetic_expand,
+    draw_shocks,
+    path_generators,
+    path_rng,
+)
 
 
 def _cfg(**kw):
@@ -30,6 +42,53 @@ def test_config_validation():
     _cfg(antithetic=True, paths=6, rho=-1.0)      # pairs allowed at |rho| = 1
     with pytest.raises(ValueError):
         _cfg(antithetic=True, paths=5, rho=-1.0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2.5, 2.0, True, "3", None,
+                                  np.float64(4.0)])
+def test_bad_seed_is_rejected_by_name(seed):
+    with pytest.raises(ValueError, match="seed"):
+        _cfg(seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        path_rng(seed, 0)
+    with pytest.raises(ValueError, match="seed"):
+        next(path_generators(seed, 0, 1))
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, np.uint64(2 ** 64 - 1),
+                                  np.int32(7)])
+def test_every_64_bit_seed_is_accepted(seed):
+    _cfg(seed=seed)
+    expect = path_rng(int(seed), 3).standard_normal(4)
+    np.testing.assert_array_equal(path_rng(seed, 3).standard_normal(4), expect)
+
+
+def test_reused_generator_is_rekeyed_in_place():
+    rng = path_rng(1, 0)
+    rng.random(3, dtype=np.float32)  # leaves half a 64-bit word buffered
+    assert rng.bit_generator.state["has_uint32"] == 1
+    again = path_rng(5, 3, STREAM_CHOLESKY, reuse=rng)
+    assert again is rng
+    fresh = path_rng(5, 3, STREAM_CHOLESKY)
+    np.testing.assert_array_equal(again.random(5, dtype=np.float32),
+                                  fresh.random(5, dtype=np.float32))
+    with pytest.raises(ValueError, match="seed"):
+        path_rng(-1, 0, reuse=rng)
+
+
+def test_every_drawn_path_is_keyed_through_path_rng(monkeypatch):
+    # one `shocks.path_rng` call per base path, looked up by name, so the
+    # traced benchmark's wrapper counts and times every per-path generator
+    import roughsim.shocks as shocks
+    real, keyed = shocks.path_rng, []
+
+    def counting(seed, path, stream=STREAM_SHOCKS, **kwargs):
+        keyed.append((path, stream))
+        return real(seed, path, stream, **kwargs)
+
+    monkeypatch.setattr(shocks, "path_rng", counting)
+    draw_shocks(_cfg(paths=16, antithetic=True), base_range=(1, 3))
+    assert keyed == [(1, STREAM_SHOCKS), (2, STREAM_SHOCKS)]
 
 
 # ----------------------------------------------------------------------
@@ -188,3 +247,53 @@ def test_chunk_range_validated():
         draw_shocks(cfg, base_range=(0, 3))
     with pytest.raises(ValueError):
         draw_shocks(cfg, base_range=(2, 2))
+
+
+# ----------------------------------------------------------------------
+# the re-keyed stream generator against the per-path reference
+# ----------------------------------------------------------------------
+
+_SEEDS = st.one_of(st.sampled_from([0, 2 ** 64 - 1]),
+                   st.integers(0, 2 ** 64 - 1))
+
+
+def _draw(rng, distribution, shape):
+    if distribution == "gaussian":
+        return rng.standard_normal(shape)
+    return rng.integers(0, 2, size=shape)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=_SEEDS, start=st.integers(0, 2 ** 48 - 8), count=st.integers(1, 7),
+       shape=st.tuples(st.integers(1, 2), st.integers(1, 9)),
+       stream=st.sampled_from([STREAM_SHOCKS, STREAM_HYBRID_AUX,
+                               STREAM_CHOLESKY]),
+       distribution=st.sampled_from(["gaussian", "rademacher"]))
+def test_path_generators_draw_what_path_rng_draws(seed, start, count, shape,
+                                                  stream, distribution):
+    # an odd number of Rademacher draws leaves half a 64-bit word buffered,
+    # which the re-key must discard as a fresh generator would not have it
+    got = [_draw(rng, distribution, shape)
+           for rng in path_generators(seed, start, start + count, stream)]
+    want = [_draw(path_rng(seed, j, stream), distribution, shape)
+            for j in range(start, start + count)]
+    np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_SEEDS, base_paths=st.integers(1, 8), steps=st.integers(1, 6),
+       layout=st.sampled_from([(False, -0.5), (True, -0.7), (True, -1.0)]),
+       distribution=st.sampled_from(["gaussian", "rademacher"]),
+       cuts=st.lists(st.integers(1, 7), max_size=4))
+def test_chunked_draws_concatenate_to_one_call(seed, base_paths, steps, layout,
+                                               distribution, cuts):
+    antithetic, rho = layout
+    group = (2 if rho == -1.0 else 4) if antithetic else 1
+    cfg = _cfg(distribution=distribution, paths=group * base_paths,
+               steps=steps, rho=rho, seed=seed, antithetic=antithetic)
+    full = draw_shocks(cfg)
+    bounds = sorted({0, base_paths, *(c for c in cuts if c < base_paths)})
+    parts = [draw_shocks(cfg, base_range=(a, b))
+             for a, b in zip(bounds, bounds[1:])]
+    np.testing.assert_array_equal(np.vstack([p.zeta for p in parts]), full.zeta)
+    np.testing.assert_array_equal(np.vstack([p.xi for p in parts]), full.xi)

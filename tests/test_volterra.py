@@ -2,10 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from roughsim.kernels import Grid, riemann_liouville
-from roughsim.shocks import NoiseConfig, draw_shocks
+from roughsim.kernels import Grid, gamma_fractional, riemann_liouville
+from roughsim.shocks import (
+    STREAM_CHOLESKY,
+    STREAM_HYBRID_AUX,
+    NoiseConfig,
+    draw_shocks,
+    path_rng,
+)
 from roughsim.volterra import (
+    _covariance_entry,
+    _covariance_quadrature,
     DiffusionSpec,
     PathSet,
     check_diffusion_coefficients,
@@ -265,6 +275,121 @@ def test_covariance_diagonal_closed_form():
     t = grid.times
     np.testing.assert_allclose(np.diag(cov), t ** (2 * hurst) / (2 * hurst),
                                atol=1e-9)
+
+
+_ORACLE_HURSTS = (0.05, 0.1, 0.3, 0.5, 0.75)
+
+
+@pytest.mark.parametrize("hurst", _ORACLE_HURSTS)
+@pytest.mark.parametrize("n", [3, 8])
+def test_closed_form_covariance_matches_quadrature(hurst, n):
+    # absolute, not relative: the quadrature's epsabs=1e-12 leaves tiny
+    # entries at H > 1/2 off by ~1e-9 relative
+    kernel = riemann_liouville(hurst=hurst)
+    grid = Grid(n=n, T=1.3)
+    np.testing.assert_allclose(volterra_covariance(kernel, grid),
+                               _covariance_quadrature(kernel, grid),
+                               rtol=0, atol=1e-11)
+
+
+# one Hurst index on each side of 1/2 besides the oracle's
+_ADJACENT_HURSTS = _ORACLE_HURSTS + (0.45, 0.55)
+
+
+@pytest.mark.parametrize("hurst", _ADJACENT_HURSTS)
+def test_closed_form_covariance_at_adjacent_times_n256(hurst):
+    # s/t -> 1 is where 2F1 converges slowest (c - a - b = 2H), and where
+    # scipy switches to its 1 - z transformation (z > 0.9)
+    kernel = riemann_liouville(hurst=hurst)
+    grid = Grid(n=256, T=1.0)
+    cov = volterra_covariance(kernel, grid)
+    t = grid.times
+    for i, j in ((1, 2), (2, 3), (128, 129), (255, 256), (254, 256),
+                 (100, 200), (1, 256)):
+        assert abs(cov[i, j] - _covariance_entry(kernel, t[i], t[j])) < 1e-11
+
+
+@pytest.mark.parametrize("hurst", _ADJACENT_HURSTS)
+def test_closed_form_covariance_is_positive_definite_at_the_cap(hurst):
+    cov = volterra_covariance(riemann_liouville(hurst=hurst),
+                              Grid(n=512, T=1.0))
+    assert np.all(np.isfinite(cov))
+    assert np.linalg.eigvalsh(cov[1:, 1:]).min() > 0.0
+
+
+@pytest.mark.parametrize("hurst", _ORACLE_HURSTS)
+def test_closed_form_covariance_is_exact_on_its_diagonal_and_symmetric(hurst):
+    kernel = riemann_liouville(hurst=hurst)
+    grid = Grid(n=64, T=2.0)
+    cov = volterra_covariance(kernel, grid)
+    t = grid.times
+    two_h = 2.0 * kernel.hurst
+    assert np.all(np.diag(cov) == t ** two_h / two_h)
+    assert np.array_equal(cov, cov.T)
+    assert not np.any(cov[0]) and not np.any(cov[:, 0])
+    assert not cov.flags.writeable
+
+
+def test_covariance_of_other_kernels_is_quadrature():
+    kernel = gamma_fractional(-0.2, -1.0)
+    grid = Grid(n=3, T=1.0)
+    np.testing.assert_array_equal(volterra_covariance(kernel, grid),
+                                  _covariance_quadrature(kernel, grid))
+
+
+def test_covariance_rejects_a_kernel_without_one():
+    with pytest.raises(ValueError, match="alpha"):
+        volterra_covariance(riemann_liouville(alpha=-0.6), Grid(n=2, T=1.0))
+
+
+def test_cholesky_sampler_runs_at_its_cap():
+    out = cholesky_exact_rl(riemann_liouville(hurst=0.05), Grid(n=512, T=1.0),
+                            num_paths=4, seed=3)
+    assert out.values.shape == (4, 513)
+    assert np.all(np.isfinite(out.values))
+
+
+_STREAM_SEEDS = st.one_of(st.sampled_from([0, 2 ** 64 - 1]),
+                          st.integers(0, 2 ** 64 - 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=_STREAM_SEEDS, num_paths=st.integers(1, 6), n=st.integers(1, 6))
+def test_cholesky_normals_are_the_cholesky_streams(seed, num_paths, n):
+    kernel = riemann_liouville(hurst=0.3)
+    grid = Grid(n=n, T=1.0)
+    normals = np.array([path_rng(seed, j, STREAM_CHOLESKY).standard_normal(n)
+                        for j in range(num_paths)])
+    cov = volterra_covariance(kernel, grid)[1:, 1:]
+    factor = np.linalg.cholesky(cov + 1e-12 * np.eye(n))
+    out = cholesky_exact_rl(kernel, grid, num_paths, seed)
+    np.testing.assert_array_equal(out.values[:, 1:], normals @ factor.T)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=_STREAM_SEEDS, group=st.sampled_from([1, 2, 4]),
+       base_paths=st.integers(1, 5), offset=st.integers(0, 2 ** 40),
+       n=st.integers(1, 6), cut=st.integers(1, 4))
+def test_hybrid_eta_is_the_aux_streams_in_chunks(seed, group, base_paths,
+                                                 offset, n, cut):
+    # zero shocks leave only the auxiliary term c2 * eta on each row
+    hurst = 0.1
+    grid = Grid(n=n, T=1.0)
+    alpha, dt = hurst - 0.5, grid.dt
+    c1 = dt ** alpha / (alpha + 1.0)
+    c2 = np.sqrt(dt ** (2 * alpha + 1.0) / (2 * alpha + 1.0) - c1 * c1 * dt)
+    draws = [path_rng(seed, offset + b, STREAM_HYBRID_AUX).standard_normal(n)
+             for b in range(base_paths)]
+    signs = [1.0] if group == 1 else [1.0] * (group // 2) + [-1.0] * (group // 2)
+    eta = np.array([s * d for d in draws for s in signs])
+    zeros = np.zeros((group * base_paths, n))
+    whole = hybrid_scheme_rl(hurst, zeros, grid, seed, group, offset).values
+    np.testing.assert_array_equal(whole[:, 1:], c2 * eta)
+    cut = min(cut, base_paths)
+    parts = [hybrid_scheme_rl(hurst, zeros[group * a:group * b], grid, seed,
+                              group, offset + a).values
+             for a, b in ((0, cut), (cut, base_paths)) if b > a]
+    np.testing.assert_array_equal(np.vstack(parts), whole)
 
 
 def test_cholesky_sampler_brownian_increments():
