@@ -33,8 +33,6 @@ from roughsim.kernels import (
 )
 from roughsim.volterra import DiffusionSpec, PathSet
 
-C_H_CONVENTION = "C_H = sqrt(2H)"
-
 
 # ----------------------------------------------------------------------
 # forward variance curve
@@ -215,18 +213,27 @@ def variance_map(model, phi, q, xi, stats=None):
     RoughHestonGJRS: max(eta + phi, 0), ignoring q and xi; when `stats` is
     given, the clamped cells are counted into it. Monte Carlo
     (`phi_apply`) and the trees both call this map, so they agree bitwise.
+    An array `phi` is mapped into one new array, in place, by the same
+    operations in the same order as one value is.
     """
+    scalar = np.ndim(phi) == 0
     if isinstance(model, BERGOMI_VARIANTS):
         c_h = math.sqrt(2.0 * model.hurst)
-        return xi * np.exp(2.0 * model.nu * c_h * phi
-                           - 2.0 * model.nu ** 2 * c_h ** 2 * q)
+        if scalar:
+            return xi * np.exp(2.0 * model.nu * c_h * phi
+                               - 2.0 * model.nu ** 2 * c_h ** 2 * q)
+        v = np.multiply(2.0 * model.nu * c_h, phi)
+        v -= 2.0 * model.nu ** 2 * c_h ** 2 * q
+        np.exp(v, out=v)
+        v *= xi
+        return v
     if isinstance(model, RoughHestonGJRS):
         v = model.eta + phi
         if stats is not None:
             clamped = int(np.count_nonzero(v < 0.0))
             stats["clamp_cells"] = clamped
             stats["clamp_fraction"] = clamped / np.size(v)
-        return np.maximum(v, 0.0)
+        return np.maximum(v, 0.0) if scalar else np.maximum(v, 0.0, out=v)
     raise TypeError(f"unsupported model {type(model).__name__}")
 
 

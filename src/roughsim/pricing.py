@@ -32,6 +32,7 @@ from roughsim.shocks import NoiseConfig, base_group, check_seed, draw_shocks
 from roughsim.volterra import (
     CONV_METHODS,
     PathSet,
+    _mirrored,
     hybrid_scheme_rl,
     rdonsker_volterra,
 )
@@ -179,6 +180,12 @@ def scheme_paths(kernel, driver, shocks: np.ndarray, grid: Grid, scheme: str,
     `method`, with moment-matched / left-point weights. `hybrid`: the
     kappa = 1 hybrid scheme (RL kernel, Brownian driver), whose auxiliary
     normals come from `seed`'s streams, see `hybrid_scheme_rl`.
+
+    With a Brownian driver and `antithetic_group` 2 or 4, the last half
+    of each group's rows must negate the first half; the scheme then runs
+    on the first half only and the negated paths fill the rest, bitwise
+    what running it on every row gives. `stats["scheme_rows"]` counts the
+    rows it ran on.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown sampler {scheme!r}")
@@ -190,8 +197,11 @@ def scheme_paths(kernel, driver, shocks: np.ndarray, grid: Grid, scheme: str,
                                 antithetic_group=antithetic_group,
                                 base_offset=base_offset)
     mode = "moment_matched" if scheme == "rdonsker_matched" else "left_point"
-    return rdonsker_volterra(kernel, driver, shocks, grid, eval_mode=mode,
-                             method=method)
+    # an Euler-stepped driver is not odd in its shocks, so it is not mirrored
+    group = antithetic_group if driver == "brownian" else 1
+    return _mirrored(lambda rows: rdonsker_volterra(
+        kernel, driver, rows, grid, eval_mode=mode, method=method),
+        shocks, group)
 
 
 def _variance_chunk(model, config: MCConfig, shocks, base_offset: int) -> PathSet:
@@ -227,7 +237,7 @@ def _chunked(model, config: MCConfig, per_chunk, *, group_means: bool = True,
         v = variance(model, config, shocks, start)
         rows = per_chunk(v, shocks)
         blocks.append(_group_means(rows, group) if group_means else rows)
-        for key in ("clamp_cells", "domain_clips"):
+        for key in ("clamp_cells", "domain_clips", "scheme_rows"):
             if key in v.stats:
                 stats[key] = stats.get(key, 0) + v.stats[key]
     return np.concatenate(blocks), stats

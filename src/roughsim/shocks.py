@@ -8,7 +8,7 @@ parallel-safe and stable when the path count grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,18 @@ STREAM_SHOCKS = 0
 STREAM_HYBRID_AUX = 1
 STREAM_CHOLESKY = 2
 _TAG_SHIFT = 48
+_PATHS = 2 ** _TAG_SHIFT  # path indices below the stream tag
+_SEEDS = 2 ** 64  # Philox key words are unsigned 64-bit
+
+
+def _check_index(name: str, value, bound: int) -> int:
+    """`value` as an int; a ValueError naming it unless it is an integer in [0, bound)."""
+    if type(value) is int and 0 <= value < bound:  # cheap: checked once a path
+        return value
+    if isinstance(value, np.integer) and 0 <= int(value) < bound:
+        return int(value)
+    raise ValueError(f"{name} must be an integer in "
+                     f"[0, 2**{bound.bit_length() - 1}), got {value!r}")
 
 
 def check_seed(seed) -> int:
@@ -28,15 +40,21 @@ def check_seed(seed) -> int:
     Philox keys are unsigned 64-bit words, so a negative or larger seed
     has no stream, and a float would be silently truncated to one.
     """
-    if (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
-            and 0 <= int(seed) < 2 ** 64):
-        return int(seed)
-    raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return _check_index("seed", seed, _SEEDS)
 
 
 # the state of a Philox bit generator that has drawn nothing, less its key
 _FRESH_PHILOX = np.random.Philox(key=np.zeros(2, dtype=np.uint64)).state
 _FRESH_COUNTER = _FRESH_PHILOX["state"]["counter"]
+
+
+def check_path(path) -> int:
+    """`path` as an int; a ValueError naming it unless it is an integer in [0, 2**48).
+
+    The path index shares the second Philox key word with the stream tag
+    above bit 48, so a larger index would draw another stream's numbers.
+    """
+    return _check_index("path", path, _PATHS)
 
 
 def path_rng(seed: int, path: int, stream: int = STREAM_SHOCKS, *,
@@ -48,7 +66,7 @@ def path_rng(seed: int, path: int, stream: int = STREAM_SHOCKS, *,
     and returned in place of a new one: it draws what a new one would,
     without building two objects per path.
     """
-    key = (check_seed(seed), (stream << _TAG_SHIFT) | path)
+    key = (check_seed(seed), (stream << _TAG_SHIFT) | check_path(path))
     if reuse is None:
         return np.random.Generator(
             np.random.Philox(key=np.array(key, dtype=np.uint64)))
@@ -64,8 +82,17 @@ def path_generators(seed: int, start: int, stop: int,
     One generator serves every path: `path_rng` re-keys it for each, so
     the yielded object is the same one, valid until the next is taken.
     Each path is keyed by a call to the module's `path_rng`, so whatever
-    wraps that name (the traced benchmark does) sees every path.
+    wraps that name (the traced benchmark does) sees every path. A range
+    reaching outside [0, 2**48) is rejected before anything is drawn.
     """
+    check_seed(seed)
+    if stop > start:
+        check_path(start)
+        check_path(stop - 1)
+    return _rekeyed(seed, start, stop, stream)
+
+
+def _rekeyed(seed: int, start: int, stop: int, stream: int):
     rng = None
     for path in range(start, stop):
         rng = path_rng(seed, path, stream, reuse=rng)
@@ -119,32 +146,47 @@ class NoiseConfig:
                 raise ValueError("antithetic needs M divisible by 4")
 
 
-@dataclass(frozen=True)
 class ShockMatrices:
-    """Paired M x n shock matrices: zeta drives volatility, xi the stock."""
+    """Paired M x n shock matrices: zeta drives volatility, xi the stock.
 
-    zeta: np.ndarray
-    xi: np.ndarray
-    antithetic_group: int = 1
+    `xi` is an array, or a function of no arguments that builds one: then
+    the stock matrix is built on the first read of `.xi` and kept, so a
+    consumer that reads only zeta (the conditional estimator) never pays
+    for it. Either way its shape must be zeta's. The builder reads the
+    arrays it closes over when `.xi` is first read, so `draw_shocks` hands
+    out its drawn normals read-only: without antithetics zeta is one of
+    them.
+    """
 
-    def __post_init__(self):
-        if self.zeta.shape != self.xi.shape:
+    __slots__ = ("zeta", "antithetic_group", "_xi")
+
+    def __init__(self, zeta: np.ndarray, xi, antithetic_group: int = 1):
+        self.zeta = zeta
+        self.antithetic_group = antithetic_group
+        self._xi = xi if callable(xi) else self._checked(xi)
+
+    def _checked(self, xi: np.ndarray) -> np.ndarray:
+        if xi.shape != self.zeta.shape:
             raise ValueError("zeta and xi must share a shape")
+        return xi
+
+    @property
+    def xi(self) -> np.ndarray:
+        if callable(self._xi):
+            self._xi = self._checked(self._xi())
+        return self._xi
 
 
 def _draw_base(distribution: str, start: int, stop: int, steps: int,
-               seed: int) -> tuple:
-    """Two independent draws per base path in [start, stop)."""
-    first = np.empty((stop - start, steps))
-    second = np.empty((stop - start, steps))
-    for i, rng in enumerate(path_generators(seed, start, stop)):
+               seed: int) -> np.ndarray:
+    """Two independent draws per base path in [start, stop), as (paths, 2, steps)."""
+    block = np.empty((stop - start, 2, steps))
+    for row, rng in zip(block, path_generators(seed, start, stop)):
         if distribution == "gaussian":
-            block = rng.standard_normal((2, steps))
+            rng.standard_normal(out=row)
         else:
-            block = rng.integers(0, 2, size=(2, steps)) * 2.0 - 1.0
-        first[i] = block[0]
-        second[i] = block[1]
-    return first, second
+            row[...] = rng.integers(0, 2, size=(2, steps)) * 2.0 - 1.0
+    return block
 
 
 def base_group(config: NoiseConfig) -> int:
@@ -160,6 +202,7 @@ def draw_shocks(config: NoiseConfig, base_range: tuple | None = None) -> ShockMa
     Without antithetics, xi = rho*zeta + rhobar*zeta_perp entrywise. With
     antithetics the four sign-combination variates of each base path are
     emitted contiguously (two at |rho| = 1, where they collapse pairwise).
+    The stock matrix xi is built when first read (see `ShockMatrices`).
 
     `base_range=(start, stop)` restricts the draw to those base paths
     (stream keys use absolute indices, so chunked draws concatenate to
@@ -173,26 +216,31 @@ def draw_shocks(config: NoiseConfig, base_range: tuple | None = None) -> ShockMa
     start, stop = base_range
     if not 0 <= start < stop <= total_base:
         raise ValueError(f"base_range {base_range} outside [0, {total_base}]")
+    block = _draw_base(config.distribution, start, stop, config.steps,
+                       config.seed)
+    block.setflags(write=False)  # a lazy xi reads it later
+    first, second = block[:, 0], block[:, 1]
 
     if config.antithetic and abs(rho) == 1.0:
-        zeta_b, xi_b = _draw_base(config.distribution, start, stop,
-                                  config.steps, config.seed)
-        # pairs (rho*xi, xi), (-rho*xi, -xi); zeta_b is drawn to keep the
-        # stream layout identical across modes but carries no weight here
-        xi = np.empty((2 * (stop - start), config.steps))
-        xi[0::2] = xi_b
-        xi[1::2] = -xi_b
-        return ShockMatrices(zeta=rho * xi, xi=xi, antithetic_group=2)
+        # pairs (rho*xi, xi), (-rho*xi, -xi) of the second draw; the first
+        # is drawn to keep the stream layout identical across modes but
+        # carries no weight here
+        return ShockMatrices(zeta=_signed_pairs(rho * second),
+                             xi=lambda: _signed_pairs(second),
+                             antithetic_group=2)
     if config.antithetic:
-        zeta_b, xi_b = _draw_base(config.distribution, start, stop,
-                                  config.steps, config.seed)
-        return antithetic_expand(ShockMatrices(zeta=zeta_b, xi=xi_b), rho)
-
-    zeta, zeta_perp = _draw_base(config.distribution, start, stop,
-                                 config.steps, config.seed)
+        return antithetic_expand(ShockMatrices(zeta=first, xi=second), rho)
     rhobar = np.sqrt(1.0 - rho ** 2)
-    xi = rho * zeta + rhobar * zeta_perp
-    return ShockMatrices(zeta=zeta, xi=xi)
+    return ShockMatrices(zeta=first, xi=lambda: rho * first + rhobar * second)
+
+
+def _signed_pairs(rows: np.ndarray) -> np.ndarray:
+    """Rows r_0, -r_0, r_1, -r_1, ... of `rows`."""
+    out = np.empty((2 * rows.shape[0], rows.shape[1]))
+    pairs = out.reshape(rows.shape[0], 2, rows.shape[1])
+    pairs[:, 0] = rows
+    np.negative(rows, out=pairs[:, 1])
+    return out
 
 
 def antithetic_expand(shocks: ShockMatrices, rho: float) -> ShockMatrices:
@@ -202,19 +250,27 @@ def antithetic_expand(shocks: ShockMatrices, rho: float) -> ShockMatrices:
     output pairs (volatility shock, stock shock) are
     (rho*xi + rhobar*zeta, xi), (rho*xi - rhobar*zeta, xi),
     (-rho*xi - rhobar*zeta, -xi), (-rho*xi + rhobar*zeta, -xi),
-    grouped contiguously per base path.
+    grouped contiguously per base path. The volatility rows are written
+    in place into one M x n array; the stock rows are built from
+    `shocks.xi` when the result's `xi` is first read.
     """
     zeta_b, xi_b = shocks.zeta, shocks.xi
     m_base, n = zeta_b.shape
     rhobar = np.sqrt(1.0 - rho ** 2)
     vol = np.empty((4 * m_base, n))
-    stock = np.empty((4 * m_base, n))
-    vol[0::4] = rho * xi_b + rhobar * zeta_b
-    vol[1::4] = rho * xi_b - rhobar * zeta_b
-    vol[2::4] = -vol[0::4]
-    vol[3::4] = -vol[1::4]
-    stock[0::4] = xi_b
-    stock[1::4] = xi_b
-    stock[2::4] = -xi_b
-    stock[3::4] = -xi_b
+    variates = vol.reshape(m_base, 4, n)
+    plus, minus = variates[:, 0], variates[:, 1]
+    np.multiply(zeta_b, rhobar, out=variates[:, 2])  # scratch until negated
+    np.multiply(xi_b, rho, out=plus)
+    np.subtract(plus, variates[:, 2], out=minus)
+    plus += variates[:, 2]
+    np.negative(variates[:, :2], out=variates[:, 2:])
+
+    def stock():
+        out = np.empty((4 * m_base, n))
+        signed = out.reshape(m_base, 2, 2, n)
+        signed[:, 0] = xi_b[:, None]
+        np.negative(signed[:, 0], out=signed[:, 1])
+        return out
+
     return ShockMatrices(zeta=vol, xi=stock, antithetic_group=4)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy import fft as sfft
@@ -261,6 +261,7 @@ def rdonsker_volterra(kernel: KernelSpec, driver, shocks: np.ndarray, grid: Grid
         weights = left_point_weights(kernel, grid)
         tag = "rdonsker_left"
     out = convolve_gfo(weights, increments, grid, method=method)
+    stats["scheme_rows"] = shocks.shape[0]
     return PathSet(values=out.values, grid=grid, scheme_tag=tag, stats=stats)
 
 
@@ -304,45 +305,89 @@ def hybrid_scheme_rl(hurst: float, shocks_base: np.ndarray, grid: Grid,
     carries an order-of-magnitude covariance bias on coarse grids.
 
     With `antithetic_group` g > 1, rows arrive as contiguous groups of g
-    sign variates per base path; one eta is drawn per base path (stream
-    index `base_offset` + group ordinal) and applied with + on the first
-    g/2 rows and - on the rest, so mirrored shock rows yield exactly
-    mirrored paths. `base_offset` likewise shifts per-row streams when
-    g = 1, letting chunked calls reproduce a single full call.
+    sign variates per base path, the last g/2 rows of each negating the
+    first g/2 (a ValueError names the first row that does not). One eta
+    is drawn per base path (stream index `base_offset` + group ordinal)
+    and applied with + on the first g/2 rows and - on the rest, so the
+    paths are mirrored exactly as the rows are: the scheme runs on the
+    first g/2 rows of each group and their negation fills the others.
+    `base_offset` likewise shifts per-row streams when g = 1, letting
+    chunked calls reproduce a single full call.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
-    alpha = hurst - 0.5
-    m, n = shocks_base.shape
-    if n != grid.n:
-        raise ValueError(f"shock columns {n} do not match grid n={grid.n}")
-    if antithetic_group not in (1, 2, 4):
-        raise ValueError(f"antithetic_group must be 1, 2 or 4, got {antithetic_group}")
-    if m % antithetic_group:
-        raise ValueError("rows must be a whole number of antithetic groups")
+    if shocks_base.shape[1] != grid.n:
+        raise ValueError(f"shock columns {shocks_base.shape[1]} do not match "
+                         f"grid n={grid.n}")
+    # each run of `share` rows passed on (the + rows of one group) shares an eta
+    share = max(antithetic_group // 2, 1)
+    return _mirrored(
+        partial(_hybrid_rows, hurst - 0.5, grid=grid, seed=seed, share=share,
+                base_offset=base_offset),
+        shocks_base, antithetic_group)
+
+
+def _hybrid_rows(alpha: float, shocks: np.ndarray, *, grid: Grid, seed: int,
+                 share: int, base_offset: int) -> PathSet:
+    """The hybrid scheme on rows whose consecutive runs of `share` rows
+    share one auxiliary normal row, drawn from stream `base_offset` + run."""
+    m, n = shocks.shape
     dt = grid.dt
-    xi = np.sqrt(dt) * shocks_base
+    xi = np.sqrt(dt) * shocks
     c1 = dt ** alpha / (alpha + 1.0)
     var_i = dt ** (2 * alpha + 1.0) / (2 * alpha + 1.0)
     c2 = np.sqrt(max(var_i - c1 * c1 * dt, 0.0))
-    if c2 > 0.0:
-        g = antithetic_group
-        h = max(g // 2, 1)  # rows of each group that carry +eta
-        # filled group by group: mirroring a whole (m/g, n) draw block
-        # allocates and frees a temporary that size, and so raises peak RSS
-        eta = np.empty((m, n))
-        for group, rng in zip(eta.reshape(m // g, g, n), path_generators(
-                seed, base_offset, base_offset + m // g, STREAM_HYBRID_AUX)):
-            rng.standard_normal(out=group[0])
-            group[1:h] = group[0]
-            np.negative(group[0], out=group[h:])
-        exact = c1 * xi + c2 * eta
-    else:
-        exact = c1 * xi  # alpha = 0: the integral is the increment itself
+    exact = c1 * xi
+    if c2 > 0.0:  # at alpha = 0 the integral is the increment itself
+        eta = np.empty((m // share, n))
+        for row, rng in zip(eta, path_generators(
+                seed, base_offset, base_offset + m // share, STREAM_HYBRID_AUX)):
+            rng.standard_normal(out=row)
+        eta *= c2
+        runs = exact.reshape(m // share, share, n)
+        runs += eta[:, None, :]
     weights = _hybrid_history_weights(alpha, grid)
     out = convolve_gfo(weights, xi, grid, method="fft").values
     out[:, 1:] += exact
-    return PathSet(values=out, grid=grid, scheme_tag="hybrid", seed=seed)
+    return PathSet(values=out, grid=grid, scheme_tag="hybrid", seed=seed,
+                   stats={"scheme_rows": m})
+
+
+def _mirrored(scheme, shocks: np.ndarray, group: int) -> PathSet:
+    """`scheme(shocks)` for rows in antithetic groups of `group`, run on half.
+
+    With `group` 2 or 4, the last group/2 rows of each contiguous group
+    must negate the first group/2 bitwise; a ValueError names the first
+    row that does not. The schemes passed here are odd in their shocks
+    (every operation is sign-symmetric), so `scheme` runs on the first
+    group/2 rows of each group only and their paths, negated, fill the
+    others. The negation is a subtraction from zero, which leaves a zero
+    +0.0 as running the scheme on the negated rows does.
+    """
+    if group == 1:
+        return scheme(shocks)
+    if group not in (2, 4):
+        raise ValueError(f"antithetic_group must be 1, 2 or 4, got {group}")
+    m, n = shocks.shape
+    if m % group:
+        raise ValueError("rows must be a whole number of antithetic groups")
+    half = group // 2
+    rows = shocks.reshape(m // group, group, n)
+    plus, minus = rows[:, :half], rows[:, half:]
+    if not np.array_equal(minus, -plus):
+        bad = np.flatnonzero(np.any(minus != -plus, axis=2))[0]
+        row = (bad // half) * group + half + bad % half
+        raise ValueError(f"antithetic row {row} is not the negation of row "
+                         f"{row - half}")
+    computed = scheme(plus.reshape(-1, n))
+    width = computed.values.shape[1]
+    values = np.empty((m, width))
+    paths = values.reshape(m // group, group, width)
+    paths[:, :half] = computed.values.reshape(m // group, half, width)
+    np.subtract(0.0, paths[:, :half], out=paths[:, half:])
+    return PathSet(values=values, grid=computed.grid,
+                   scheme_tag=computed.scheme_tag, seed=computed.seed,
+                   stats=computed.stats)
 
 
 # ----------------------------------------------------------------------

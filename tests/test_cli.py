@@ -197,6 +197,8 @@ def test_flat_smile_artifacts(tmp_path, capsys):
     assert np.all(rows[:, 2] == 0.0)
     meta = json.loads((tmp_path / "smile.meta.json").read_text())
     assert meta["pricing"]["variance_reduction"] == "conditional_bs"
+    # antithetic groups of four: the scheme ran on half of the 512 rows
+    assert meta["pricing"]["stats"]["scheme_rows"] == 256
     assert "runtime_seconds" in meta
 
 

@@ -358,3 +358,18 @@ def test_smile_strike_validation():
         smile(model, cfg, [])
     with pytest.raises(ValueError):
         smile(model, cfg, [1.0], payoff="straddle")
+
+
+@pytest.mark.parametrize("model, scheme, antithetic, rows", [
+    (_rbergomi(), "rdonsker_matched", True, 32),   # groups of four, half run
+    (_rbergomi(rho=-1.0), "hybrid", True, 32),     # pairs, half run
+    (_rbergomi(), "hybrid", False, 64),
+    # an Euler-stepped driver is never mirrored
+    (RoughHestonGJRS(eta=0.04, kappa=1.0, theta=0.04, vol_of_vol=0.1, y0=0.04,
+                     hurst=0.3, rho=-0.7), "rdonsker_left", True, 64)])
+def test_scheme_rows_count_the_rows_the_scheme_ran_on(model, scheme,
+                                                      antithetic, rows):
+    cfg = _config(paths=64, n=8, scheme=scheme, antithetic=antithetic,
+                  seed=4)
+    assert smile(model, cfg, [1.0]).metadata["stats"]["scheme_rows"] == rows
+    assert simulate_logstock(model, cfg).stats["scheme_rows"] == rows

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roughsim.kernels import Grid
 from roughsim.shocks import (
     STREAM_CHOLESKY,
     STREAM_HYBRID_AUX,
@@ -16,6 +17,7 @@ from roughsim.shocks import (
     path_generators,
     path_rng,
 )
+from roughsim.volterra import hybrid_scheme_rl
 
 
 def _cfg(**kw):
@@ -297,3 +299,73 @@ def test_chunked_draws_concatenate_to_one_call(seed, base_paths, steps, layout,
              for a, b in zip(bounds, bounds[1:])]
     np.testing.assert_array_equal(np.vstack([p.zeta for p in parts]), full.zeta)
     np.testing.assert_array_equal(np.vstack([p.xi for p in parts]), full.xi)
+
+
+_BAD_PATHS = st.one_of(st.sampled_from([-1, 2 ** 48, 2 ** 64]),
+                       st.integers(max_value=-1), st.integers(min_value=2 ** 48))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_SEEDS,
+       keys=st.lists(st.tuples(st.sampled_from([STREAM_SHOCKS, STREAM_HYBRID_AUX,
+                                                STREAM_CHOLESKY]),
+                               st.one_of(st.sampled_from([0, 2 ** 48 - 1]),
+                                         st.integers(0, 2 ** 48 - 1))),
+                     min_size=2, max_size=8, unique=True),
+       bad=_BAD_PATHS)
+def test_stream_paths_have_distinct_keys_and_bounded_paths(seed, keys, bad):
+    # the path index sits below the stream tag, so no (stream, path) pair
+    # can alias another's key; an index that would reach the tag is refused
+    drawn = {tuple(int(w) for w in path_rng(seed, path, stream)
+                   .bit_generator.state["state"]["key"])
+             for stream, path in keys}
+    assert len(drawn) == len(keys)
+    with pytest.raises(ValueError, match="path"):
+        path_rng(seed, bad)
+    with pytest.raises(ValueError, match="path"):
+        path_generators(seed, bad, bad + 1)
+    with pytest.raises(ValueError, match="path"):
+        path_generators(seed, 2 ** 48 - 1, 2 ** 48 + 1, STREAM_HYBRID_AUX)
+
+
+def test_hybrid_base_offset_past_the_path_bound_is_refused():
+    with pytest.raises(ValueError, match="path"):
+        path_rng(7, 2 ** 48)
+    with pytest.raises(ValueError, match="path"):
+        hybrid_scheme_rl(0.1, np.zeros((4, 3)), Grid(n=3, T=1.0), seed=7,
+                         antithetic_group=4, base_offset=2 ** 48)
+
+
+@pytest.mark.parametrize("path", [1.0, True, "3", None])
+def test_non_integer_path_is_rejected_by_name(path):
+    with pytest.raises(ValueError, match="path"):
+        path_rng(0, path)
+
+
+def test_stock_shocks_are_built_when_first_read():
+    built = []
+
+    def stock():
+        built.append(1)
+        return np.ones((2, 3))
+
+    shocks = ShockMatrices(zeta=np.zeros((2, 3)), xi=stock)
+    assert built == []
+    np.testing.assert_array_equal(shocks.xi, 1.0)
+    assert shocks.xi is shocks.xi and built == [1]
+    with pytest.raises(ValueError, match="share a shape"):
+        ShockMatrices(zeta=np.zeros((2, 3)), xi=lambda: np.ones((2, 4))).xi
+    with pytest.raises(ValueError, match="share a shape"):
+        ShockMatrices(zeta=np.zeros((2, 3)), xi=np.ones((3, 3)))
+
+
+def test_drawn_normals_under_a_lazy_stock_matrix_are_read_only():
+    config = NoiseConfig(distribution="gaussian", paths=3, steps=4, rho=-0.7,
+                         seed=3)
+    shocks = draw_shocks(config)
+    with pytest.raises(ValueError, match="read-only"):
+        shocks.zeta[0, 0] = 1.0
+    rhobar = np.sqrt(1.0 - 0.7 ** 2)
+    first, second = (np.stack([path_rng(3, p).standard_normal((2, 4))[k]
+                               for p in range(3)]) for k in (0, 1))
+    np.testing.assert_array_equal(shocks.xi, -0.7 * first + rhobar * second)

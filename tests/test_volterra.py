@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughsim.kernels import Grid, gamma_fractional, riemann_liouville
+from roughsim.pricing import SCHEMES, scheme_paths
 from roughsim.shocks import (
     STREAM_CHOLESKY,
     STREAM_HYBRID_AUX,
@@ -18,6 +19,7 @@ from roughsim.volterra import (
     _covariance_quadrature,
     DiffusionSpec,
     PathSet,
+    _hybrid_history_weights,
     check_diffusion_coefficients,
     cholesky_exact_rl,
     convolve_gfo,
@@ -252,6 +254,10 @@ def test_hybrid_validation():
         hybrid_scheme_rl(0.0, np.zeros((2, 4)), grid, seed=1)
     with pytest.raises(ValueError):
         hybrid_scheme_rl(1.0, np.zeros((2, 4)), grid, seed=1)
+    with pytest.raises(ValueError, match="antithetic_group"):
+        hybrid_scheme_rl(0.3, np.zeros((3, 4)), grid, seed=1, antithetic_group=3)
+    with pytest.raises(ValueError, match="whole number"):
+        hybrid_scheme_rl(0.3, np.zeros((6, 4)), grid, seed=1, antithetic_group=4)
 
 
 # ----------------------------------------------------------------------
@@ -468,3 +474,76 @@ def test_hybrid_antithetic_groups_mirror_and_chunk():
                              base_offset=1)
     np.testing.assert_array_equal(np.vstack([part0.values, part1.values]),
                                   out.values)
+
+
+def _hybrid_reference(hurst, shocks, grid, seed, group, offset):
+    # the hybrid scheme row by row on every row: each row's own increments,
+    # and its group's auxiliary normals with the row's sign
+    alpha, dt = hurst - 0.5, grid.dt
+    c1 = dt ** alpha / (alpha + 1.0)
+    c2 = np.sqrt(max(dt ** (2 * alpha + 1.0) / (2 * alpha + 1.0)
+                     - c1 * c1 * dt, 0.0))
+    weights = _hybrid_history_weights(alpha, grid)
+    out = np.empty((shocks.shape[0], grid.n + 1))
+    for r, row in enumerate(shocks):
+        sign = 1.0 if r % group < group // 2 else -1.0
+        eta = path_rng(seed, offset + r // group, STREAM_HYBRID_AUX) \
+            .standard_normal(grid.n)
+        xi = np.sqrt(dt) * row[None, :]
+        out[r] = convolve_gfo(weights, xi, grid).values[0]
+        out[r, 1:] += c1 * xi[0] + c2 * (sign * eta)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(scheme=st.sampled_from(SCHEMES),
+       rho=st.one_of(st.sampled_from([-1.0, 1.0]),
+                     st.floats(-0.99, 0.99, allow_nan=False)),
+       hurst=st.floats(0.02, 0.98), base_paths=st.integers(1, 6),
+       n=st.integers(1, 12), seed=_STREAM_SEEDS, offset=st.integers(0, 2 ** 40),
+       broken=st.integers(0, 10 ** 6))
+def test_mirrored_scheme_rows_are_the_row_by_row_paths(scheme, rho, hurst,
+                                                      base_paths, n, seed,
+                                                      offset, broken):
+    # the scheme runs on the + half of each antithetic group; every row
+    # must still be bitwise what running it on that row alone gives
+    group = 2 if abs(rho) == 1.0 else 4
+    half = group // 2
+    grid = Grid(n=n, T=1.0)
+    kernel = riemann_liouville(hurst=hurst)
+    zeta = draw_shocks(NoiseConfig(distribution="gaussian",
+                                   paths=group * base_paths, steps=n, rho=rho,
+                                   seed=seed, antithetic=True)).zeta
+    got = scheme_paths(kernel, "brownian", zeta, grid, scheme, seed=seed,
+                       antithetic_group=group, base_offset=offset)
+    if scheme == "hybrid":
+        want = _hybrid_reference(hurst, zeta, grid, seed, group, offset)
+    else:
+        mode = "moment_matched" if scheme == "rdonsker_matched" else "left_point"
+        want = rdonsker_volterra(kernel, "brownian", zeta, grid,
+                                 eval_mode=mode).values
+    assert got.values.tobytes() == want.tobytes()  # signed zeros included
+    paths = got.values.reshape(base_paths, group, n + 1)
+    np.testing.assert_array_equal(paths[:, half:], -paths[:, :half])
+    assert got.stats["scheme_rows"] == base_paths * half
+    # a - row that does not negate its + row is named
+    row = (broken % base_paths) * group + half + broken % half
+    bad = zeta.copy()
+    bad[row, broken % n] += 1.0
+    with pytest.raises(ValueError, match=f"antithetic row {row} is not the "
+                                         f"negation of row {row - half}"):
+        scheme_paths(kernel, "brownian", bad, grid, scheme, seed=seed,
+                     antithetic_group=group, base_offset=offset)
+
+
+def test_diffusion_driver_rows_are_not_mirrored():
+    # an Euler-stepped driver is not odd in its shocks: every row is run
+    grid = Grid(n=8, T=1.0)
+    zeta = draw_shocks(NoiseConfig(distribution="gaussian", paths=8, steps=8,
+                                   rho=-0.7, seed=3, antithetic=True)).zeta
+    got = scheme_paths(riemann_liouville(hurst=0.3), _cir_spec(), zeta, grid,
+                       "rdonsker_left", antithetic_group=4)
+    want = rdonsker_volterra(riemann_liouville(hurst=0.3), _cir_spec(), zeta,
+                             grid, eval_mode="left_point")
+    np.testing.assert_array_equal(got.values, want.values)
+    assert got.stats["scheme_rows"] == 8
