@@ -31,7 +31,7 @@ from roughsim.kernels import (
     riemann_liouville,
     squared_kernel_integral,
 )
-from roughsim.volterra import DiffusionSpec, PathSet
+from roughsim.volterra import DiffusionSpec, PathSet, check_finite
 
 
 # ----------------------------------------------------------------------
@@ -219,11 +219,18 @@ def variance_map(model, phi, q, xi, stats=None):
     scalar = np.ndim(phi) == 0
     if isinstance(model, BERGOMI_VARIANTS):
         c_h = math.sqrt(2.0 * model.hurst)
+        # a float64 square overflows to inf where a Python float raises
+        # OverflowError, so a huge nu gives a non-finite variance, which is
+        # then reported with nu and H
+        compensator = 2.0 * np.float64(model.nu) ** 2 * c_h ** 2
         if scalar:
-            return xi * np.exp(2.0 * model.nu * c_h * phi
-                               - 2.0 * model.nu ** 2 * c_h ** 2 * q)
+            v = xi * np.exp(2.0 * model.nu * c_h * phi - compensator * q)
+            if not np.isfinite(v):
+                raise ValueError(f"variance {v} is not finite; "
+                                 f"{_bergomi_overflow(model)}")
+            return v
         v = np.multiply(2.0 * model.nu * c_h, phi)
-        v -= 2.0 * model.nu ** 2 * c_h ** 2 * q
+        v -= compensator * q
         np.exp(v, out=v)
         v *= xi
         return v
@@ -237,12 +244,19 @@ def variance_map(model, phi, q, xi, stats=None):
     raise TypeError(f"unsupported model {type(model).__name__}")
 
 
+def _bergomi_overflow(model) -> str:
+    return (f"the variance map's exp(2 nu C_H phi - 2 nu^2 C_H^2 Q) overflowed "
+            f"(nu={model.nu}, H={model.hurst})")
+
+
 def phi_apply(model, volterra: PathSet, grid: Grid) -> PathSet:
     """Map Volterra paths phi to variance paths V = Phi(phi).
 
     Bergomi variants exponentiate with the Wick compensator (V > 0
     always); RoughHestonGJRS shifts by eta and clamps at zero, recording
-    `clamp_cells` / `clamp_fraction` in the output stats.
+    `clamp_cells` / `clamp_fraction` in the output stats. The variance is
+    checked to be finite here, once; for a Bergomi variant the error says
+    that the exponential overflowed, with nu and H.
     """
     if volterra.grid != grid:
         raise ValueError(
@@ -254,8 +268,10 @@ def phi_apply(model, volterra: PathSet, grid: Grid) -> PathSet:
         q = squared_integral_profile(model.kernel(), grid)
         xi = model.xi0(grid.times)
     v = variance_map(model, volterra.values, q, xi, stats)
+    check_finite(v, f"{volterra.scheme_tag} variance",
+                 _bergomi_overflow(model) if q is not None else "")
     return PathSet(values=v, grid=grid, scheme_tag=volterra.scheme_tag,
-                   seed=volterra.seed, stats=stats)
+                   seed=volterra.seed, stats=stats, checked=True)
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ exact Cholesky sampler serve as benchmarks.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
@@ -37,6 +37,9 @@ from roughsim.shocks import (  # noqa: F401
 
 _BINARY_MAGIC = b"RVOL1"
 CONV_METHODS = ("fft", "naive")
+# the FFT convolution works on as many rows as fill this many bytes once
+# zero-padded (32 rows at n=2048), so a block's transforms stay in cache
+_FFT_BLOCK_BYTES = 1 << 20
 
 
 # ----------------------------------------------------------------------
@@ -84,23 +87,49 @@ def check_diffusion_coefficients(spec: DiffusionSpec, lo: float, hi: float,
     return bool(ok_b and ok_a)
 
 
+def check_finite(values: np.ndarray, label: str, cause: str = "") -> None:
+    """Raise a ValueError naming `values`' first non-finite entry.
+
+    The message names `label`, the path (row) and time index (column) of
+    the first non-finite value in row-major order, and `cause` if given.
+    One summing pass decides; only a non-finite (or overflowing) sum
+    looks for the entry.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(np.sum(values)):
+            return
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size == 0:  # finite values whose sum overflowed
+        return
+    path, step = np.unravel_index(bad[0], values.shape)
+    raise ValueError(f"{label} paths are not finite: path {path}, time index "
+                     f"{step} is {values[path, step]}"
+                     + (f"; {cause}" if cause else ""))
+
+
 @dataclass
 class PathSet:
-    """M x (n+1) process values on a grid, with provenance metadata."""
+    """M x (n+1) process values on a grid, with provenance metadata.
+
+    The values are checked to be finite (`check_finite`) unless the
+    caller passes `checked=True`, vouching that they already were: the
+    same array, or its negation, re-wrapped, or checked with a cause.
+    """
 
     values: np.ndarray
     grid: Grid
     scheme_tag: str
     seed: int | None = None
     stats: dict = field(default_factory=dict)
+    checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, checked):
         if self.values.ndim != 2 or self.values.shape[1] != self.grid.n + 1:
             raise ValueError(
                 f"values shape {self.values.shape} does not match grid n={self.grid.n}"
             )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("path values must be finite")
+        if not checked:
+            check_finite(self.values, self.scheme_tag)
 
     @property
     def num_paths(self) -> int:
@@ -179,7 +208,7 @@ def euler_diffusion(spec: DiffusionSpec, zeta: np.ndarray, grid: Grid) -> PathSe
             )
         values[:, k + 1] = y
     return PathSet(values=values, grid=grid, scheme_tag=f"euler:{spec.name}",
-                   stats={"domain_clips": clips})
+                   stats={"domain_clips": clips}, checked=True)
 
 
 # ----------------------------------------------------------------------
@@ -198,9 +227,14 @@ def convolve_gfo(weights: np.ndarray, increments: np.ndarray, grid: Grid,
     """Causal convolution: out(t_i) = sum_{k<=i} weights[i-k+1] * dY(t_k).
 
     `fft` zero-pads both vectors to a power of two >= 2n-1, multiplies
-    the transforms pointwise and truncates (linear convolution). `naive`
-    evaluates the defining double loop and serves as the oracle. The
-    output carries a zero first column.
+    the transforms pointwise and truncates (linear convolution). It runs
+    over blocks of rows sized by `_FFT_BLOCK_BYTES`: each block is
+    transformed, weighted in place and inverted while it is in cache, and
+    its first n columns go straight into the output. The weight spectrum
+    is computed once per call. pocketfft transforms every row on its own,
+    so the result is bitwise that of one transform of the whole batch,
+    whatever the block size. `naive` evaluates the defining double loop
+    and serves as the oracle. The output carries a zero first column.
     """
     weights = np.asarray(weights, dtype=float)
     increments = np.atleast_2d(np.asarray(increments, dtype=float))
@@ -214,9 +248,14 @@ def convolve_gfo(weights: np.ndarray, increments: np.ndarray, grid: Grid,
         size = _fft_length(n)
         workers = _config.get_threads()
         what = sfft.rfft(weights, size)
-        ihat = sfft.rfft(increments, size, axis=1, workers=workers)
-        conv = sfft.irfft(ihat * what[None, :], size, axis=1, workers=workers)
-        out[:, 1:] = conv[:, :n]
+        rows = max(1, _FFT_BLOCK_BYTES // (8 * size))
+        for a in range(0, m, rows):
+            ihat = sfft.rfft(increments[a:a + rows], size, axis=1,
+                             workers=workers)
+            ihat *= what
+            conv = sfft.irfft(ihat, size, axis=1, workers=workers,
+                              overwrite_x=True)
+            out[a:a + rows, 1:] = conv[:, :n]
     elif method == "naive":
         for i in range(1, n + 1):
             out[:, i] = increments[:, :i] @ weights[i - 1:: -1]
@@ -262,7 +301,8 @@ def rdonsker_volterra(kernel: KernelSpec, driver, shocks: np.ndarray, grid: Grid
         tag = "rdonsker_left"
     out = convolve_gfo(weights, increments, grid, method=method)
     stats["scheme_rows"] = shocks.shape[0]
-    return PathSet(values=out.values, grid=grid, scheme_tag=tag, stats=stats)
+    return PathSet(values=out.values, grid=grid, scheme_tag=tag, stats=stats,
+                   checked=True)
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +427,7 @@ def _mirrored(scheme, shocks: np.ndarray, group: int) -> PathSet:
     np.subtract(0.0, paths[:, :half], out=paths[:, half:])
     return PathSet(values=values, grid=computed.grid,
                    scheme_tag=computed.scheme_tag, seed=computed.seed,
-                   stats=computed.stats)
+                   stats=computed.stats, checked=True)
 
 
 # ----------------------------------------------------------------------

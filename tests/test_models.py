@@ -211,3 +211,34 @@ def test_model_from_config_errors():
                            "xi0": 0.04, "rho": 0.0, "extra": 1})
     with pytest.raises(ValueError, match="unknown model type"):
         model_from_config({"type": "heston", "hurst": 0.3})
+
+
+# ----------------------------------------------------------------------
+# non-finite variance names its cause
+# ----------------------------------------------------------------------
+
+def test_huge_nu_variance_names_the_overflow_and_the_parameters():
+    # nu^2 overflows, so the compensator is inf and V(0) = xi exp(0 - inf*0)
+    from roughsim.pricing import MCConfig, smile
+    model = RoughBergomi(xi0=0.04, nu=1e200, hurst=0.1, rho=-0.7)
+    config = MCConfig(num_paths=16, grid=Grid(n=8, T=1.0), seed=1)
+    with pytest.warns(RuntimeWarning), pytest.raises(ValueError) as err:
+        smile(model, config, [1.0])
+    message = str(err.value)
+    assert message.startswith("rdonsker_matched variance paths are not "
+                              "finite: path 0, time index 0 is nan")
+    assert "exp(2 nu C_H phi - 2 nu^2 C_H^2 Q) overflowed" in message
+    assert "nu=1e+200, H=0.1" in message
+
+
+def test_nonfinite_heston_variance_names_the_path_without_an_overflow_cause():
+    grid = Grid(n=4, T=1.0)
+    model = RoughHestonGJRS(eta=0.02, kappa=1.0, theta=0.04, vol_of_vol=0.2,
+                            y0=0.04, hurst=0.1, rho=-0.5)
+    values = np.zeros((2, 5))
+    ps = _flat_path_set(values, grid, tag="rdonsker_left")
+    values[1, 4] = np.nan  # after the path set's own check
+    with pytest.raises(ValueError, match=r"rdonsker_left variance paths are "
+                                         r"not finite: path 1, time index 4 "
+                                         r"is nan$"):
+        phi_apply(model, ps, grid)

@@ -295,3 +295,10 @@ def test_memmap_spill_reproduces_in_memory_tree():
     for payoff in (call_payoff(1.0), put_payoff(1.0)):
         assert tree_price_american(tree_disk, payoff) == \
             tree_price_american(tree_ram, payoff)
+
+
+def test_huge_nu_tree_names_the_overflow_and_the_parameters():
+    model = _rbergomi(nu=1e200, hurst=0.1)
+    with pytest.warns(RuntimeWarning), \
+            pytest.raises(ValueError, match=r"overflowed \(nu=1e\+200, H=0.1\)"):
+        build_tree(TreeConfig(model=model, depth=3))

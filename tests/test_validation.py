@@ -1,8 +1,11 @@
 """Named invariant suites: naming, thresholds, fault injection."""
 
+import re
+
 import numpy as np
 import pytest
 
+from roughsim.kernels import Grid, riemann_liouville
 from roughsim.validation import (
     SUITES,
     check_covariance,
@@ -10,7 +13,9 @@ from roughsim.validation import (
     check_martingale,
     check_moment_identity,
     run_invariants,
+    sample_paths,
 )
+from roughsim.volterra import volterra_covariance
 
 
 def test_moment_identity_suite_passes_on_h_grid():
@@ -53,6 +58,27 @@ def test_covariance_suite_reduced_paths():
     for r in results:
         assert r.passed
         assert r.threshold == pytest.approx(5e-3 * np.sqrt(10.0))
+
+
+def test_covariance_detail_reports_the_z_scored_gap():
+    # the exact sampler fails the absolute gate at H=0.1, n=4, where the
+    # entries are near t^(2H)/(2H) ~ 5, yet its largest gap is within a
+    # few standard errors of its own entry; the gate itself is unchanged
+    paths = 20_000
+    (result,) = check_covariance(hurst=0.1, steps=4, paths=paths,
+                                 seeds={"cholesky": 5})
+    assert not result.passed
+    z = float(re.search(r"largest gap/stderr ([0-9.]+) \(reported, not "
+                        r"gated\)", result.detail).group(1))
+    grid = Grid(4, 1.0)
+    kernel = riemann_liouville(hurst=0.1)
+    values = sample_paths("cholesky", kernel, grid, paths, 5).values[:, 1:]
+    exact = volterra_covariance(kernel, grid)[1:, 1:]
+    var = np.diag(exact)
+    stderr = np.sqrt((var[:, None] * var[None, :] + exact ** 2) / paths)
+    gap = np.abs(values.T @ values / paths - exact)
+    assert z == pytest.approx(np.max(gap / stderr), abs=0.006)
+    assert z < 4.0
 
 
 def test_covariance_suite_rejects_unknown_sampler():

@@ -1,9 +1,14 @@
 """Euler driver, GFO convolution, hybrid and Cholesky comparators, IO."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import fft as sfft
+
+from roughsim import volterra
 
 from roughsim.kernels import Grid, gamma_fractional, riemann_liouville
 from roughsim.pricing import SCHEMES, scheme_paths
@@ -26,6 +31,7 @@ from roughsim.volterra import (
     euler_diffusion,
     hybrid_scheme_rl,
     load_binary,
+    check_finite,
     rdonsker_volterra,
     save_binary,
     save_csv,
@@ -144,6 +150,143 @@ def test_convolution_dimension_errors():
         convolve_gfo(np.ones(5), np.ones((2, 5)), grid)
     with pytest.raises(ValueError):
         convolve_gfo(np.ones(4), np.ones((2, 4)), grid, method="magic")
+
+
+def _whole_batch_fft(weights, increments):
+    # one rfft/irfft of the whole batch, zero-padded to a power of two
+    # >= 2n - 1: the convolution before it was cut into row blocks
+    n = increments.shape[1]
+    size = 1 << (2 * n - 2).bit_length()
+    spectrum = sfft.rfft(increments, size, axis=1) * sfft.rfft(weights, size)
+    return sfft.irfft(spectrum, size, axis=1)[:, :n]
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 300), rows=st.integers(1, 40),
+       block=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=1, rows=1, block=1, seed=0)      # a single row
+@example(n=17, rows=13, block=5, seed=1)    # a short last block
+@example(n=256, rows=37, block=8, seed=2)   # many blocks
+@example(n=255, rows=3, block=9, seed=3)    # fewer rows than one block
+def test_blocked_fft_is_the_whole_batch_fft_and_matches_naive(n, rows, block,
+                                                              seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.standard_normal(n)
+    increments = rng.standard_normal((rows, n))
+    grid = Grid(n=n, T=1.0)
+    size = 1 << (2 * n - 2).bit_length()
+    saved = volterra._FFT_BLOCK_BYTES
+    volterra._FFT_BLOCK_BYTES = 8 * size * block  # `block` rows per block
+    try:
+        got = convolve_gfo(weights, increments, grid, method="fft").values
+    finally:
+        volterra._FFT_BLOCK_BYTES = saved
+    assert got.tobytes() == np.hstack(
+        [np.zeros((rows, 1)), _whole_batch_fft(weights, increments)]).tobytes()
+    naive = convolve_gfo(weights, increments, grid, method="naive").values
+    assert np.abs(got - naive).max() < 1e-9  # criterion 2's tolerance
+
+
+def test_fft_at_the_default_block_size_is_the_whole_batch_fft():
+    # n = 2048 gives 32-row blocks: 70 rows are two full blocks and a short one
+    rng = np.random.default_rng(11)
+    weights = rng.standard_normal(2048)
+    increments = rng.standard_normal((70, 2048))
+    got = convolve_gfo(weights, increments, Grid(n=2048, T=1.0)).values
+    np.testing.assert_array_equal(got[:, 0], 0.0)
+    assert got[:, 1:].tobytes() == _whole_batch_fft(weights,
+                                                    increments).tobytes()
+
+
+def test_fft_convolution_memory_stays_bounded():
+    # numpy reports its allocations to tracemalloc: past the output, the
+    # convolution holds only a few blocks' arrays at a time (the padded
+    # input, its spectrum and the inverse: about 4 budgets), where one
+    # transform of the whole batch held three spectra of 134 MB each
+    m, n = 4096, 2048
+    rng = np.random.default_rng(5)
+    weights = rng.standard_normal(n)
+    increments = rng.standard_normal((m, n))
+    grid = Grid(n=n, T=1.0)
+    tracemalloc.start()
+    try:
+        out = convolve_gfo(weights, increments, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.values.nbytes == 8 * m * (n + 1)
+    assert peak <= out.values.nbytes + 6 * volterra._FFT_BLOCK_BYTES
+
+
+# ----------------------------------------------------------------------
+# finiteness: one check where an array is produced, errors name the cause
+# ----------------------------------------------------------------------
+
+def test_nonfinite_path_set_names_tag_path_and_time_index():
+    values = np.zeros((3, 5))
+    values[1, 3] = np.nan
+    values[2, 1] = np.inf
+    with pytest.raises(ValueError, match="mytag paths are not finite: path 1, "
+                                         "time index 3 is nan"):
+        PathSet(values=values, grid=Grid(n=4, T=1.0), scheme_tag="mytag")
+
+
+def test_nonfinite_convolution_input_is_named():
+    increments = np.ones((4, 6))
+    increments[2, 3] = np.inf
+    with pytest.raises(ValueError, match="conv:naive paths are not finite: "
+                                         "path 2, time index 4 is"):
+        convolve_gfo(np.ones(6), increments, Grid(n=6, T=1.0), method="naive")
+    with pytest.warns(RuntimeWarning), \
+            pytest.raises(ValueError, match="conv:fft paths are not finite: "
+                                            "path 2, time index"):
+        convolve_gfo(np.ones(6), increments, Grid(n=6, T=1.0), method="fft")
+
+
+def test_nonfinite_loaded_file_is_named(tmp_path):
+    grid = Grid(n=3, T=1.0)
+    values = np.zeros((2, 4))
+    ps = PathSet(values=values, grid=grid, scheme_tag="rdonsker_matched")
+    values[1, 2] = -np.inf
+    fn = tmp_path / "p.bin"
+    save_binary(ps, fn)
+    with pytest.raises(ValueError, match="loaded paths are not finite: path 1, "
+                                         "time index 2 is -inf"):
+        load_binary(fn)
+
+
+def test_finite_values_whose_sum_overflows_pass_the_check():
+    check_finite(np.full((2, 3), 1e308), "big")
+    with pytest.raises(ValueError, match="path 1, time index 0 is nan"):
+        check_finite(np.array([[1e308, 1e308], [np.nan, 0.0]]), "big")
+
+
+@pytest.mark.parametrize("scheme,group,checks", [
+    ("rdonsker_matched", 4, 2),   # convolution, variance
+    ("rdonsker_left", 1, 2),      # convolution, variance
+    ("hybrid", 4, 3),             # history sum, with the nearest cell, variance
+])
+def test_each_smile_array_is_checked_once(monkeypatch, scheme, group, checks):
+    from roughsim import models
+    from roughsim.models import RoughBergomi
+    from roughsim.pricing import MCConfig, smile
+    seen = []
+
+    def counting(values, *args, **kwargs):
+        seen.append((values.__array_interface__["data"][0], values.copy()))
+        return check_finite(values, *args, **kwargs)
+
+    monkeypatch.setattr(volterra, "check_finite", counting)
+    monkeypatch.setattr(models, "check_finite", counting)
+    model = RoughBergomi(xi0=0.04, nu=1.5, hurst=0.1, rho=-0.7)
+    smile(model, MCConfig(num_paths=64, grid=Grid(n=16, T=1.0), scheme=scheme,
+                          antithetic=group > 1, seed=4), [0.9, 1.0, 1.1])
+    assert len(seen) == checks
+    # no array is checked twice (the hybrid adds its nearest cell in place
+    # to the checked history sum, so that address holds new values)
+    for i, (address, values) in enumerate(seen):
+        for other, again in seen[i + 1:]:
+            assert address != other or not np.array_equal(values, again)
 
 
 # ----------------------------------------------------------------------

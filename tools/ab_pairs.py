@@ -14,7 +14,11 @@ report gives both sides' medians and quartiles and the change's wins. The
 claim on `op_s_p50` is met when every change run is correct, the change
 fails no more ops than the parent, wins at least nine pairs in ten and its
 median beats the parent's by more than the parent's interquartile range.
-Standard library only.
+Every end-to-end metric of every workload also gets a regression verdict
+against its BENCHMARK.json bound (a relative change): "unresolved" when
+the parent's IQR exceeds the bound relative to its median, else "worse
+beyond bound" when the change's median is worse than the parent's by more
+than the bound, else "within bound". Standard library only.
 """
 
 from __future__ import annotations
@@ -82,17 +86,36 @@ def better(a: float, b: float, direction: str) -> bool:
     return a < b if direction == "lower" else a > b
 
 
-def compare(parent_runs: list, change_runs: list, directions: dict) -> dict:
-    """Per-metric medians, quartiles and wins, and the verdict on `CLAIMED`."""
+def regression(parent: dict, change: dict, direction: str, bound: float) -> str:
+    """Whether the change's median is worse than the parent's beyond `bound`.
+
+    `bound` is relative to the parent's median; a parent IQR wider than it
+    cannot tell a regression of that size from noise.
+    """
+    scale = abs(parent["median"])
+    if parent["iqr"] > bound * scale:
+        return "unresolved"
+    worse = (change["median"] - parent["median"] if direction == "lower"
+             else parent["median"] - change["median"])
+    return "worse beyond bound" if worse > bound * scale else "within bound"
+
+
+def compare(parent_runs: list, change_runs: list, specs: dict) -> dict:
+    """Per-metric medians, quartiles, wins and regression verdicts, and the
+    verdict on `CLAIMED`; `specs` maps each metric to its BENCHMARK.json
+    entry."""
     metrics = {}
-    for name, direction in directions.items():
+    for name, spec in specs.items():
+        direction = spec["better"]
         p = [run[name] for run in parent_runs]
         c = [run[name] for run in change_runs]
         p_sum, c_sum = summary(p), summary(c)
         metrics[name] = {
-            "better": direction, "parent": p_sum, "change": c_sum,
+            "better": direction, "bound": spec["bound"],
+            "parent": p_sum, "change": c_sum,
             "wins": sum(better(b, a, direction) for a, b in zip(p, c)),
             "relative_change": c_sum["median"] / p_sum["median"] - 1.0,
+            "regression": regression(p_sum, c_sum, direction, spec["bound"]),
         }
     claim = metrics[CLAIMED]
     failed = {side: sum(run["failed"] for run in runs)
@@ -122,7 +145,7 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 to give quartiles")
     workloads = names if "all" in args.workload else args.workload
-    directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    specs = {m["name"]: m for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
 
     record = {
@@ -148,7 +171,7 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {i} seed {args.seed + i}: "
                       f"{CLAIMED} parent {p[CLAIMED]:.4g} "
                       f"change {c[CLAIMED]:.4g}", flush=True)
-            result = compare(runs["parent"], runs["change"], directions)
+            result = compare(runs["parent"], runs["change"], specs)
             result.update(pairs=args.pairs, seed=args.seed, runs=runs)
             record["workloads"][workload] = result
             for name, m in result["metrics"].items():
@@ -157,7 +180,8 @@ def main(argv=None) -> int:
                       f"change median {m['change']['median']:.4g} "
                       f"[{m['change']['q1']:.4g}, {m['change']['q3']:.4g}], "
                       f"change wins {m['wins']}/{args.pairs} "
-                      f"({m['relative_change']:+.1%})")
+                      f"({m['relative_change']:+.1%}); bound "
+                      f"{m['bound']:.0%}: {m['regression']}")
             print(f"{workload} failed ops: parent {result['failed']['parent']}, "
                   f"change {result['failed']['change']}; claim on {CLAIMED}: "
                   f"{'met' if result['claim_met'] else 'not met'}", flush=True)
