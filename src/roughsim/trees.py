@@ -33,7 +33,8 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -115,8 +116,15 @@ class BushyTree:
 
     `log_stock[i]`, `variance[i]` and `driver_increments[i]` hold one
     value per node at level i (`driver_increments[0]` is None: the root
-    has no increment). `exercise_counts` is filled by the American
-    pricer when boundary export is requested.
+    has no increment). `stats` holds what `build_tree` did: `nodes` over
+    all levels, the level arrays' `ram_bytes` and `spilled_bytes` (held in
+    disk-backed scratch) and `build_s`.
+
+    A built tree is read-only once priced: the pricers record on it the
+    last American pass's `exercise_counts` and, per call or put, the
+    European price, which `tree_price_european` then returns instead of
+    recomputing the closed-form last step. Editing the level arrays
+    afterwards leaves those records stale.
     """
 
     config: TreeConfig
@@ -124,7 +132,9 @@ class BushyTree:
     variance: list
     driver_increments: list
     exercise_counts: np.ndarray | None = None
+    stats: dict = field(default_factory=dict)
     _scratch: object = None
+    _european: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def depth(self) -> int:
@@ -243,6 +253,7 @@ def build_tree(config: TreeConfig) -> BushyTree:
     ancestor increments (ascending lag order, reshaped-view updates) and
     map to variance and log-stock.
     """
+    start = time.perf_counter()
     model = config.model
     grid = config.grid
     b = config.branching
@@ -301,8 +312,15 @@ def build_tree(config: TreeConfig) -> BushyTree:
             x_view[:, r] = base + vol * stock_shocks[r]
         log_stock.append(x)
 
+    arrays = log_stock + variance + increments[1:]
+    spilled = sum(a.nbytes for a in arrays if isinstance(a, np.memmap))
+    stats = {"nodes": sum(b ** i for i in range(n + 1)),
+             "ram_bytes": sum(a.nbytes for a in arrays) - spilled,
+             "spilled_bytes": spilled,
+             "build_s": time.perf_counter() - start}
     return BushyTree(config=config, log_stock=log_stock, variance=variance,
-                     driver_increments=increments, _scratch=alloc.scratch)
+                     driver_increments=increments, stats=stats,
+                     _scratch=alloc.scratch)
 
 
 def replay_leaf(tree: BushyTree, leaf: int) -> float:
@@ -420,17 +438,50 @@ def tree_forward(tree: BushyTree) -> float:
     return float(np.mean(np.exp(_log_forward(tree))))
 
 
+def _european_from_last_step(tree: BushyTree, last: np.ndarray) -> float:
+    """e^{-rT} times the mean closed-form last-step value over level n-1."""
+    config = tree.config
+    return math.exp(-config.rate * config.horizon) * float(np.mean(last))
+
+
 def tree_price_european(tree: BushyTree, payoff) -> float:
     """Discounted equal-weight expectation e^{-rT} * E[payoff(S_T)].
 
     Calls and puts (`VanillaPayoff`) average the closed-form last step
-    over level n-1; any other callable is averaged over the leaves.
+    over level n-1; any other callable is averaged over the leaves. A
+    call or put's price is recorded on the tree, by this pricer or by
+    `tree_price_american`, and later calls return the record: the same
+    expression on the same array, so the price does not depend on the
+    order of pricer calls.
     """
+    if isinstance(payoff, VanillaPayoff):
+        price = tree._european.get(payoff)
+        if price is None:
+            price = _european_from_last_step(
+                tree, _last_step_values(tree, payoff))
+            tree._european[payoff] = price
+        return price
     config = tree.config
     disc = math.exp(-config.rate * config.horizon)
-    if isinstance(payoff, VanillaPayoff):
-        return disc * float(np.mean(_last_step_values(tree, payoff)))
     return disc * float(np.mean(payoff(_leaf_stock(tree))))
+
+
+def _snell_violation(level, payoff, amer, euro, exercise) -> str:
+    """Name the first node where the American value fails to dominate."""
+    exercise = np.broadcast_to(exercise, amer.shape)
+    bad = ~((amer >= euro) & (amer >= exercise))
+    node = int(np.flatnonzero(bad)[0])
+    if not amer[node] >= euro[node]:
+        other = f"European value {float(euro[node])!r}"
+    else:
+        other = f"exercise value {float(exercise[node])!r}"
+    if isinstance(payoff, VanillaPayoff):
+        contract = f"{payoff.kind} with strike {payoff.strike!r}"
+    else:
+        contract = f"payoff {payoff!r}"
+    return (f"Snell domination violated at level {level}, node {node} "
+            f"({contract}): American value {float(amer[node])!r} "
+            f"is not >= {other}")
 
 
 def tree_price_american(tree: BushyTree, payoff, details: bool = False):
@@ -444,15 +495,22 @@ def tree_price_american(tree: BushyTree, payoff, details: bool = False):
     is asserted at every node. With `details`, returns a dict carrying the
     American and European root values, the early-exercise premium and
     per-level exercising-node counts (the exercise boundary's level
-    profile, also stored on the tree).
+    profile, also stored on the tree) and the pass's `induction_s`. A call
+    or put's European price, as `tree_price_european` computes it from the
+    same last-step array, is recorded on the tree.
     """
+    start = time.perf_counter()
     config = tree.config
     b = config.branching
     n = config.depth
     spot = config.model.spot
     disc = math.exp(-config.rate * config.horizon / n)
-    if isinstance(payoff, VanillaPayoff):
-        cont_a = euro = disc * _last_step_values(tree, payoff)
+    vanilla = isinstance(payoff, VanillaPayoff)
+    if vanilla:
+        last = _last_step_values(tree, payoff)
+        european = _european_from_last_step(tree, last)
+        cont_a = euro = disc * last
+        del last
     else:
         cont_a = euro = _continuation(payoff(_leaf_stock(tree)), b, disc)
     counts = np.zeros(n, dtype=np.int64)
@@ -464,9 +522,11 @@ def tree_price_american(tree: BushyTree, payoff, details: bool = False):
         amer = np.maximum(cont_a, exercise)
         if not (np.all(amer >= euro) and np.all(amer >= exercise)):
             raise AssertionError(
-                f"Snell domination violated at level {i}")
+                _snell_violation(i, payoff, amer, euro, exercise))
         counts[i] = np.count_nonzero(exercise > cont_a)
     tree.exercise_counts = counts
+    if vanilla:
+        tree._european[payoff] = european
     price = float(amer[0])
     if not details:
         return price
@@ -477,4 +537,5 @@ def tree_price_american(tree: BushyTree, payoff, details: bool = False):
         "exercise_counts": counts,
         "depth": n,
         "branching": b,
+        "induction_s": time.perf_counter() - start,
     }

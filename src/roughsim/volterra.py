@@ -184,8 +184,9 @@ def euler_diffusion(spec: DiffusionSpec, zeta: np.ndarray, grid: Grid) -> PathSe
 
     Y(t_i) = Y(t_{i-1}) + b(Y+)*dt + a(Y+)*sqrt(dt)*zeta_i where Y+ is
     the state clipped to the domain (full truncation); the number of
-    clipped cells lands in stats["domain_clips"]. Non-finite states abort
-    with the offending path index.
+    clipped cells lands in stats["domain_clips"]. A non-finite state
+    aborts with a RuntimeError naming the `euler:<name>` tag, the first
+    bad path, its time index and value.
     """
     m, n = zeta.shape
     if n != grid.n:
@@ -204,8 +205,8 @@ def euler_diffusion(spec: DiffusionSpec, zeta: np.ndarray, grid: Grid) -> PathSe
         if not np.all(np.isfinite(y)):
             bad = int(np.flatnonzero(~np.isfinite(y))[0])
             raise RuntimeError(
-                f"euler state non-finite at step {k + 1}, path {bad} ({spec.name})"
-            )
+                f"euler:{spec.name} state non-finite: path {bad}, time index "
+                f"{k + 1} is {y[bad]}")
         values[:, k + 1] = y
     return PathSet(values=values, grid=grid, scheme_tag=f"euler:{spec.name}",
                    stats={"domain_clips": clips}, checked=True)

@@ -288,6 +288,30 @@ def test_american_record_and_tree_dump(tmp_path, capsys):
     assert float(root[2]) == 0.0 and float(root[4]) == 0.04
 
 
+def test_american_reports_tree_work(tmp_path, capsys):
+    argv = ["american", "--model", "rbergomi", "--xi0", "0.04", "--nu", "1.0",
+            "--hurst", "0.3", "--rho", "-0.7", "--depth", "4",
+            "--output-dir", str(tmp_path)]
+    nodes = sum(4 ** k for k in range(5))
+    level_bytes = 8 * (3 * nodes - 1)  # log-stock, variance, increments
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    work = json.loads(out)["metadata"]["tree"]
+    assert set(work) == {"nodes", "ram_bytes", "spilled_bytes", "build_s",
+                         "induction_s"}
+    assert work["nodes"] == nodes
+    assert (work["ram_bytes"], work["spilled_bytes"]) == (level_bytes, 0)
+    assert work["build_s"] > 0.0 and work["induction_s"] > 0.0
+
+    cfg = tmp_path / "spill.json"
+    cfg.write_text(json.dumps({"tree": {"max_in_memory_bytes": 1024}}))
+    code, out, _ = _run(capsys, argv + ["--config", str(cfg)])
+    assert code == 0
+    work = json.loads(out)["metadata"]["tree"]
+    assert work["spilled_bytes"] > 0
+    assert work["ram_bytes"] + work["spilled_bytes"] == level_bytes
+
+
 def test_american_dump_depth_guard(tmp_path, capsys):
     code, _, err = _run(capsys, [
         "american", "--model", "rbergomi", "--xi0", "0.04", "--nu", "1.0",

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from roughsim import trees
 from roughsim.kernels import Grid
 from roughsim.models import (
     GammaBergomi,
@@ -302,3 +305,130 @@ def test_huge_nu_tree_names_the_overflow_and_the_parameters():
     with pytest.warns(RuntimeWarning), \
             pytest.raises(ValueError, match=r"overflowed \(nu=1e\+200, H=0.1\)"):
         build_tree(TreeConfig(model=model, depth=3))
+
+
+def test_snell_violation_names_level_node_contract_and_values():
+    config = TreeConfig(model=_rbergomi(), depth=4, rate=0.05)
+    tree = build_tree(config)
+    tree.log_stock[2][:] = np.nan
+    with pytest.raises(AssertionError,
+                       match=r"violated at level 2, node 0 \(put with strike "
+                             r"1\.1\): American value nan is not >= European "
+                             r"value 0\.\d+"):
+        tree_price_american(tree, put_payoff(1.1))
+    tree = build_tree(config)
+    tree.log_stock[1][3] = np.nan
+    with pytest.raises(AssertionError,
+                       match=r"violated at level 1, node 3 \(call with strike "
+                             r"0\.95\): American value nan is not >= European"):
+        tree_price_american(tree, call_payoff(0.95))
+
+
+# ----------------------------------------------------------------------
+# recorded European prices and tree work
+# ----------------------------------------------------------------------
+
+def test_american_pass_records_the_european_price(monkeypatch):
+    config = TreeConfig(model=_rbergomi(), depth=6, rate=0.03, dividend=0.01)
+    payoffs = (put_payoff(0.95), call_payoff(1.05))
+    expected = [tree_price_european(build_tree(config), p) for p in payoffs]
+    tree = build_tree(config)
+    for payoff in payoffs:
+        tree_price_american(tree, payoff)
+
+    def no_last_step(*args):
+        raise AssertionError("the last step was priced again")
+
+    monkeypatch.setattr(trees, "_last_step_values", no_last_step)
+    for payoff, price in zip(payoffs, expected):
+        assert tree_price_european(tree, VanillaPayoff(*payoff)) == price
+    with pytest.raises(AssertionError, match="priced again"):
+        tree_price_european(tree, put_payoff(1.0))
+
+
+def test_build_and_induction_report_their_work():
+    config = TreeConfig(model=_rbergomi(), depth=5, rate=0.05)
+    ram = build_tree(config)
+    disk = build_tree(TreeConfig(model=_rbergomi(), depth=5, rate=0.05,
+                                 max_in_memory_bytes=256))
+    nodes = sum(4 ** i for i in range(6))
+    level_bytes = 8 * (3 * nodes - 1)  # log-stock, variance, increments
+    assert ram.stats["nodes"] == disk.stats["nodes"] == nodes
+    assert ram.stats["ram_bytes"] == level_bytes
+    assert ram.stats["spilled_bytes"] == 0
+    assert disk.stats["spilled_bytes"] > 0
+    assert disk.stats["ram_bytes"] + disk.stats["spilled_bytes"] == level_bytes
+    assert ram.stats["build_s"] > 0.0
+    details = tree_price_american(ram, put_payoff(1.0), details=True)
+    assert details["induction_s"] > 0.0
+
+
+# ----------------------------------------------------------------------
+# properties over small random trees
+# ----------------------------------------------------------------------
+
+@st.composite
+def _small_tree_configs(draw):
+    branching = draw(st.sampled_from((2, 4)))
+    rho = (draw(st.sampled_from((-1.0, 1.0))) if branching == 2
+           else draw(st.floats(-0.95, 0.95)))
+    model = RoughBergomi(xi0=draw(st.floats(0.01, 0.2)),
+                         nu=draw(st.floats(0.1, 2.0)),
+                         hurst=draw(st.floats(0.05, 0.45)), rho=rho)
+    return TreeConfig(model=model, depth=draw(st.integers(1, 6)),
+                      rate=draw(st.floats(-0.05, 0.1)),
+                      dividend=draw(st.floats(0.0, 0.08)),
+                      branching=branching)
+
+
+_STRIKE = st.floats(0.5, 2.0)
+_VANILLA = st.builds(call_payoff, _STRIKE) | st.builds(put_payoff, _STRIKE)
+
+
+def _priced(tree, payoff, pricer, details):
+    """Everything a pricer call returns or records, as exact bit patterns."""
+    if pricer == "european":
+        return (tree_price_european(tree, payoff).hex(),)
+    result = tree_price_american(tree, payoff, details=details)
+    recorded = tree.exercise_counts.tobytes()
+    if not details:
+        return result.hex(), recorded
+    return (result["price"].hex(), result["european_price"].hex(),
+            result["early_exercise_premium"].hex(),
+            result["exercise_counts"].tobytes(), recorded)
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=_small_tree_configs(),
+       payoffs=st.lists(_VANILLA, min_size=1, max_size=4), data=st.data())
+def test_pricing_order_never_changes_a_tree_price(config, payoffs, data):
+    calls = data.draw(st.lists(
+        st.tuples(st.integers(0, len(payoffs) - 1),
+                  st.sampled_from(("american", "european")), st.booleans()),
+        min_size=1, max_size=10))
+    tree = build_tree(config)
+    alone = {}
+    for index, pricer, details in calls:
+        # an equal payoff built afresh, so records are found by value
+        payoff = VanillaPayoff(*payoffs[index])
+        key = (index, pricer, details)
+        if key not in alone:
+            alone[key] = _priced(build_tree(config), payoff, pricer, details)
+        assert _priced(tree, payoff, pricer, details) == alone[key]
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=_small_tree_configs(), strike=_STRIKE)
+def test_recorded_european_prices_keep_parity_and_snell_order(config, strike):
+    tree = build_tree(config)
+    payoffs = (call_payoff(strike), put_payoff(strike))
+    american = [tree_price_american(tree, p) for p in payoffs]
+    european = [tree_price_european(tree, p) for p in payoffs]
+    disc = math.exp(-config.rate * config.horizon)
+    parity = disc * (tree_forward(tree) - strike)
+    assert abs((european[0] - european[1]) - parity) < 1e-12
+    for payoff, amer, euro in zip(payoffs, american, european):
+        # the recorded price discounts once by e^{-rT} and the American pass
+        # step by step, so without early exercise they agree to rounding
+        assert euro <= amer + 1e-12
+        assert payoff(config.model.spot) <= amer

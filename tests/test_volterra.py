@@ -100,6 +100,19 @@ def test_euler_nan_aborts():
         euler_diffusion(spec, zeta, grid)
 
 
+def test_euler_nan_names_tag_path_time_index_and_value():
+    grid = Grid(n=8, T=1.0)
+    zeta = np.zeros((3, 8))
+    zeta[1, 3] = np.inf
+    spec = DiffusionSpec(drift=lambda y: 0.0 * y,
+                         diffusion=lambda y: np.ones_like(y), y0=0.0,
+                         name="walk")
+    with pytest.raises(RuntimeError,
+                       match=r"^euler:walk state non-finite: path 1, "
+                             r"time index 4 is inf$"):
+        euler_diffusion(spec, zeta, grid)
+
+
 def test_coefficient_check():
     assert check_diffusion_coefficients(_cir_spec(xi=0.1), 0.0, 2.0,
                                         c_b=1.0 + 1e-9, c_a=0.1 + 1e-9)
