@@ -275,8 +275,9 @@ def cmd_american(config: dict, args) -> dict:
     }
     record["metadata"]["exercise_counts"] = [
         int(c) for c in details["exercise_counts"]]
-    record["metadata"]["tree"] = {**tree.stats,
-                                  "induction_s": details["induction_s"]}
+    record["metadata"]["tree"] = {
+        **tree.stats, "induction_s": details["induction_s"],
+        "last_step_s": details["last_step_s"]}
     if dump:
         _dump_tree_csv(tree, dump_path)
         record["metadata"]["tree_dump"] = str(dump_path)

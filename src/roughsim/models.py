@@ -205,7 +205,7 @@ def squared_integral_profile(kernel: KernelSpec, grid: Grid) -> np.ndarray:
     return q
 
 
-def variance_map(model, phi, q, xi, stats=None):
+def variance_map(model, phi, q, xi, stats=None, out=None):
     """V = Phi(phi) on an array of Volterra values or on one value.
 
     Bergomi variants: xi * exp(2 nu C_H phi - 2 nu^2 C_H^2 q), where q =
@@ -213,8 +213,9 @@ def variance_map(model, phi, q, xi, stats=None):
     RoughHestonGJRS: max(eta + phi, 0), ignoring q and xi; when `stats` is
     given, the clamped cells are counted into it. Monte Carlo
     (`phi_apply`) and the trees both call this map, so they agree bitwise.
-    An array `phi` is mapped into one new array, in place, by the same
-    operations in the same order as one value is.
+    An array `phi` is mapped into one new array, or into `out` (which may
+    be `phi` itself), in place, by the same operations in the same order
+    as one value is.
     """
     scalar = np.ndim(phi) == 0
     if isinstance(model, BERGOMI_VARIANTS):
@@ -229,13 +230,13 @@ def variance_map(model, phi, q, xi, stats=None):
                 raise ValueError(f"variance {v} is not finite; "
                                  f"{_bergomi_overflow(model)}")
             return v
-        v = np.multiply(2.0 * model.nu * c_h, phi)
+        v = np.multiply(2.0 * model.nu * c_h, phi, out=out)
         v -= compensator * q
         np.exp(v, out=v)
         v *= xi
         return v
     if isinstance(model, RoughHestonGJRS):
-        v = model.eta + phi
+        v = np.add(model.eta, phi, out=out)
         if stats is not None:
             clamped = int(np.count_nonzero(v < 0.0))
             stats["clamp_cells"] = clamped

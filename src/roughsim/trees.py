@@ -15,8 +15,12 @@ orthogonal shock carries no weight) encodes zeta = +1, -1.
 All level computations are vectorized reshaped-view updates applied in a
 fixed lag order, so any leaf value is bitwise reproducible by replaying
 its shock string through the same scalar recursion (`replay_leaf`).
-Level arrays spill to disk-backed scratch when the tree exceeds the
-configured in-memory byte budget.
+Building a level and each step of the backward induction run over
+blocks of `_TREE_BLOCK_NODES` nodes, so that every elementwise pass over
+a block stays in cache; each node sees the same operations in the same
+order as in one pass over the whole level, so the block size changes no
+bit of any result. Level arrays spill to disk-backed scratch when the
+tree exceeds the configured in-memory byte budget.
 
 Calls and puts are `VanillaPayoff` values, `(kind, strike)`. For them
 both pricers take the last step, level n-1 to n, in closed form: given a
@@ -50,6 +54,10 @@ from roughsim.volterra import DiffusionSpec
 
 _MAX_DEPTH = {4: 12, 2: 24}
 WEIGHTS = ("moment_matched", "left_point")
+# Nodes per block of a level pass: 128 KB per float64 array. A power of 4,
+# and so of 2, like every level size and every ancestor's subtree: a
+# subtree then either holds whole blocks or tiles one exactly.
+_TREE_BLOCK_NODES = 4 ** 7
 
 
 # ----------------------------------------------------------------------
@@ -245,13 +253,21 @@ def _variance_inputs(model, grid: Grid) -> list:
     return [(None, None)] * (grid.n + 1)
 
 
+def _blocks(size: int, step: int):
+    """(lo, hi) bounds of consecutive blocks of `step` covering `size`."""
+    return ((lo, min(lo + step, size)) for lo in range(0, size, step))
+
+
 def build_tree(config: TreeConfig) -> BushyTree:
     """Construct all levels of the bushy tree.
 
     Per level: enumerate the child shocks, extend the driver increments,
     rebuild the Volterra value phi(t_i) by the per-lag weight sum over
     ancestor increments (ascending lag order, reshaped-view updates) and
-    map to variance and log-stock.
+    map to variance and log-stock. A level is built in blocks of about
+    `_TREE_BLOCK_NODES` nodes (whole parents' children), each finished
+    before the next starts; phi is summed in the block's slice of the
+    variance array and mapped there in place.
     """
     start = time.perf_counter()
     model = config.model
@@ -273,6 +289,7 @@ def build_tree(config: TreeConfig) -> BushyTree:
     growth = (config.rate - config.dividend) * dt
     half_dt = -0.5 * dt
     y_state = None if diffusion is None else np.full(1, diffusion.y0)
+    parent_block = max(_TREE_BLOCK_NODES // b, 1)
 
     for i in range(1, n + 1):
         parents = b ** (i - 1)
@@ -280,36 +297,46 @@ def build_tree(config: TreeConfig) -> BushyTree:
 
         # driver increments for the new level
         dy = alloc.make(size)
-        dy_view = dy.reshape(parents, b)
-        if diffusion is None:
-            dy_view[:] = (sqrt_dt * zetas)[None, :]
-        else:
+        if diffusion is not None:
             clipped = diffusion.clip(y_state)
             drift = np.asarray(diffusion.drift(clipped), dtype=float)
             diff = np.asarray(diffusion.diffusion(clipped), dtype=float)
-            dy_view[:] = drift[:, None] * dt + diff[:, None] * (sqrt_dt * zetas)
+            dy.reshape(parents, b)[:] = (drift[:, None] * dt
+                                         + diff[:, None] * (sqrt_dt * zetas))
             y_state = np.repeat(y_state, b) + dy
         increments.append(dy)
-
-        # Volterra value phi(t_i): ascending lags over ancestor increments
-        phi = np.zeros(size)
-        for m in range(1, i + 1):
-            level = i - m + 1
-            contrib = weights[m - 1] * increments[level]
-            phi.reshape(b ** level, -1)[...] += contrib[:, None]
-
         v = alloc.make(size)
-        v[:] = variance_map(model, phi, *inputs[i])
-        variance.append(v)
-
-        # log-stock Euler step from the parent level
-        v_prev = variance[i - 1]
         x = alloc.make(size)
         x_view = x.reshape(parents, b)
-        base = (log_stock[i - 1] + growth) + half_dt * v_prev
-        vol = np.sqrt(dt * v_prev)
-        for r in range(b):
-            x_view[:, r] = base + vol * stock_shocks[r]
+        x_prev, v_prev = log_stock[i - 1], variance[i - 1]
+
+        for p_lo, p_hi in _blocks(parents, parent_block):
+            lo, hi = b * p_lo, b * p_hi
+            if diffusion is None:
+                dy[lo:hi].reshape(-1, b)[:] = (sqrt_dt * zetas)[None, :]
+
+            # Volterra value phi(t_i): ascending lags over ancestor
+            # increments; an ancestor m - 1 levels up has span level-i
+            # descendants, a whole number of blocks or a divisor of one
+            phi = v[lo:hi]
+            phi.fill(0.0)
+            for m in range(1, i + 1):
+                span = b ** (m - 1)
+                ancestors = increments[i - m + 1]
+                if span >= hi - lo:
+                    phi += weights[m - 1] * ancestors[lo // span]
+                else:
+                    contrib = weights[m - 1] * ancestors[lo // span:hi // span]
+                    phi.reshape(-1, span)[...] += contrib[:, None]
+            variance_map(model, phi, *inputs[i], out=phi)
+
+            # log-stock Euler step from the parent level
+            v_parent = v_prev[p_lo:p_hi]
+            base = (x_prev[p_lo:p_hi] + growth) + half_dt * v_parent
+            vol = np.sqrt(dt * v_parent)
+            for r in range(b):
+                x_view[p_lo:p_hi, r] = base + vol * stock_shocks[r]
+        variance.append(v)
         log_stock.append(x)
 
     arrays = log_stock + variance + increments[1:]
@@ -380,12 +407,10 @@ def _leaf_stock(tree: BushyTree) -> np.ndarray:
     return tree.config.model.spot * np.exp(tree.log_stock[tree.depth])
 
 
-def _log_forward(tree: BushyTree) -> np.ndarray:
-    """log(S e^{(r-q)dt}) at each level-(n-1) node."""
-    config = tree.config
-    shift = (math.log(config.model.spot)
-             + (config.rate - config.dividend) * config.grid.dt)
-    return tree.log_stock[config.depth - 1] + shift
+def _forward_shift(config: TreeConfig) -> float:
+    """log(S e^{(r-q)dt}) less the node's log-stock."""
+    return (math.log(config.model.spot)
+            + (config.rate - config.dividend) * config.grid.dt)
 
 
 def _last_step_values(tree: BushyTree, payoff: VanillaPayoff) -> np.ndarray:
@@ -393,26 +418,35 @@ def _last_step_values(tree: BushyTree, payoff: VanillaPayoff) -> np.ndarray:
 
     Forward S e^{(r-q)dt}, total variance v dt: the law of the node's
     Euler stock step when its shock is Gaussian. d1 is formed from the
-    stored log-stock, without a log of the forward array.
+    stored log-stock, without a log of the forward array. Evaluated in
+    blocks of `_TREE_BLOCK_NODES` nodes into one array.
     """
     config = tree.config
     strike = payoff.strike
-    log_forward = _log_forward(tree)
-    forward = np.exp(log_forward)
-    s = np.sqrt(config.grid.dt * tree.variance[config.depth - 1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d1 = (log_forward - math.log(strike)) / s
-    d1 += 0.5 * s
-    if payoff.kind == "call":
-        value = forward * ndtr(d1)
-        value -= strike * ndtr(d1 - s)
-    else:
-        value = strike * ndtr(s - d1)
-        value -= forward * ndtr(-d1)
-    flat = s == 0.0
-    if flat.any():
-        value[flat] = payoff(forward[flat])
-    return value
+    log_strike = math.log(strike)
+    shift = _forward_shift(config)
+    dt = config.grid.dt
+    log_stock = tree.log_stock[config.depth - 1]
+    variance = tree.variance[config.depth - 1]
+    last = np.empty(len(log_stock))
+    for lo, hi in _blocks(len(last), _TREE_BLOCK_NODES):
+        log_forward = log_stock[lo:hi] + shift
+        forward = np.exp(log_forward)
+        s = np.sqrt(dt * variance[lo:hi])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d1 = (log_forward - log_strike) / s
+        d1 += 0.5 * s
+        value = last[lo:hi]
+        if payoff.kind == "call":
+            np.multiply(forward, ndtr(d1), out=value)
+            value -= strike * ndtr(d1 - s)
+        else:
+            np.multiply(strike, ndtr(s - d1), out=value)
+            value -= forward * ndtr(-d1)
+        flat = s == 0.0
+        if flat.any():
+            value[flat] = payoff(forward[flat])
+    return last
 
 
 def _continuation(values: np.ndarray, b: int, disc: float) -> np.ndarray:
@@ -435,7 +469,9 @@ def tree_forward(tree: BushyTree) -> float:
     This is the equal-weight expectation of the closed-form last step, so
     call - put = e^{-rT} (tree_forward - K) on one tree.
     """
-    return float(np.mean(np.exp(_log_forward(tree))))
+    config = tree.config
+    log_stock = tree.log_stock[config.depth - 1]
+    return float(np.mean(np.exp(log_stock + _forward_shift(config))))
 
 
 def _european_from_last_step(tree: BushyTree, last: np.ndarray) -> float:
@@ -466,22 +502,25 @@ def tree_price_european(tree: BushyTree, payoff) -> float:
     return disc * float(np.mean(payoff(_leaf_stock(tree))))
 
 
-def _snell_violation(level, payoff, amer, euro, exercise) -> str:
-    """Name the first node where the American value fails to dominate."""
+def _snell_violation(level, offset, payoff, amer, euro, exercise) -> str:
+    """Name the first node where the American value fails to dominate.
+
+    The arrays hold the level's nodes from `offset` on.
+    """
     exercise = np.broadcast_to(exercise, amer.shape)
     bad = ~((amer >= euro) & (amer >= exercise))
-    node = int(np.flatnonzero(bad)[0])
-    if not amer[node] >= euro[node]:
-        other = f"European value {float(euro[node])!r}"
+    index = int(np.flatnonzero(bad)[0])
+    if not amer[index] >= euro[index]:
+        other = f"European value {float(euro[index])!r}"
     else:
-        other = f"exercise value {float(exercise[node])!r}"
+        other = f"exercise value {float(exercise[index])!r}"
     if isinstance(payoff, VanillaPayoff):
         contract = f"{payoff.kind} with strike {payoff.strike!r}"
     else:
         contract = f"payoff {payoff!r}"
-    return (f"Snell domination violated at level {level}, node {node} "
-            f"({contract}): American value {float(amer[node])!r} "
-            f"is not >= {other}")
+    return (f"Snell domination violated at level {level}, node "
+            f"{offset + index} ({contract}): American value "
+            f"{float(amer[index])!r} is not >= {other}")
 
 
 def tree_price_american(tree: BushyTree, payoff, details: bool = False):
@@ -490,14 +529,18 @@ def tree_price_american(tree: BushyTree, payoff, details: bool = False):
     Per level: node value = max(discount * mean(children), exercise)
     with per-step discount e^{-rate * T/n}. At level n-1 the continuation
     of a call or put is the discounted closed-form last step, as in
-    `tree_price_european`; any other callable starts from the leaves.
-    Dominance over both the European continuation and the exercise value
-    is asserted at every node. With `details`, returns a dict carrying the
-    American and European root values, the early-exercise premium and
-    per-level exercising-node counts (the exercise boundary's level
-    profile, also stored on the tree) and the pass's `induction_s`. A call
-    or put's European price, as `tree_price_european` computes it from the
-    same last-step array, is recorded on the tree.
+    `tree_price_european`; any other callable (which must act elementwise)
+    starts from the leaves. Dominance over both the European continuation
+    and the exercise value is asserted at every node. Each level runs in
+    blocks of `_TREE_BLOCK_NODES` nodes, and its American and European
+    values overwrite the front of the level below's arrays, which no later
+    block reads. With `details`, returns a dict carrying the American and
+    European root values, the early-exercise premium and per-level
+    exercising-node counts (the exercise boundary's level profile, also
+    stored on the tree), the pass's `induction_s` and `last_step_s`, the
+    part of it spent on the closed-form last step (0 for other
+    callables). A call or put's European price, as `tree_price_european`
+    computes it from the same last-step array, is recorded on the tree.
     """
     start = time.perf_counter()
     config = tree.config
@@ -506,24 +549,33 @@ def tree_price_american(tree: BushyTree, payoff, details: bool = False):
     spot = config.model.spot
     disc = math.exp(-config.rate * config.horizon / n)
     vanilla = isinstance(payoff, VanillaPayoff)
+    last_step_s = 0.0
     if vanilla:
-        last = _last_step_values(tree, payoff)
-        european = _european_from_last_step(tree, last)
-        cont_a = euro = disc * last
-        del last
+        euro = _last_step_values(tree, payoff)
+        european = _european_from_last_step(tree, euro)
+        last_step_s = time.perf_counter() - start
+        euro *= disc  # level n-1's continuation, American and European
     else:
-        cont_a = euro = _continuation(payoff(_leaf_stock(tree)), b, disc)
+        euro = np.empty(b ** (n - 1))
+    amer = np.empty(b ** (n - 1))
     counts = np.zeros(n, dtype=np.int64)
     for i in range(n - 1, -1, -1):
-        if i < n - 1:
-            cont_a = _continuation(amer, b, disc)
-            euro = _continuation(euro, b, disc)
-        exercise = payoff(spot * np.exp(tree.log_stock[i]))
-        amer = np.maximum(cont_a, exercise)
-        if not (np.all(amer >= euro) and np.all(amer >= exercise)):
-            raise AssertionError(
-                _snell_violation(i, payoff, amer, euro, exercise))
-        counts[i] = np.count_nonzero(exercise > cont_a)
+        for lo, hi in _blocks(b ** i, _TREE_BLOCK_NODES):
+            if i < n - 1:
+                cont = _continuation(amer[b * lo:b * hi], b, disc)
+                euro[lo:hi] = _continuation(euro[b * lo:b * hi], b, disc)
+            elif vanilla:
+                cont = euro[lo:hi]
+            else:
+                leaves = spot * np.exp(tree.log_stock[n][b * lo:b * hi])
+                cont = _continuation(payoff(leaves), b, disc)
+                euro[lo:hi] = cont
+            exercise = payoff(spot * np.exp(tree.log_stock[i][lo:hi]))
+            value = np.maximum(cont, exercise, out=amer[lo:hi])
+            if not (np.all(value >= euro[lo:hi]) and np.all(value >= exercise)):
+                raise AssertionError(_snell_violation(
+                    i, lo, payoff, value, euro[lo:hi], exercise))
+            counts[i] += np.count_nonzero(exercise > cont)
     tree.exercise_counts = counts
     if vanilla:
         tree._european[payoff] = european
@@ -538,4 +590,5 @@ def tree_price_american(tree: BushyTree, payoff, details: bool = False):
         "depth": n,
         "branching": b,
         "induction_s": time.perf_counter() - start,
+        "last_step_s": last_step_s,
     }

@@ -224,7 +224,7 @@ def _fft_length(n: int) -> int:
 
 
 def convolve_gfo(weights: np.ndarray, increments: np.ndarray, grid: Grid,
-                 method: str = "fft") -> PathSet:
+                 method: str = "fft", scale=None) -> PathSet:
     """Causal convolution: out(t_i) = sum_{k<=i} weights[i-k+1] * dY(t_k).
 
     `fft` zero-pads both vectors to a power of two >= 2n-1, multiplies
@@ -236,6 +236,8 @@ def convolve_gfo(weights: np.ndarray, increments: np.ndarray, grid: Grid,
     so the result is bitwise that of one transform of the whole batch,
     whatever the block size. `naive` evaluates the defining double loop
     and serves as the oracle. The output carries a zero first column.
+    A `scale` multiplies the increments first, dY = scale * increments,
+    one row block at a time, so no scaled copy of the whole batch is held.
     """
     weights = np.asarray(weights, dtype=float)
     increments = np.atleast_2d(np.asarray(increments, dtype=float))
@@ -251,13 +253,17 @@ def convolve_gfo(weights: np.ndarray, increments: np.ndarray, grid: Grid,
         what = sfft.rfft(weights, size)
         rows = max(1, _FFT_BLOCK_BYTES // (8 * size))
         for a in range(0, m, rows):
-            ihat = sfft.rfft(increments[a:a + rows], size, axis=1,
-                             workers=workers)
+            block = increments[a:a + rows]
+            if scale is not None:
+                block = scale * block
+            ihat = sfft.rfft(block, size, axis=1, workers=workers)
             ihat *= what
             conv = sfft.irfft(ihat, size, axis=1, workers=workers,
                               overwrite_x=True)
             out[a:a + rows, 1:] = conv[:, :n]
     elif method == "naive":
+        if scale is not None:
+            increments = scale * increments
         for i in range(1, n + 1):
             out[:, i] = increments[:, :i] @ weights[i - 1:: -1]
     else:
@@ -284,6 +290,7 @@ def rdonsker_volterra(kernel: KernelSpec, driver, shocks: np.ndarray, grid: Grid
     if eval_mode not in ("moment_matched", "left_point"):
         raise ValueError(f"unknown eval_mode {eval_mode!r}")
     stats = {}
+    scale = None
     if isinstance(driver, DiffusionSpec):
         if eval_mode == "moment_matched":
             raise ValueError("moment_matched weights need a Brownian driver")
@@ -291,7 +298,8 @@ def rdonsker_volterra(kernel: KernelSpec, driver, shocks: np.ndarray, grid: Grid
         increments = np.diff(ypaths.values, axis=1)
         stats = ypaths.stats
     elif driver == "brownian":
-        increments = np.sqrt(grid.dt) * shocks
+        # scaled block by block inside the convolution
+        increments, scale = shocks, np.sqrt(grid.dt)
     else:
         raise ValueError(f"unknown driver {driver!r}")
     if eval_mode == "moment_matched":
@@ -300,7 +308,7 @@ def rdonsker_volterra(kernel: KernelSpec, driver, shocks: np.ndarray, grid: Grid
     else:
         weights = left_point_weights(kernel, grid)
         tag = "rdonsker_left"
-    out = convolve_gfo(weights, increments, grid, method=method)
+    out = convolve_gfo(weights, increments, grid, method=method, scale=scale)
     stats["scheme_rows"] = shocks.shape[0]
     return PathSet(values=out.values, grid=grid, scheme_tag=tag, stats=stats,
                    checked=True)

@@ -1,6 +1,7 @@
-"""The regression verdicts of tools/ab_pairs.py on made-up runs."""
+"""The verdicts and traced-run records of tools/ab_pairs.py on made-up runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "ab_pairs.py"
@@ -47,3 +48,45 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved():
         "worse beyond bound"
     assert ab_pairs.regression(parent, change, "higher", 0.25) == \
         "within bound"
+
+
+def test_each_workload_gets_one_traced_run_per_side(tmp_path, monkeypatch):
+    parent_tree = tmp_path / "parent"
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds, trace=0):
+        side = "parent" if tree == parent_tree else "change"
+        calls.append((side, workload, seed, trace))
+        if trace:
+            return {"trees.build_s": 0.30 if side == "parent" else 0.18,
+                    "trees.nodes": 7, "correct": True, "failed": 0,
+                    "attempted": 5}
+        op = 1.0 if side == "parent" else 0.8
+        return {"op_s_p50": op + 0.01 * seed, "work_per_s": 1.0 / op,
+                "setup_s": 0.5, "peak_rss_mb": 100.0, "correct": True,
+                "failed": 0, "attempted": 20}
+
+    monkeypatch.setattr(ab_pairs, "run_once", fake_run)
+    monkeypatch.setattr(ab_pairs, "extract", lambda rev, into: parent_tree)
+    monkeypatch.setattr(ab_pairs, "commit_of", lambda rev: "0" * 40)
+    out = tmp_path / "bench.json"
+    assert ab_pairs.main(["--workload", "american-trees", "--pairs", "3",
+                          "--seed", "40", "--out", str(out)]) == 0
+    # untraced pairs alternate which side runs first; the traced runs follow
+    assert calls == [("parent", "american-trees", 40, 0),
+                     ("change", "american-trees", 40, 0),
+                     ("change", "american-trees", 41, 0),
+                     ("parent", "american-trees", 41, 0),
+                     ("parent", "american-trees", 42, 0),
+                     ("change", "american-trees", 42, 0),
+                     ("parent", "american-trees", 40, 1),
+                     ("change", "american-trees", 40, 1)]
+    result = json.loads(out.read_text())["workloads"]["american-trees"]
+    layers = result["layers"]
+    assert layers["parent"]["trees.build_s"] == 0.30
+    assert layers["change"]["trees.build_s"] == 0.18
+    assert abs(layers["delta"]["trees.build_s"] + 0.12) < 1e-12
+    assert layers["delta"]["trees.nodes"] == 0
+    assert "correct" not in layers["delta"]
+    assert result["claim_met"] is True
+    assert len(result["runs"]["parent"]) == len(result["runs"]["change"]) == 3

@@ -298,10 +298,11 @@ def test_american_reports_tree_work(tmp_path, capsys):
     assert code == 0
     work = json.loads(out)["metadata"]["tree"]
     assert set(work) == {"nodes", "ram_bytes", "spilled_bytes", "build_s",
-                         "induction_s"}
+                         "induction_s", "last_step_s"}
     assert work["nodes"] == nodes
     assert (work["ram_bytes"], work["spilled_bytes"]) == (level_bytes, 0)
     assert work["build_s"] > 0.0 and work["induction_s"] > 0.0
+    assert 0.0 < work["last_step_s"] < work["induction_s"]
 
     cfg = tmp_path / "spill.json"
     cfg.write_text(json.dumps({"tree": {"max_in_memory_bytes": 1024}}))

@@ -1,6 +1,7 @@
 """Bushy-tree construction, leaf replay, European/American pricing."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -361,6 +362,59 @@ def test_build_and_induction_report_their_work():
     assert ram.stats["build_s"] > 0.0
     details = tree_price_american(ram, put_payoff(1.0), details=True)
     assert details["induction_s"] > 0.0
+    assert 0.0 < details["last_step_s"] < details["induction_s"]
+    details = tree_price_american(ram, lambda s: np.maximum(1.0 - s, 0.0),
+                                  details=True)
+    assert details["last_step_s"] == 0.0 < details["induction_s"]
+
+
+# ----------------------------------------------------------------------
+# block-wise level passes
+# ----------------------------------------------------------------------
+
+def test_snell_violation_in_a_later_block_names_the_global_node(monkeypatch):
+    config = TreeConfig(model=_rbergomi(), depth=4, rate=0.05)
+    messages = []
+    for block in (trees._TREE_BLOCK_NODES, 4):
+        monkeypatch.setattr(trees, "_TREE_BLOCK_NODES", block)
+        for level, node in ((3, 37), (2, 9)):  # blocks 9 and 2 of 4 nodes
+            tree = build_tree(config)
+            tree.log_stock[level][node] = np.nan
+            with pytest.raises(AssertionError,
+                               match=rf"violated at level {level}, node "
+                                     rf"{node} \(put with strike 1\.1\)"
+                               ) as failure:
+                tree_price_american(tree, put_payoff(1.1))
+            messages.append(str(failure.value))
+    assert messages[:2] == messages[2:]
+
+
+def test_build_and_american_pass_hold_only_a_few_blocks():
+    # numpy reports its allocations to tracemalloc: past the level arrays,
+    # the build holds a few blocks' temporaries, and the American pass
+    # holds two level-(n-1) arrays (American and European values, reused
+    # for every level above) and a few blocks
+    block_bytes = 8 * trees._TREE_BLOCK_NODES
+    for rho, depth in ((-0.7, 9), (-1.0, 17)):
+        config = TreeConfig(model=_rbergomi(rho=rho), depth=depth, rate=0.05,
+                            dividend=0.01)
+        build_tree(config)  # weight tables and the Q profile are cached
+        tracemalloc.start()
+        try:
+            tree = build_tree(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= tree.stats["ram_bytes"] + 4 * block_bytes
+        level = 8 * config.branching ** (depth - 1)
+        for payoff in (put_payoff(1.0), call_payoff(1.0)):
+            tracemalloc.start()
+            try:
+                tree_price_american(tree, payoff)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * level + 8 * block_bytes
 
 
 # ----------------------------------------------------------------------
@@ -432,3 +486,69 @@ def test_recorded_european_prices_keep_parity_and_snell_order(config, strike):
         # step by step, so without early exercise they agree to rounding
         assert euro <= amer + 1e-12
         assert payoff(config.model.spot) <= amer
+
+
+@st.composite
+def _blocked_tree_configs(draw):
+    branching = draw(st.sampled_from((2, 4)))
+    rho = (draw(st.sampled_from((-1.0, 1.0))) if branching == 2
+           else draw(st.floats(-0.95, 0.95)))
+    hurst = draw(st.floats(0.05, 0.45))
+    if draw(st.booleans()):
+        # the CIR driver: left-point weights, Euler-stepped increments
+        model = RoughHestonGJRS(eta=draw(st.floats(0.01, 0.1)), kappa=1.0,
+                                theta=0.04, vol_of_vol=draw(st.floats(0.05, 0.25)),
+                                y0=draw(st.floats(0.01, 0.1)), hurst=hurst,
+                                rho=rho)
+    else:
+        model = RoughBergomi(xi0=draw(st.floats(0.01, 0.2)),
+                             nu=draw(st.floats(0.1, 2.0)), hurst=hurst, rho=rho)
+    spilled = draw(st.booleans())
+    return TreeConfig(model=model,
+                      depth=draw(st.integers(1, 5 if branching == 4 else 8)),
+                      rate=draw(st.floats(-0.05, 0.1)),
+                      dividend=draw(st.floats(0.0, 0.08)),
+                      branching=branching,
+                      max_in_memory_bytes=256 if spilled else 1 << 29)
+
+
+def _callable_put(strike):
+    return lambda s: np.maximum(strike - s, 0.0)
+
+
+def _tree_bits(config, payoffs, leaves):
+    """Levels, replayed leaves and every price a tree gives, as bit patterns."""
+    tree = build_tree(config)
+    bits = [np.asarray(a).tobytes() for a in
+            tree.log_stock + tree.variance + tree.driver_increments[1:]]
+    stored = tree.log_stock[config.depth]
+    for leaf in leaves:
+        assert replay_leaf(tree, leaf) == stored[leaf]
+    for payoff in payoffs:
+        bits.append(tree_price_american(tree, payoff).hex())
+        bits.append(tree.exercise_counts.tobytes())
+        details = tree_price_american(tree, payoff, details=True)
+        bits += [details[key].hex() for key in
+                 ("price", "european_price", "early_exercise_premium")]
+        bits.append(details["exercise_counts"].tobytes())
+        bits.append(tree_price_european(tree, payoff).hex())
+    return bits
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=_blocked_tree_configs(),
+       payoffs=st.lists(_VANILLA | st.builds(_callable_put, _STRIKE),
+                        min_size=1, max_size=3),
+       data=st.data())
+def test_block_size_never_changes_a_tree(config, payoffs, data):
+    b, n = config.branching, config.depth
+    leaves = data.draw(st.lists(st.integers(0, b ** n - 1), max_size=4))
+    # the default block holds every level of these trees whole
+    whole = _tree_bits(config, payoffs, leaves)
+    saved = trees._TREE_BLOCK_NODES
+    try:
+        for k in range(n + 2):
+            trees._TREE_BLOCK_NODES = b ** k
+            assert _tree_bits(config, payoffs, leaves) == whole
+    finally:
+        trees._TREE_BLOCK_NODES = saved

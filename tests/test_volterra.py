@@ -176,27 +176,35 @@ def _whole_batch_fft(weights, increments):
 
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(1, 300), rows=st.integers(1, 40),
-       block=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
-@example(n=1, rows=1, block=1, seed=0)      # a single row
-@example(n=17, rows=13, block=5, seed=1)    # a short last block
-@example(n=256, rows=37, block=8, seed=2)   # many blocks
-@example(n=255, rows=3, block=9, seed=3)    # fewer rows than one block
+       block=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1),
+       scaled=st.booleans())
+@example(n=1, rows=1, block=1, seed=0, scaled=False)     # a single row
+@example(n=17, rows=13, block=5, seed=1, scaled=True)    # a short last block
+@example(n=256, rows=37, block=8, seed=2, scaled=True)   # many blocks
+@example(n=255, rows=3, block=9, seed=3, scaled=False)   # fewer rows than a block
 def test_blocked_fft_is_the_whole_batch_fft_and_matches_naive(n, rows, block,
-                                                              seed):
+                                                              seed, scaled):
     rng = np.random.default_rng(seed)
     weights = rng.standard_normal(n)
     increments = rng.standard_normal((rows, n))
     grid = Grid(n=n, T=1.0)
+    # a scale applied block by block is the same multiply as scaling first
+    scale = np.sqrt(grid.dt) if scaled else None
+    dy = scale * increments if scaled else increments
     size = 1 << (2 * n - 2).bit_length()
     saved = volterra._FFT_BLOCK_BYTES
     volterra._FFT_BLOCK_BYTES = 8 * size * block  # `block` rows per block
     try:
-        got = convolve_gfo(weights, increments, grid, method="fft").values
+        got = convolve_gfo(weights, increments, grid, method="fft",
+                           scale=scale).values
     finally:
         volterra._FFT_BLOCK_BYTES = saved
     assert got.tobytes() == np.hstack(
-        [np.zeros((rows, 1)), _whole_batch_fft(weights, increments)]).tobytes()
-    naive = convolve_gfo(weights, increments, grid, method="naive").values
+        [np.zeros((rows, 1)), _whole_batch_fft(weights, dy)]).tobytes()
+    naive = convolve_gfo(weights, increments, grid, method="naive",
+                         scale=scale).values
+    assert naive.tobytes() == convolve_gfo(weights, dy, grid,
+                                           method="naive").values.tobytes()
     assert np.abs(got - naive).max() < 1e-9  # criterion 2's tolerance
 
 
@@ -215,20 +223,27 @@ def test_fft_convolution_memory_stays_bounded():
     # numpy reports its allocations to tracemalloc: past the output, the
     # convolution holds only a few blocks' arrays at a time (the padded
     # input, its spectrum and the inverse: about 4 budgets), where one
-    # transform of the whole batch held three spectra of 134 MB each
+    # transform of the whole batch held three spectra of 134 MB each. The
+    # rDonsker scheme with a Brownian driver scales its increments inside
+    # the block loop, so it holds no scaled copy of the shocks either.
     m, n = 4096, 2048
     rng = np.random.default_rng(5)
     weights = rng.standard_normal(n)
     increments = rng.standard_normal((m, n))
     grid = Grid(n=n, T=1.0)
-    tracemalloc.start()
-    try:
-        out = convolve_gfo(weights, increments, grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert out.values.nbytes == 8 * m * (n + 1)
-    assert peak <= out.values.nbytes + 6 * volterra._FFT_BLOCK_BYTES
+    for convolve in (
+            lambda: convolve_gfo(weights, increments, grid),
+            lambda: rdonsker_volterra(riemann_liouville(hurst=0.1), "brownian",
+                                      increments, grid)):
+        tracemalloc.start()
+        try:
+            out = convolve()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.values.nbytes == 8 * m * (n + 1)
+        assert peak <= out.values.nbytes + 6 * volterra._FFT_BLOCK_BYTES
+        del out
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,10 @@ Every end-to-end metric of every workload also gets a regression verdict
 against its BENCHMARK.json bound (a relative change): "unresolved" when
 the parent's IQR exceeds the bound relative to its median, else "worse
 beyond bound" when the change's median is worse than the parent's by more
-than the bound, else "within bound". Standard library only.
+than the bound, else "within bound". After its pairs, each workload gets
+one `--trace 1` run per side at seed `--seed`; its per-layer metrics and
+their change-minus-parent deltas are stored under the workload's "layers".
+Standard library only.
 """
 
 from __future__ import annotations
@@ -58,11 +61,13 @@ def commit_of(rev: str) -> str:
                           check=True).stdout.strip()
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """End-to-end metric values of one untraced benchmark run in `tree`."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
+    """Metric values of one benchmark run in `tree`: the end-to-end metrics
+    untraced, the per-layer metrics with `trace` 1."""
     proc = subprocess.run(
         [sys.executable, "benchmark/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
@@ -131,6 +136,14 @@ def compare(parent_runs: list, change_runs: list, specs: dict) -> dict:
     return {"metrics": metrics, "failed": failed, "claim_met": claim_met}
 
 
+def layer_deltas(parent: dict, change: dict) -> dict:
+    """Both sides' per-layer metrics of one traced run each, and each
+    metric's change-minus-parent delta."""
+    return {"parent": parent, "change": change,
+            "delta": {name: change[name] - parent[name] for name in parent
+                      if name != "correct"}}
+
+
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
@@ -173,6 +186,10 @@ def main(argv=None) -> int:
                       f"change {c[CLAIMED]:.4g}", flush=True)
             result = compare(runs["parent"], runs["change"], specs)
             result.update(pairs=args.pairs, seed=args.seed, runs=runs)
+            traced = {side: run_once(parent if side == "parent" else ROOT,
+                                     workload, args.seed, seconds, trace=1)
+                      for side in ("parent", "change")}
+            result["layers"] = layer_deltas(traced["parent"], traced["change"])
             record["workloads"][workload] = result
             for name, m in result["metrics"].items():
                 print(f"{workload} {name}: parent median {m['parent']['median']:.4g} "
@@ -182,6 +199,11 @@ def main(argv=None) -> int:
                       f"change wins {m['wins']}/{args.pairs} "
                       f"({m['relative_change']:+.1%}); bound "
                       f"{m['bound']:.0%}: {m['regression']}")
+            for name, delta in result["layers"]["delta"].items():
+                if delta:
+                    print(f"{workload} traced {name}: parent "
+                          f"{traced['parent'][name]:.4g} change "
+                          f"{traced['change'][name]:.4g} ({delta:+.4g})")
             print(f"{workload} failed ops: parent {result['failed']['parent']}, "
                   f"change {result['failed']['change']}; claim on {CLAIMED}: "
                   f"{'met' if result['claim_met'] else 'not met'}", flush=True)
