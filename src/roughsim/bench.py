@@ -37,8 +37,8 @@ def _generate_once(scheme: str, hurst: float, grid: Grid, paths: int,
                    seed: int) -> np.ndarray:
     """One timed unit: draw shocks, then run the scheme transform."""
     if scheme == "markovian-euler":
-        zeta = draw_shocks(NoiseConfig(distribution="gaussian", paths=paths,
-                                       steps=grid.n, rho=0.0, seed=seed)).zeta
+        zeta = draw_shocks(NoiseConfig(paths=paths, steps=grid.n, rho=0.0,
+                                       seed=seed)).zeta
         return np.cumsum(np.sqrt(grid.dt) * zeta, axis=1)
     if scheme not in _SAMPLERS:
         raise ValueError(f"unknown benchmark scheme {scheme!r}")

@@ -37,7 +37,7 @@ from . import bench as bench_mod
 from . import validation
 from ._config import set_threads, get_threads
 from .kernels import KERNEL_KINDS, Grid, kernel_from_config
-from .models import MODEL_TYPES, model_from_config
+from .models import MODELS, config_fields, model_from_config
 from .pricing import PAYOFFS, SCHEMES, VARIANCE_REDUCTIONS, MCConfig, smile
 from .shocks import check_seed
 from .trees import (
@@ -323,12 +323,14 @@ class Opt(NamedTuple):
     const: str | None = None
 
 
+# every model class's config keys, each once; xi0 is a forward-variance
+# curve (a number or [[t, v], ...]) and beta keeps its --beta-decay flag
 _MODEL = (
-    Opt("model", "type", str, MODEL_TYPES, flag="--model"),
-    Opt("model", "xi0", (float, [[float]])),
-    *(Opt("model", key) for key in ("nu", "hurst", "rho", "spot", "eta",
-                                    "kappa", "theta", "xi", "y0")),
-    Opt("model", "beta", flag="--beta-decay"),
+    Opt("model", "type", str, tuple(MODELS), flag="--model"),
+    *(Opt("model", key, (float, [[float]]) if key == "xi0" else float,
+          flag="--beta-decay" if key == "beta" else "")
+      for key in dict.fromkeys(k for cls in MODELS.values()
+                               for k in config_fields(cls))),
 )
 
 

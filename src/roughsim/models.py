@@ -18,7 +18,7 @@ convention is recorded in run metadata.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from numbers import Real
 
@@ -186,9 +186,11 @@ class RoughHestonGJRS:
 
 
 BERGOMI_VARIANTS = (RoughBergomi, GammaBergomi)
-MODEL_VARIANTS = (RoughBergomi, GammaBergomi, RoughHestonGJRS)
-# config `type` names, in MODEL_VARIANTS order
-MODEL_TYPES = ("rbergomi", "gbergomi", "rheston_gjrs")
+# config `type` -> model class
+MODELS = {"rbergomi": RoughBergomi, "gbergomi": GammaBergomi,
+          "rheston_gjrs": RoughHestonGJRS}
+# model fields whose config keys keep other names
+_CONFIG_NAMES = {"vol_of_vol": "xi", "beta_decay": "beta"}
 
 
 # ----------------------------------------------------------------------
@@ -279,32 +281,30 @@ def phi_apply(model, volterra: PathSet, grid: Grid) -> PathSet:
 # config plumbing
 # ----------------------------------------------------------------------
 
+def config_fields(cls) -> dict:
+    """{config key: dataclass field} of a model class, in field order."""
+    return {_CONFIG_NAMES.get(f.name, f.name): f for f in fields(cls)}
+
+
 def model_from_config(cfg: dict):
-    """Build a model from flat config keys (`type`, `hurst`, `rho`, ...)."""
+    """Build a model from flat config keys (`type`, `hurst`, `rho`, ...).
+
+    The keys are the model class's field names, but for `xi`
+    (`vol_of_vol`) and `beta` (`beta_decay`); a field with a default may
+    be left out. A missing or unknown key is named in the ValueError.
+    """
     cfg = dict(cfg)
     kind = cfg.pop("type", None)
     if kind is None:
         raise ValueError("model config requires a 'type' key")
-    if kind not in MODEL_TYPES:
+    if kind not in MODELS:
         raise ValueError(f"unknown model type {kind!r}")
-    try:
-        common = {"rho": cfg.pop("rho"), "spot": cfg.pop("spot", 1.0)}
-        hurst = cfg.pop("hurst")
-        if kind == "rbergomi":
-            model = RoughBergomi(xi0=as_curve(cfg.pop("xi0")),
-                                 nu=cfg.pop("nu"), hurst=hurst, **common)
-        elif kind == "gbergomi":
-            model = GammaBergomi(xi0=as_curve(cfg.pop("xi0")),
-                                 nu=cfg.pop("nu"), hurst=hurst,
-                                 beta_decay=cfg.pop("beta"), **common)
-        else:
-            model = RoughHestonGJRS(eta=cfg.pop("eta"), kappa=cfg.pop("kappa"),
-                                    theta=cfg.pop("theta"),
-                                    vol_of_vol=cfg.pop("xi"),
-                                    y0=cfg.pop("y0"),
-                                    hurst=hurst, **common)
-    except KeyError as exc:
-        raise ValueError(f"model config missing key {exc.args[0]!r}") from None
+    values = {}
+    for key, f in config_fields(MODELS[kind]).items():
+        if key in cfg:
+            values[f.name] = cfg.pop(key)
+        elif f.default is MISSING:
+            raise ValueError(f"model config missing key {key!r}")
     if cfg:
         raise ValueError(f"unknown model config keys: {sorted(cfg)}")
-    return model
+    return MODELS[kind](**values)

@@ -223,8 +223,8 @@ def _chunked(model, config: MCConfig, per_chunk, *, group_means: bool = True,
     streams are keyed by absolute path index, so no result depends on
     the chunk size.
     """
-    noise = NoiseConfig(distribution="gaussian", paths=config.num_paths,
-                        steps=config.grid.n, rho=model.rho, seed=config.seed,
+    noise = NoiseConfig(paths=config.num_paths, steps=config.grid.n,
+                        rho=model.rho, seed=config.seed,
                         antithetic=config.antithetic)
     group = base_group(noise)
     total_base = config.num_paths // group

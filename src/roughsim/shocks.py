@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_DISTRIBUTIONS = ("gaussian", "rademacher")
-
 # stream tags packed into the high bits of the second Philox key word so
 # different consumers of the same (seed, path) never collide
 STREAM_SHOCKS = 0
@@ -99,14 +97,25 @@ def _rekeyed(seed: int, start: int, stop: int, stream: int):
         yield rng
 
 
+def path_normals(seed: int, start: int, stop: int, shape: tuple,
+                 stream: int = STREAM_SHOCKS) -> np.ndarray:
+    """Standard normals of `shape` per path start..stop-1, as one array.
+
+    Row j is what path start + j's `stream` draws first; every normal the
+    package draws is drawn here.
+    """
+    out = np.empty((stop - start, *shape))
+    for row, rng in zip(out, path_generators(seed, start, stop, stream)):
+        rng.standard_normal(out=row)
+    return out
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Shock-generation request.
+    """Shock-generation request: iid standard normal drivers.
 
     Parameters
     ----------
-    distribution : str
-        "gaussian" or "rademacher" (both mean 0, variance 1).
     paths : int
         Number of output rows M.
     steps : int
@@ -121,7 +130,6 @@ class NoiseConfig:
         (by 2 when |rho| = 1, where the four tuples collapse pairwise).
     """
 
-    distribution: str
     paths: int
     steps: int
     rho: float
@@ -129,8 +137,6 @@ class NoiseConfig:
     antithetic: bool = False
 
     def __post_init__(self):
-        if self.distribution not in _DISTRIBUTIONS:
-            raise ValueError(f"unknown distribution {self.distribution!r}")
         check_seed(self.seed)
         if self.paths < 1:
             raise ValueError("paths must be >= 1")
@@ -177,18 +183,6 @@ class ShockMatrices:
         return self._xi
 
 
-def _draw_base(distribution: str, start: int, stop: int, steps: int,
-               seed: int) -> np.ndarray:
-    """Two independent draws per base path in [start, stop), as (paths, 2, steps)."""
-    block = np.empty((stop - start, 2, steps))
-    for row, rng in zip(block, path_generators(seed, start, stop)):
-        if distribution == "gaussian":
-            rng.standard_normal(out=row)
-        else:
-            row[...] = rng.integers(0, 2, size=(2, steps)) * 2.0 - 1.0
-    return block
-
-
 def base_group(config: NoiseConfig) -> int:
     """Rows emitted per base path (4/2 antithetic variates, else 1)."""
     if not config.antithetic:
@@ -216,8 +210,8 @@ def draw_shocks(config: NoiseConfig, base_range: tuple | None = None) -> ShockMa
     start, stop = base_range
     if not 0 <= start < stop <= total_base:
         raise ValueError(f"base_range {base_range} outside [0, {total_base}]")
-    block = _draw_base(config.distribution, start, stop, config.steps,
-                       config.seed)
+    # two independent draws per base path
+    block = path_normals(config.seed, start, stop, (2, config.steps))
     block.setflags(write=False)  # a lazy xi reads it later
     first, second = block[:, 0], block[:, 1]
 

@@ -152,9 +152,6 @@ class BushyTree:
     def branching(self) -> int:
         return self.config.branching
 
-    def num_nodes(self, level: int) -> int:
-        return self.branching ** level
-
 
 # ----------------------------------------------------------------------
 # payoffs

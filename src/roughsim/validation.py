@@ -134,8 +134,8 @@ def sample_paths(sampler: str, kernel, grid: Grid, paths: int, seed: int,
             raise ValueError("cholesky sampler requires the Riemann-Liouville "
                              "kernel")
         return cholesky_exact_rl(kernel, grid, paths, seed)
-    zeta = draw_shocks(NoiseConfig(distribution="gaussian", paths=paths,
-                                   steps=grid.n, rho=0.0, seed=seed)).zeta
+    zeta = draw_shocks(NoiseConfig(paths=paths, steps=grid.n, rho=0.0,
+                                   seed=seed)).zeta
     out = scheme_paths(kernel, "brownian", zeta, grid, sampler, method,
                        seed=seed)
     out.seed = seed

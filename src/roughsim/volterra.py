@@ -26,16 +26,17 @@ from roughsim.kernels import (
     optimal_eval_weights,
     _quad_piecewise,
 )
-# path_rng is not called here but stays importable from this module: the
-# per-path generators come from `path_generators`, which re-keys one by it
+# path_rng is not called here but stays importable from this module, where
+# callers have looked it up; the normals come from `shocks.path_normals`
 from roughsim.shocks import (  # noqa: F401
     STREAM_CHOLESKY,
     STREAM_HYBRID_AUX,
-    path_generators,
+    path_normals,
     path_rng,
 )
 
 _BINARY_MAGIC = b"RVOL1"
+_HEADER = struct.Struct("<IId")  # M, n+1, T
 CONV_METHODS = ("fft", "naive")
 # the FFT convolution works on as many rows as fill this many bytes once
 # zero-padded (32 rows at n=2048), so a block's transforms stay in cache
@@ -156,7 +157,7 @@ def save_binary(paths: PathSet, filename) -> None:
     m, cols = paths.values.shape
     with open(filename, "wb") as fh:
         fh.write(_BINARY_MAGIC)
-        fh.write(struct.pack("<IId", m, cols, paths.grid.T))
+        fh.write(_HEADER.pack(m, cols, paths.grid.T))
         fh.write(np.ascontiguousarray(paths.values, dtype="<f8").tobytes())
 
 
@@ -166,11 +167,14 @@ def load_binary(filename) -> PathSet:
         magic = fh.read(len(_BINARY_MAGIC))
         if magic != _BINARY_MAGIC:
             raise ValueError(f"bad magic {magic!r}, not a path-set file")
-        m, cols, horizon = struct.unpack("<IId", fh.read(16))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != m * cols:
+        header = fh.read(_HEADER.size)
+        data = fh.read()
+    if len(header) < _HEADER.size:
         raise ValueError("truncated path-set file")
-    values = data.reshape(m, cols).copy()
+    m, cols, horizon = _HEADER.unpack(header)
+    if len(data) != 8 * m * cols:
+        raise ValueError("truncated path-set file")
+    values = np.frombuffer(data, dtype="<f8").reshape(m, cols).copy()
     return PathSet(values=values, grid=Grid(n=cols - 1, T=horizon),
                    scheme_tag="loaded")
 
@@ -382,21 +386,23 @@ def _hybrid_rows(alpha: float, shocks: np.ndarray, *, grid: Grid, seed: int,
     share one auxiliary normal row, drawn from stream `base_offset` + run."""
     m, n = shocks.shape
     dt = grid.dt
-    xi = np.sqrt(dt) * shocks
     c1 = dt ** alpha / (alpha + 1.0)
     var_i = dt ** (2 * alpha + 1.0) / (2 * alpha + 1.0)
     c2 = np.sqrt(max(var_i - c1 * c1 * dt, 0.0))
-    exact = c1 * xi
+    # the nearest cell's integral c1*xi + c2*eta, xi = sqrt(dt) * shocks
+    exact = np.multiply(np.sqrt(dt), shocks)
+    exact *= c1
     if c2 > 0.0:  # at alpha = 0 the integral is the increment itself
-        eta = np.empty((m // share, n))
-        for row, rng in zip(eta, path_generators(
-                seed, base_offset, base_offset + m // share, STREAM_HYBRID_AUX)):
-            rng.standard_normal(out=row)
+        eta = path_normals(seed, base_offset, base_offset + m // share, (n,),
+                           STREAM_HYBRID_AUX)
         eta *= c2
         runs = exact.reshape(m // share, share, n)
         runs += eta[:, None, :]
+        del eta  # not held while the convolution's output is built
     weights = _hybrid_history_weights(alpha, grid)
-    out = convolve_gfo(weights, xi, grid, method="fft").values
+    # the history sum of the increments xi, scaled block by block inside
+    out = convolve_gfo(weights, shocks, grid, method="fft",
+                       scale=np.sqrt(dt)).values
     out[:, 1:] += exact
     return PathSet(values=out, grid=grid, scheme_tag="hybrid", seed=seed,
                    stats={"scheme_rows": m})
@@ -529,10 +535,7 @@ def cholesky_exact_rl(kernel: KernelSpec, grid: Grid, num_paths: int,
         factor = np.linalg.cholesky(cov + 1e-12 * np.eye(grid.n))
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("covariance not positive definite after jitter") from exc
-    normals = np.empty((num_paths, grid.n))
-    for row, rng in zip(normals, path_generators(seed, 0, num_paths,
-                                                 STREAM_CHOLESKY)):
-        rng.standard_normal(out=row)
+    normals = path_normals(seed, 0, num_paths, (grid.n,), STREAM_CHOLESKY)
     values = np.zeros((num_paths, grid.n + 1))
     values[:, 1:] = normals @ factor.T
     return PathSet(values=values, grid=grid, scheme_tag="cholesky", seed=seed)

@@ -97,8 +97,8 @@ def test_gamma_bergomi_scheme_mean_and_positivity():
     # Gaussian law keeps E[V] = xi0 at every grid time
     grid = Grid(n=64, T=1.0)
     model = GammaBergomi(xi0=0.04, nu=1.0, hurst=0.3, rho=-0.7, beta_decay=1.0)
-    shocks = draw_shocks(NoiseConfig(distribution="gaussian", paths=50_000,
-                                     steps=64, rho=0.0, seed=11))
+    shocks = draw_shocks(NoiseConfig(paths=50_000, steps=64, rho=0.0,
+                                     seed=11))
     paths = rdonsker_volterra(model.kernel(), "brownian", shocks.zeta, grid)
     v = phi_apply(model, paths, grid).values
     assert np.all(v > 0.0)
@@ -144,8 +144,7 @@ def test_heston_deterministic_when_vol_of_vol_zero():
     # y0 = theta kills the drift too: Y is constant, phi == 0, V == eta
     grid = Grid(n=16, T=1.0)
     model = _heston(vol_of_vol=0.0)
-    shocks = draw_shocks(NoiseConfig(distribution="gaussian", paths=8,
-                                     steps=16, rho=0.0, seed=5))
+    shocks = draw_shocks(NoiseConfig(paths=8, steps=16, rho=0.0, seed=5))
     paths = rdonsker_volterra(model.kernel(), model.driver(), shocks.zeta,
                               grid, eval_mode="left_point")
     v = phi_apply(model, paths, grid).values
@@ -169,8 +168,8 @@ def test_heston_clamp_fraction_regression_guard():
     # desk parameters with a comfortable Feller margin keep clamping rare
     grid = Grid(n=256, T=1.0)
     model = _heston(vol_of_vol=0.05)
-    shocks = draw_shocks(NoiseConfig(distribution="gaussian", paths=20_000,
-                                     steps=256, rho=0.0, seed=31))
+    shocks = draw_shocks(NoiseConfig(paths=20_000, steps=256, rho=0.0,
+                                     seed=31))
     paths = rdonsker_volterra(model.kernel(), model.driver(), shocks.zeta,
                               grid, eval_mode="left_point")
     v = phi_apply(model, paths, grid)

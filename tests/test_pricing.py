@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from roughsim import pricing
 from roughsim.kernels import Grid
-from roughsim.models import RoughBergomi, RoughHestonGJRS
+from roughsim.models import GammaBergomi, RoughBergomi, RoughHestonGJRS
 from roughsim.pricing import (
     SCHEMES,
     MCConfig,
@@ -297,6 +297,47 @@ def test_put_payoff_estimates_parity():
     # the mean forward fluctuates around the spot
     mean_forward = call - put + 1.1
     assert abs(mean_forward - 1.0) < 0.05
+
+
+# the schemes each model type runs: the hybrid needs the Riemann-Liouville
+# kernel and a Brownian driver, moment matching a Brownian driver
+_MODEL_SCHEMES = [
+    *((kind, scheme) for kind in ("rbergomi", "gbergomi")
+      for scheme in SCHEMES if (kind, scheme) != ("gbergomi", "hybrid")),
+    ("rheston_gjrs", "rdonsker_left"),
+]
+
+
+def _model(kind, hurst, rho, nu):
+    if kind == "rheston_gjrs":
+        return RoughHestonGJRS(eta=0.04, kappa=1.0, theta=0.04, vol_of_vol=0.1,
+                               y0=0.04, hurst=hurst, rho=rho)
+    cls = RoughBergomi if kind == "rbergomi" else GammaBergomi
+    return cls(xi0=0.04, nu=nu, hurst=hurst, rho=rho)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1),
+       model_scheme=st.sampled_from(_MODEL_SCHEMES),
+       hurst=st.sampled_from([0.1, 0.3, 0.5]),
+       rho=st.sampled_from([-1.0, -0.7, 0.0, 0.4]),
+       nu=st.floats(0.0, 1.5), antithetic=st.booleans(),
+       variance_reduction=st.sampled_from(["conditional_bs", "none"]),
+       low=st.floats(0.6, 1.2), gap=st.floats(0.01, 0.5))
+def test_call_put_spreads_obey_parity_on_shared_paths(
+        seed, model_scheme, hurst, rho, nu, antithetic, variance_reduction,
+        low, gap):
+    # per path, call - put = forward - strike, so across two strikes the
+    # sample forward cancels: (C1 - P1) - (C2 - P2) = K2 - K1
+    kind, scheme = model_scheme
+    model = _model(kind, hurst, rho, nu)
+    cfg = _config(paths=8, n=8, scheme=scheme, antithetic=antithetic,
+                  variance_reduction=variance_reduction, seed=seed)
+    strikes = [low, low + gap]
+    calls = smile(model, cfg, strikes, payoff="call").prices
+    puts = smile(model, cfg, strikes, payoff="put").prices
+    spread = (calls[0] - puts[0]) - (calls[1] - puts[1])
+    assert abs(spread - (strikes[1] - strikes[0])) < 1e-12
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,68 @@
+"""The hash comparison of tools/seeded_hashes.py on made-up hash maps."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "seeded_hashes.py"
+_spec = importlib.util.spec_from_file_location("seeded_hashes", _PATH)
+seeded_hashes = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(seeded_hashes)
+
+
+def test_digest_tells_shape_dtype_and_bits_apart():
+    digest = seeded_hashes.digest
+    base = digest(np.zeros(4))
+    assert digest(np.zeros(4)) == base
+    assert digest(np.zeros((2, 2))) != base
+    assert digest(np.zeros(4, dtype=np.float32)) != base
+    assert digest(np.array([0.0, 0.0, 0.0, -0.0])) != base
+    assert digest(np.zeros((4, 2))[:, 0]) == base  # a strided view's values
+    assert digest("ValueError: no") != digest("ValueError: no!")
+
+
+def test_differing_names_changed_and_one_sided_outputs():
+    parent = {"a": "1", "b": "2", "gone": "3"}
+    change = {"a": "1", "b": "9", "new": "4"}
+    assert seeded_hashes.differing(change, parent) == ["b", "gone", "new"]
+    assert seeded_hashes.differing(parent, dict(parent)) == []
+
+
+def _fake_sides(monkeypatch, parent_tree, parent, change):
+    calls = []
+
+    def fake_run(tree):
+        calls.append(tree)
+        return parent if tree == parent_tree else change
+
+    monkeypatch.setattr(seeded_hashes, "run_side", fake_run)
+    monkeypatch.setattr(seeded_hashes, "extract", lambda rev, into: parent_tree)
+    return calls
+
+
+def test_parent_comparison_lists_each_differing_output(tmp_path, monkeypatch,
+                                                       capsys):
+    parent_tree = tmp_path / "parent"
+    calls = _fake_sides(monkeypatch, parent_tree,
+                        {"smile/x": "aa", "tree/y": "bb", "old": "cc"},
+                        {"smile/x": "aa", "tree/y": "bd", "new": "dd"})
+    assert seeded_hashes.main(["--parent", "HEAD~1"]) == 1
+    assert calls == [seeded_hashes.ROOT, parent_tree]
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == ["dd  new", "aa  smile/x", "bd  tree/y"]
+    assert out[3:] == ["differs: new: parent absent, change dd",
+                       "differs: old: parent cc, change absent",
+                       "differs: tree/y: parent bb, change bd",
+                       "3 of 4 outputs differ from HEAD~1"]
+
+
+def test_identical_hashes_pass(tmp_path, monkeypatch, capsys):
+    same = {"draw_shocks/plain/zeta": "ab", "sample_paths/hybrid": "cd"}
+    _fake_sides(monkeypatch, tmp_path / "parent", same, dict(same))
+    assert seeded_hashes.main(["--parent", "HEAD"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "0 of 2 outputs differ from HEAD"
+    # without a parent only this tree is hashed
+    assert seeded_hashes.main([]) == 0
+    assert "differ" not in capsys.readouterr().out

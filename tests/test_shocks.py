@@ -21,8 +21,7 @@ from roughsim.volterra import hybrid_scheme_rl
 
 
 def _cfg(**kw):
-    base = dict(distribution="gaussian", paths=16, steps=8, rho=0.0, seed=42,
-                antithetic=False)
+    base = dict(paths=16, steps=8, rho=0.0, seed=42, antithetic=False)
     base.update(kw)
     return NoiseConfig(**base)
 
@@ -37,8 +36,6 @@ def test_config_validation():
         _cfg(rho=1.5)
     with pytest.raises(ValueError):
         _cfg(paths=0)
-    with pytest.raises(ValueError):
-        _cfg(distribution="cauchy")
     with pytest.raises(ValueError):
         _cfg(antithetic=True, paths=6, rho=-0.5)  # needs M % 4 == 0
     _cfg(antithetic=True, paths=6, rho=-1.0)      # pairs allowed at |rho| = 1
@@ -94,7 +91,7 @@ def test_every_drawn_path_is_keyed_through_path_rng(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# distribution and correlation
+# moments and correlation
 # ----------------------------------------------------------------------
 
 def test_rho_one_ties_shocks():
@@ -102,13 +99,6 @@ def test_rho_one_ties_shocks():
     np.testing.assert_array_equal(s.xi, s.zeta)
     s = draw_shocks(_cfg(rho=-1.0, paths=32))
     np.testing.assert_array_equal(s.xi, -s.zeta)
-
-
-def test_rademacher_support():
-    s = draw_shocks(_cfg(distribution="rademacher", paths=64, steps=16, rho=0.3))
-    assert set(np.unique(s.zeta)) == {-1.0, 1.0}
-    # xi mixes the two base draws; unit variance still holds in law
-    assert s.xi.shape == (64, 16)
 
 
 def test_empirical_correlation_sweep():
@@ -259,8 +249,8 @@ _SEEDS = st.one_of(st.sampled_from([0, 2 ** 64 - 1]),
                    st.integers(0, 2 ** 64 - 1))
 
 
-def _draw(rng, distribution, shape):
-    if distribution == "gaussian":
+def _draw(rng, kind, shape):
+    if kind == "normal":
         return rng.standard_normal(shape)
     return rng.integers(0, 2, size=shape)
 
@@ -270,14 +260,15 @@ def _draw(rng, distribution, shape):
        shape=st.tuples(st.integers(1, 2), st.integers(1, 9)),
        stream=st.sampled_from([STREAM_SHOCKS, STREAM_HYBRID_AUX,
                                STREAM_CHOLESKY]),
-       distribution=st.sampled_from(["gaussian", "rademacher"]))
+       kind=st.sampled_from(["normal", "integers"]))
 def test_path_generators_draw_what_path_rng_draws(seed, start, count, shape,
-                                                  stream, distribution):
-    # an odd number of Rademacher draws leaves half a 64-bit word buffered,
-    # which the re-key must discard as a fresh generator would not have it
-    got = [_draw(rng, distribution, shape)
+                                                  stream, kind):
+    # an odd number of bounded integer draws leaves half a 64-bit word
+    # buffered, which the re-key must discard as a fresh generator would
+    # not have it
+    got = [_draw(rng, kind, shape)
            for rng in path_generators(seed, start, start + count, stream)]
-    want = [_draw(path_rng(seed, j, stream), distribution, shape)
+    want = [_draw(path_rng(seed, j, stream), kind, shape)
             for j in range(start, start + count)]
     np.testing.assert_array_equal(got, want)
 
@@ -285,13 +276,12 @@ def test_path_generators_draw_what_path_rng_draws(seed, start, count, shape,
 @settings(max_examples=60, deadline=None)
 @given(seed=_SEEDS, base_paths=st.integers(1, 8), steps=st.integers(1, 6),
        layout=st.sampled_from([(False, -0.5), (True, -0.7), (True, -1.0)]),
-       distribution=st.sampled_from(["gaussian", "rademacher"]),
        cuts=st.lists(st.integers(1, 7), max_size=4))
 def test_chunked_draws_concatenate_to_one_call(seed, base_paths, steps, layout,
-                                               distribution, cuts):
+                                               cuts):
     antithetic, rho = layout
     group = (2 if rho == -1.0 else 4) if antithetic else 1
-    cfg = _cfg(distribution=distribution, paths=group * base_paths,
+    cfg = _cfg(paths=group * base_paths,
                steps=steps, rho=rho, seed=seed, antithetic=antithetic)
     full = draw_shocks(cfg)
     bounds = sorted({0, base_paths, *(c for c in cuts if c < base_paths)})
@@ -360,7 +350,7 @@ def test_stock_shocks_are_built_when_first_read():
 
 
 def test_drawn_normals_under_a_lazy_stock_matrix_are_read_only():
-    config = NoiseConfig(distribution="gaussian", paths=3, steps=4, rho=-0.7,
+    config = NoiseConfig(paths=3, steps=4, rho=-0.7,
                          seed=3)
     shocks = draw_shocks(config)
     with pytest.raises(ValueError, match="read-only"):

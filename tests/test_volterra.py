@@ -40,8 +40,7 @@ from roughsim.volterra import (
 
 
 def _gauss(m, n, seed=0, rho=0.0):
-    return draw_shocks(NoiseConfig(distribution="gaussian", paths=m, steps=n,
-                                   rho=rho, seed=seed))
+    return draw_shocks(NoiseConfig(paths=m, steps=n, rho=rho, seed=seed))
 
 
 def _cir_spec(kappa=1.0, theta=0.04, xi=0.1, y0=0.04):
@@ -613,6 +612,25 @@ def test_binary_round_trip(tmp_path):
     assert (m, cols, horizon) == (3, 6, 2.5)
 
 
+@pytest.mark.parametrize("keep", [
+    3,        # inside the magic
+    5 + 9,    # inside the 16-byte header
+    21 + 8,   # a whole number of values, too few of them
+    21 + 13,  # a data section that is not whole values
+    None,     # one byte too many
+])
+def test_damaged_binary_file_is_refused_by_name(tmp_path, keep):
+    grid = Grid(n=2, T=1.0)
+    fn = tmp_path / "paths.bin"
+    save_binary(PathSet(values=np.ones((2, 3)), grid=grid,
+                        scheme_tag="rdonsker_matched"), fn)
+    raw = fn.read_bytes()
+    fn.write_bytes(raw + b"\0" if keep is None else raw[:keep])
+    with pytest.raises(ValueError, match="bad magic" if keep == 3
+                       else "truncated path-set file"):
+        load_binary(fn)
+
+
 def test_csv_export(tmp_path):
     grid = Grid(n=4, T=1.0)
     values = np.arange(10.0).reshape(2, 5)
@@ -629,8 +647,7 @@ def test_csv_export(tmp_path):
 
 def test_hybrid_antithetic_groups_mirror_and_chunk():
     grid = Grid(n=16, T=1.0)
-    cfg = NoiseConfig(distribution="gaussian", paths=16, steps=16, rho=-0.7,
-                      seed=29, antithetic=True)
+    cfg = NoiseConfig(paths=16, steps=16, rho=-0.7, seed=29, antithetic=True)
     s = draw_shocks(cfg)
     out = hybrid_scheme_rl(0.3, s.zeta, grid, seed=29, antithetic_group=4)
     # mirrored shock rows give exactly mirrored paths
@@ -682,8 +699,7 @@ def test_mirrored_scheme_rows_are_the_row_by_row_paths(scheme, rho, hurst,
     half = group // 2
     grid = Grid(n=n, T=1.0)
     kernel = riemann_liouville(hurst=hurst)
-    zeta = draw_shocks(NoiseConfig(distribution="gaussian",
-                                   paths=group * base_paths, steps=n, rho=rho,
+    zeta = draw_shocks(NoiseConfig(paths=group * base_paths, steps=n, rho=rho,
                                    seed=seed, antithetic=True)).zeta
     got = scheme_paths(kernel, "brownian", zeta, grid, scheme, seed=seed,
                        antithetic_group=group, base_offset=offset)
@@ -710,8 +726,8 @@ def test_mirrored_scheme_rows_are_the_row_by_row_paths(scheme, rho, hurst,
 def test_diffusion_driver_rows_are_not_mirrored():
     # an Euler-stepped driver is not odd in its shocks: every row is run
     grid = Grid(n=8, T=1.0)
-    zeta = draw_shocks(NoiseConfig(distribution="gaussian", paths=8, steps=8,
-                                   rho=-0.7, seed=3, antithetic=True)).zeta
+    zeta = draw_shocks(NoiseConfig(paths=8, steps=8, rho=-0.7, seed=3,
+                                   antithetic=True)).zeta
     got = scheme_paths(riemann_liouville(hurst=0.3), _cir_spec(), zeta, grid,
                        "rdonsker_left", antithetic_group=4)
     want = rdonsker_volterra(riemann_liouville(hurst=0.3), _cir_spec(), zeta,
