@@ -232,6 +232,7 @@ def cmd_price(config: dict, args) -> dict:
 
 
 def _dump_tree_csv(tree, path) -> None:
+    spot = tree.config.model.spot
     with open(path, "w") as fh:
         fh.write("level,node,log_stock,stock,variance\n")
         for level in range(tree.depth + 1):
@@ -239,7 +240,8 @@ def _dump_tree_csv(tree, path) -> None:
             vs = np.asarray(tree.variance[level])
             for node in range(xs.shape[0]):
                 fh.write(f"{level},{node},{float(xs[node])!r},"
-                         f"{float(np.exp(xs[node]))!r},{float(vs[node])!r}\n")
+                         f"{float(spot * np.exp(xs[node]))!r},"
+                         f"{float(vs[node])!r}\n")
 
 
 def cmd_american(config: dict, args) -> dict:

@@ -16,6 +16,7 @@ arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -246,6 +247,24 @@ def squared_kernel_integral(kernel: KernelSpec, a: float, b: float) -> float:
 # convolution weights
 # ----------------------------------------------------------------------
 
+@lru_cache(maxsize=32)
+def squared_cell_integrals(kernel: KernelSpec, grid: Grid) -> np.ndarray:
+    """Read-only int_{t_k}^{t_{k+1}} g^2, k < n: closed form for RL, else
+    one quadrature per cell. The moment-matched weights and Q share it."""
+    t = grid.times
+    if kernel.kind == "rl":
+        two_h = 2.0 * kernel.alpha + 1.0
+        if two_h <= 0:
+            raise ValueError("moment matching needs alpha > -1/2")
+        cells = np.diff(t ** two_h) / two_h
+    else:
+        cells = np.array(
+            [squared_kernel_integral(kernel, t[k], t[k + 1]) for k in range(grid.n)]
+        )
+    cells.setflags(write=False)
+    return cells
+
+
 def optimal_eval_weights(kernel: KernelSpec, grid: Grid) -> np.ndarray:
     """Moment-matched weights w_k = sqrt((n/T) * int_{t_{k-1}}^{t_k} g^2).
 
@@ -254,17 +273,7 @@ def optimal_eval_weights(kernel: KernelSpec, grid: Grid) -> np.ndarray:
     construction (T/n) * sum_{k<=i} w_k^2 telescopes to int_0^{t_i} g^2
     exactly for every i.
     """
-    t = grid.times
-    if kernel.kind == "rl":
-        two_h = 2.0 * kernel.alpha + 1.0
-        if two_h <= 0:
-            raise ValueError("moment matching needs alpha > -1/2")
-        steps = np.diff(t ** two_h) / two_h
-    else:
-        steps = np.array(
-            [squared_kernel_integral(kernel, t[k], t[k + 1]) for k in range(grid.n)]
-        )
-    return np.sqrt(steps / grid.dt)
+    return np.sqrt(squared_cell_integrals(kernel, grid) / grid.dt)
 
 
 def left_point_weights(kernel: KernelSpec, grid: Grid) -> np.ndarray:

@@ -29,6 +29,7 @@ from roughsim.kernels import (
     KernelSpec,
     gamma_fractional,
     riemann_liouville,
+    squared_cell_integrals,
     squared_kernel_integral,
 )
 from roughsim.volterra import DiffusionSpec, PathSet, check_finite
@@ -199,10 +200,14 @@ _CONFIG_NAMES = {"vol_of_vol": "xi", "beta_decay": "beta"}
 
 @lru_cache(maxsize=16)
 def squared_integral_profile(kernel: KernelSpec, grid: Grid) -> np.ndarray:
-    """Q(t_i) = int_0^{t_i} g^2 at every grid time (deterministic, shared)."""
+    """Q(t_i) = int_0^{t_i} g^2 at every grid time (deterministic, shared):
+    closed form for RL, else the running sum of `squared_cell_integrals`."""
     q = np.zeros(grid.n + 1)
-    for i in range(1, grid.n + 1):
-        q[i] = squared_kernel_integral(kernel, 0.0, grid.times[i])
+    if kernel.kind == "rl":
+        for i in range(1, grid.n + 1):
+            q[i] = squared_kernel_integral(kernel, 0.0, grid.times[i])
+    else:
+        np.cumsum(squared_cell_integrals(kernel, grid), out=q[1:])
     q.setflags(write=False)
     return q
 

@@ -18,6 +18,7 @@ loop; every estimator is a per-chunk function passed to it.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -97,12 +98,34 @@ class SmileResult:
 # Black-Scholes utilities
 # ----------------------------------------------------------------------
 
-def bs_call(forward, strike: float, total_variance):
-    """Undiscounted Black-Scholes call on the forward.
+def _black_scholes(kind: str, strike: float, log_forward, forward, s,
+                   out=None) -> np.ndarray:
+    """Undiscounted Black-Scholes call or put on 1-d forward arrays.
 
-    Vectorized over `forward` / `total_variance`; zero total variance
-    returns the intrinsic value.
+    `s` is the total standard deviation. d1 = (log F - log K)/s + s/2; a
+    call is F N(d1) - K N(d1 - s), a put K N(s - d1) - F N(-d1), and s = 0
+    gives the intrinsic value. Written into `out` when given.
     """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d1 = (log_forward - math.log(strike)) / s
+    d1 += 0.5 * s
+    if kind == "call":
+        value = np.multiply(forward, ndtr(d1), out=out)
+        value -= strike * ndtr(d1 - s)
+    else:
+        value = np.multiply(strike, ndtr(s - d1), out=out)
+        value -= forward * ndtr(-d1)
+    flat = s == 0.0
+    if flat.any():
+        gap = forward[flat] - strike if kind == "call" \
+            else strike - forward[flat]
+        value[flat] = np.maximum(gap, 0.0)
+    return value
+
+
+def _checked_black_scholes(kind: str, forward, strike: float,
+                           total_variance):
+    """`_black_scholes` of checked inputs; a float for scalar inputs."""
     if strike <= 0.0:
         raise ValueError("strike must be positive")
     f = np.asarray(forward, dtype=float)
@@ -113,20 +136,22 @@ def bs_call(forward, strike: float, total_variance):
         raise ValueError("total variance must be nonnegative")
     scalar = f.ndim == 0 and tv.ndim == 0
     f, tv = np.atleast_1d(*np.broadcast_arrays(f, tv))
-    out = np.maximum(f - strike, 0.0).astype(float)
-    pos = tv > 0.0
-    if np.any(pos):
-        s = np.sqrt(tv[pos])
-        fp = f[pos]
-        d1 = np.log(fp / strike) / s + 0.5 * s
-        out[pos] = fp * ndtr(d1) - strike * ndtr(d1 - s)
+    out = _black_scholes(kind, strike, np.log(f), f, np.sqrt(tv))
     return float(out[0]) if scalar else out
 
 
+def bs_call(forward, strike: float, total_variance):
+    """Undiscounted Black-Scholes call on the forward.
+
+    Vectorized over `forward` / `total_variance`; zero total variance
+    returns the intrinsic value.
+    """
+    return _checked_black_scholes("call", forward, strike, total_variance)
+
+
 def bs_put(forward, strike: float, total_variance):
-    """Undiscounted put via parity; exact nonnegativity enforced."""
-    f = np.asarray(forward, dtype=float)
-    value = bs_call(forward, strike, total_variance) - f + strike
+    """Undiscounted put by its own formula; exact nonnegativity enforced."""
+    value = _checked_black_scholes("put", forward, strike, total_variance)
     return np.maximum(value, 0.0) if isinstance(value, np.ndarray) \
         else max(value, 0.0)
 
@@ -179,7 +204,8 @@ def scheme_paths(kernel, driver, shocks: np.ndarray, grid: Grid, scheme: str,
     `rdonsker_matched` / `rdonsker_left`: the rDonsker convolution by
     `method`, with moment-matched / left-point weights. `hybrid`: the
     kappa = 1 hybrid scheme (RL kernel, Brownian driver), whose auxiliary
-    normals come from `seed`'s streams, see `hybrid_scheme_rl`.
+    normals come from `seed`'s streams and whose history sum runs by
+    `method`, see `hybrid_scheme_rl`.
 
     With a Brownian driver and `antithetic_group` 2 or 4, the last half
     of each group's rows must negate the first half; the scheme then runs
@@ -195,7 +221,7 @@ def scheme_paths(kernel, driver, shocks: np.ndarray, grid: Grid, scheme: str,
                              "kernel with a Brownian driver")
         return hybrid_scheme_rl(kernel.hurst, shocks, grid, seed=seed,
                                 antithetic_group=antithetic_group,
-                                base_offset=base_offset)
+                                base_offset=base_offset, method=method)
     mode = "moment_matched" if scheme == "rdonsker_matched" else "left_point"
     # an Euler-stepped driver is not odd in its shocks, so it is not mirrored
     group = antithetic_group if driver == "brownian" else 1

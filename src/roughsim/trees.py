@@ -29,7 +29,9 @@ with forward S e^{(r-q)dt} and total variance v dt, so the node's value
 is the discounted Black-Scholes price (the BBS method of Broadie and
 Detemple, 1996). The strike's position between the leaves, which the
 variance compensator shifts with depth, then no longer sets the error.
-Any other payoff callable is averaged over the leaves.
+Any other payoff callable starts from the leaves. The European price is
+the discounted backward mean of these last-step values, the European leg
+of the American pass, so American >= European holds bitwise.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from roughsim.kernels import Grid, left_point_weights, optimal_eval_weights
 from roughsim.models import (
@@ -50,6 +51,7 @@ from roughsim.models import (
     squared_integral_profile,
     variance_map,
 )
+from roughsim.pricing import _black_scholes
 from roughsim.volterra import DiffusionSpec
 
 _MAX_DEPTH = {4: 12, 2: 24}
@@ -126,7 +128,9 @@ class BushyTree:
     value per node at level i (`driver_increments[0]` is None: the root
     has no increment). `stats` holds what `build_tree` did: `nodes` over
     all levels, the level arrays' `ram_bytes` and `spilled_bytes` (held in
-    disk-backed scratch) and `build_s`.
+    disk-backed scratch), `clamp_cells` (nodes whose variance the map
+    clamped to zero) and `domain_clips` (driver states clipped to their
+    domain before an Euler step), both 0 for Bergomi trees, and `build_s`.
 
     A built tree is read-only once priced: the pricers record on it the
     last American pass's `exercise_counts` and, per call or put, the
@@ -287,6 +291,8 @@ def build_tree(config: TreeConfig) -> BushyTree:
     half_dt = -0.5 * dt
     y_state = None if diffusion is None else np.full(1, diffusion.y0)
     parent_block = max(_TREE_BLOCK_NODES // b, 1)
+    # variance_map overwrites its count on each call, so blocks are summed
+    mapped, clamps, clips = {}, 0, 0
 
     for i in range(1, n + 1):
         parents = b ** (i - 1)
@@ -296,6 +302,8 @@ def build_tree(config: TreeConfig) -> BushyTree:
         dy = alloc.make(size)
         if diffusion is not None:
             clipped = diffusion.clip(y_state)
+            if clipped is not y_state:
+                clips += int(np.count_nonzero(clipped != y_state))
             drift = np.asarray(diffusion.drift(clipped), dtype=float)
             diff = np.asarray(diffusion.diffusion(clipped), dtype=float)
             dy.reshape(parents, b)[:] = (drift[:, None] * dt
@@ -325,7 +333,8 @@ def build_tree(config: TreeConfig) -> BushyTree:
                 else:
                     contrib = weights[m - 1] * ancestors[lo // span:hi // span]
                     phi.reshape(-1, span)[...] += contrib[:, None]
-            variance_map(model, phi, *inputs[i], out=phi)
+            variance_map(model, phi, *inputs[i], stats=mapped, out=phi)
+            clamps += mapped.get("clamp_cells", 0)
 
             # log-stock Euler step from the parent level
             v_parent = v_prev[p_lo:p_hi]
@@ -341,6 +350,7 @@ def build_tree(config: TreeConfig) -> BushyTree:
     stats = {"nodes": sum(b ** i for i in range(n + 1)),
              "ram_bytes": sum(a.nbytes for a in arrays) - spilled,
              "spilled_bytes": spilled,
+             "clamp_cells": clamps, "domain_clips": clips,
              "build_s": time.perf_counter() - start}
     return BushyTree(config=config, log_stock=log_stock, variance=variance,
                      driver_increments=increments, stats=stats,
@@ -400,10 +410,6 @@ def replay_leaf(tree: BushyTree, leaf: int) -> float:
 # pricing
 # ----------------------------------------------------------------------
 
-def _leaf_stock(tree: BushyTree) -> np.ndarray:
-    return tree.config.model.spot * np.exp(tree.log_stock[tree.depth])
-
-
 def _forward_shift(config: TreeConfig) -> float:
     """log(S e^{(r-q)dt}) less the node's log-stock."""
     return (math.log(config.model.spot)
@@ -414,13 +420,11 @@ def _last_step_values(tree: BushyTree, payoff: VanillaPayoff) -> np.ndarray:
     """Undiscounted Black-Scholes value of `payoff` at each level-(n-1) node.
 
     Forward S e^{(r-q)dt}, total variance v dt: the law of the node's
-    Euler stock step when its shock is Gaussian. d1 is formed from the
-    stored log-stock, without a log of the forward array. Evaluated in
-    blocks of `_TREE_BLOCK_NODES` nodes into one array.
+    Euler stock step when its shock is Gaussian. The log-forward comes from
+    the stored log-stock, and `pricing._black_scholes` prices each block of
+    `_TREE_BLOCK_NODES` nodes into one array.
     """
     config = tree.config
-    strike = payoff.strike
-    log_strike = math.log(strike)
     shift = _forward_shift(config)
     dt = config.grid.dt
     log_stock = tree.log_stock[config.depth - 1]
@@ -428,21 +432,9 @@ def _last_step_values(tree: BushyTree, payoff: VanillaPayoff) -> np.ndarray:
     last = np.empty(len(log_stock))
     for lo, hi in _blocks(len(last), _TREE_BLOCK_NODES):
         log_forward = log_stock[lo:hi] + shift
-        forward = np.exp(log_forward)
-        s = np.sqrt(dt * variance[lo:hi])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d1 = (log_forward - log_strike) / s
-        d1 += 0.5 * s
-        value = last[lo:hi]
-        if payoff.kind == "call":
-            np.multiply(forward, ndtr(d1), out=value)
-            value -= strike * ndtr(d1 - s)
-        else:
-            np.multiply(strike, ndtr(s - d1), out=value)
-            value -= forward * ndtr(-d1)
-        flat = s == 0.0
-        if flat.any():
-            value[flat] = payoff(forward[flat])
+        _black_scholes(payoff.kind, payoff.strike, log_forward,
+                       np.exp(log_forward), np.sqrt(dt * variance[lo:hi]),
+                       out=last[lo:hi])
     return last
 
 
@@ -464,39 +456,40 @@ def tree_forward(tree: BushyTree) -> float:
     """Forward of the pricing rule: mean over level n-1 of S e^{(r-q)dt}.
 
     This is the equal-weight expectation of the closed-form last step, so
-    call - put = e^{-rT} (tree_forward - K) on one tree.
+    call - put = e^{-rT} (tree_forward - K) on one tree, to rounding.
     """
     config = tree.config
     log_stock = tree.log_stock[config.depth - 1]
     return float(np.mean(np.exp(log_stock + _forward_shift(config))))
 
 
-def _european_from_last_step(tree: BushyTree, last: np.ndarray) -> float:
-    """e^{-rT} times the mean closed-form last-step value over level n-1."""
-    config = tree.config
-    return math.exp(-config.rate * config.horizon) * float(np.mean(last))
-
-
 def tree_price_european(tree: BushyTree, payoff) -> float:
-    """Discounted equal-weight expectation e^{-rT} * E[payoff(S_T)].
+    """The discounted backward mean of `payoff` from level n-1 to the root.
 
-    Calls and puts (`VanillaPayoff`) average the closed-form last step
-    over level n-1; any other callable is averaged over the leaves. A
-    call or put's price is recorded on the tree, by this pricer or by
-    `tree_price_american`, and later calls return the record: the same
-    expression on the same array, so the price does not depend on the
-    order of pricer calls.
+    A call or put (`VanillaPayoff`) starts from its discounted closed-form
+    last step, any other callable from its leaves. This is the European
+    leg of `tree_price_american`, bitwise. A call or put's price is
+    recorded on the tree, by either pricer, and later calls return it.
     """
-    if isinstance(payoff, VanillaPayoff):
-        price = tree._european.get(payoff)
-        if price is None:
-            price = _european_from_last_step(
-                tree, _last_step_values(tree, payoff))
-            tree._european[payoff] = price
-        return price
+    vanilla = isinstance(payoff, VanillaPayoff)
+    if vanilla and payoff in tree._european:
+        return tree._european[payoff]
     config = tree.config
-    disc = math.exp(-config.rate * config.horizon)
-    return disc * float(np.mean(payoff(_leaf_stock(tree))))
+    b = config.branching
+    n = config.depth
+    disc = math.exp(-config.rate * config.horizon / n)
+    if vanilla:
+        values = _last_step_values(tree, payoff)
+        values *= disc
+    else:
+        leaves = config.model.spot * np.exp(tree.log_stock[n])
+        values = _continuation(payoff(leaves), b, disc)
+    for _ in range(n - 1):
+        values = _continuation(values, b, disc)
+    price = float(values[0])
+    if vanilla:
+        tree._european[payoff] = price
+    return price
 
 
 def _snell_violation(level, offset, payoff, amer, euro, exercise) -> str:
@@ -536,8 +529,8 @@ def tree_price_american(tree: BushyTree, payoff, details: bool = False):
     exercising-node counts (the exercise boundary's level profile, also
     stored on the tree), the pass's `induction_s` and `last_step_s`, the
     part of it spent on the closed-form last step (0 for other
-    callables). A call or put's European price, as `tree_price_european`
-    computes it from the same last-step array, is recorded on the tree.
+    callables). The European root value is the price `tree_price_european`
+    gives, bitwise; a call or put's is recorded on the tree.
     """
     start = time.perf_counter()
     config = tree.config
@@ -549,7 +542,6 @@ def tree_price_american(tree: BushyTree, payoff, details: bool = False):
     last_step_s = 0.0
     if vanilla:
         euro = _last_step_values(tree, payoff)
-        european = _european_from_last_step(tree, euro)
         last_step_s = time.perf_counter() - start
         euro *= disc  # level n-1's continuation, American and European
     else:
@@ -575,7 +567,7 @@ def tree_price_american(tree: BushyTree, payoff, details: bool = False):
             counts[i] += np.count_nonzero(exercise > cont)
     tree.exercise_counts = counts
     if vanilla:
-        tree._european[payoff] = european
+        tree._european[payoff] = float(euro[0])
     price = float(amer[0])
     if not details:
         return price

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import os
+import subprocess
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "ab_pairs.py"
@@ -53,10 +55,12 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved():
 def test_each_workload_gets_one_traced_run_per_side(tmp_path, monkeypatch):
     parent_tree = tmp_path / "parent"
     calls = []
+    caches = {}
 
-    def fake_run(tree, workload, seed, seconds, trace=0):
+    def fake_run(tree, workload, seed, seconds, pycache, trace=0):
         side = "parent" if tree == parent_tree else "change"
         calls.append((side, workload, seed, trace))
+        caches.setdefault(side, set()).add(pycache)
         if trace:
             return {"trees.build_s": 0.30 if side == "parent" else 0.18,
                     "trees.nodes": 7, "correct": True, "failed": 0,
@@ -90,3 +94,40 @@ def test_each_workload_gets_one_traced_run_per_side(tmp_path, monkeypatch):
     assert "correct" not in layers["delta"]
     assert result["claim_met"] is True
     assert len(result["runs"]["parent"]) == len(result["runs"]["change"]) == 3
+    # every run of a side shares that side's bytecode cache
+    assert len(caches["parent"]) == len(caches["change"]) == 1
+    assert caches["parent"] != caches["change"]
+
+
+def test_each_side_writes_its_own_bytecode_cache(tmp_path, monkeypatch):
+    parent_tree = tmp_path / "parent"
+    envs = {"parent": [], "change": []}
+
+    def fake_subprocess_run(cmd, cwd, env, **kwargs):
+        envs["parent" if Path(cwd) == parent_tree else "change"].append(env)
+        metrics = {name: {"value": 1.0} for name in
+                   ("op_s_p50", "work_per_s", "setup_s", "peak_rss_mb")}
+        line = json.dumps({"metrics": metrics, "correct": True, "failed": 0,
+                           "attempted": 4})
+        return subprocess.CompletedProcess(cmd, 0, stdout=line + "\n",
+                                           stderr="")
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(ab_pairs.subprocess, "run", fake_subprocess_run)
+    monkeypatch.setattr(ab_pairs, "extract", lambda rev, into: parent_tree)
+    monkeypatch.setattr(ab_pairs, "commit_of", lambda rev: "0" * 40)
+    assert ab_pairs.main(["--workload", "exact-law", "--pairs", "2",
+                          "--out", str(tmp_path / "bench.json")]) == 0
+    # two pairs and one traced run per side
+    assert len(envs["parent"]) == len(envs["change"]) == 3
+    parent, change = envs["parent"][0], envs["change"][0]
+    assert all(env == parent for env in envs["parent"])
+    assert all(env == change for env in envs["change"])
+    prefixes = [Path(env.pop("PYTHONPYCACHEPREFIX")) for env in (parent, change)]
+    assert prefixes[0] != prefixes[1]
+    assert prefixes[0].parent == prefixes[1].parent  # the run's temporary dir
+    assert not prefixes[0].parent.exists()  # removed with it
+    # otherwise both get this environment, with bytecode writes allowed
+    expected = dict(os.environ)
+    del expected["PYTHONDONTWRITEBYTECODE"]
+    assert parent == change == expected

@@ -288,6 +288,20 @@ def test_american_record_and_tree_dump(tmp_path, capsys):
     assert float(root[2]) == 0.0 and float(root[4]) == 0.04
 
 
+def test_american_dump_writes_the_stock_at_the_model_spot(tmp_path, capsys):
+    code, _, _ = _run(capsys, [
+        "american", "--model", "rbergomi", "--xi0", "0.04", "--nu", "1.0",
+        "--hurst", "0.3", "--rho", "-0.7", "--spot", "2.0", "--depth", "2",
+        "--dump-tree", "--output-dir", str(tmp_path)])
+    assert code == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "tree.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 1 + 4 + 16
+    assert float(rows[0][3]) == 2.0
+    for _, _, log_stock, stock, _ in rows:
+        assert float(stock) == float(2.0 * np.exp(float(log_stock)))
+
+
 def test_american_reports_tree_work(tmp_path, capsys):
     argv = ["american", "--model", "rbergomi", "--xi0", "0.04", "--nu", "1.0",
             "--hurst", "0.3", "--rho", "-0.7", "--depth", "4",
@@ -297,8 +311,9 @@ def test_american_reports_tree_work(tmp_path, capsys):
     code, out, _ = _run(capsys, argv)
     assert code == 0
     work = json.loads(out)["metadata"]["tree"]
-    assert set(work) == {"nodes", "ram_bytes", "spilled_bytes", "build_s",
-                         "induction_s", "last_step_s"}
+    assert set(work) == {"nodes", "ram_bytes", "spilled_bytes", "clamp_cells",
+                         "domain_clips", "build_s", "induction_s",
+                         "last_step_s"}
     assert work["nodes"] == nodes
     assert (work["ram_bytes"], work["spilled_bytes"]) == (level_bytes, 0)
     assert work["build_s"] > 0.0 and work["induction_s"] > 0.0

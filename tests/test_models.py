@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from roughsim.kernels import Grid, riemann_liouville
+from roughsim import kernels
+from roughsim.kernels import (
+    Grid,
+    gamma_fractional,
+    optimal_eval_weights,
+    power_law,
+    riemann_liouville,
+    squared_cell_integrals,
+    squared_kernel_integral,
+)
 from roughsim.models import (
     ForwardVarianceCurve,
     GammaBergomi,
@@ -12,6 +21,7 @@ from roughsim.models import (
     as_curve,
     model_from_config,
     phi_apply,
+    squared_integral_profile,
 )
 from roughsim.shocks import NoiseConfig, draw_shocks
 from roughsim.volterra import PathSet, cholesky_exact_rl, rdonsker_volterra
@@ -127,6 +137,49 @@ def test_grid_mismatch_rejected():
     ps = _flat_path_set(np.zeros((2, 5)), grid_a)
     with pytest.raises(ValueError, match="grid"):
         phi_apply(model, ps, Grid(n=4, T=2.0))
+
+
+# ----------------------------------------------------------------------
+# the compensator Q(t) = int_0^t g^2
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("kernel", [gamma_fractional(-0.4, -1.0),
+                                    power_law(-0.2, -2.5)],
+                         ids=["gamma", "powerlaw"])
+def test_q_profile_is_the_running_sum_of_the_weight_cells(kernel):
+    grid = Grid(n=16, T=1.0)
+    q = squared_integral_profile(kernel, grid)
+    assert q[0] == 0.0
+    oracle = [squared_kernel_integral(kernel, 0.0, t) for t in grid.times[1:]]
+    np.testing.assert_allclose(q[1:], oracle, rtol=1e-12, atol=0.0)
+    w = optimal_eval_weights(kernel, grid)
+    np.testing.assert_allclose(q[1:], grid.dt * np.cumsum(w ** 2),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_q_profile_integrates_no_more_than_the_weights(monkeypatch):
+    kernel = gamma_fractional(-0.4, -1.0)  # H = 0.1
+    grid = Grid(n=64, T=1.0)
+    calls = []
+    real = kernels.quad
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "quad", counted)
+    counts = []
+    for build in (optimal_eval_weights, squared_integral_profile):
+        squared_cell_integrals.cache_clear()
+        squared_integral_profile.cache_clear()
+        calls.clear()
+        build(kernel, grid)
+        counts.append(len(calls))
+    assert 0 < counts[1] <= counts[0]
+    # and the two share one table
+    squared_integral_profile(kernel, grid)
+    optimal_eval_weights(kernel, grid)
+    assert len(calls) == counts[1]
 
 
 # ----------------------------------------------------------------------

@@ -80,6 +80,23 @@ def test_bs_put_parity():
         assert abs(put - (bs_call(f, k, tv) - f + k)) < 1e-12
 
 
+def test_deep_out_of_the_money_put_is_priced_by_its_own_formula(monkeypatch):
+    # parity through the call loses ~6e-12 relative here, in the call's
+    # cancellation F - K + C; the put formula keeps 1e-13
+    f, k, tv = 1.0, 0.5, 0.04
+    s = math.sqrt(tv)
+    d1 = (math.log(f) - math.log(k)) / s + 0.5 * s
+    # N(x) = erfc(-x / sqrt(2)) / 2
+    reference = 0.5 * (k * math.erfc((d1 - s) / math.sqrt(2.0))
+                       - f * math.erfc(d1 / math.sqrt(2.0)))
+    assert abs(bs_put(f, k, tv) / reference - 1.0) < 1e-13
+    monkeypatch.setattr(pricing, "bs_call", None)  # the put does not use it
+    puts = bs_put(np.array([f, 0.8, 1.2]), k, np.array([tv, 0.0, 0.0]))
+    assert puts[0] == bs_put(f, k, tv)
+    assert puts[1] == puts[2] == 0.0
+    assert bs_put(0.4, k, 0.0) == k - 0.4
+
+
 def test_implied_vol_round_trip():
     price = bs_call(1.0, 1.0, 0.04)
     assert abs(implied_vol(price, 1.0, 1.0, 1.0) - 0.2) < 1e-8

@@ -66,3 +66,18 @@ def test_identical_hashes_pass(tmp_path, monkeypatch, capsys):
     # without a parent only this tree is hashed
     assert seeded_hashes.main([]) == 0
     assert "differ" not in capsys.readouterr().out
+
+
+def test_outputs_name_the_closed_form_quantities():
+    import roughsim as rs
+
+    outputs = dict(seeded_hashes._outputs(rs))
+    added = ("bs/call", "bs/put", "implied_vol",
+             "squared_integral_profile/rl", "squared_integral_profile/gamma",
+             "squared_integral_profile/powerlaw", "sample_paths/hybrid/naive")
+    for name in added:
+        value = outputs[name]()
+        assert isinstance(value, np.ndarray) and value.size > 0
+    # the grid holds zero variance, where each price is intrinsic
+    assert np.all(outputs["bs/put"]() >= 0.0)
+    assert np.count_nonzero(np.isfinite(outputs["implied_vol"]())) >= 10

@@ -213,10 +213,13 @@ def test_closed_form_last_step_at_zero_variance_is_intrinsic():
 
 def test_other_callables_use_the_leaves():
     tree = build_tree(TreeConfig(model=_rbergomi(), depth=4, rate=0.05))
-    leaves = np.exp(tree.log_stock[4])
+    disc = math.exp(-0.05 / 4)
+    # the discounted backward mean from the leaf payoffs up to the root
+    values = np.maximum(np.exp(tree.log_stock[4]) - 1.0, 0.0)
+    for _ in range(4):
+        values = disc * values.reshape(-1, 4).mean(axis=1)
     call = tree_price_european(tree, lambda s: np.maximum(s - 1.0, 0.0))
-    assert call == math.exp(-0.05) * float(np.mean(np.maximum(leaves - 1.0,
-                                                              0.0)))
+    assert call == float(values[0])
 
 
 def test_flat_volatility_converges_to_black_scholes():
@@ -482,9 +485,8 @@ def test_recorded_european_prices_keep_parity_and_snell_order(config, strike):
     parity = disc * (tree_forward(tree) - strike)
     assert abs((european[0] - european[1]) - parity) < 1e-12
     for payoff, amer, euro in zip(payoffs, american, european):
-        # the recorded price discounts once by e^{-rT} and the American pass
-        # step by step, so without early exercise they agree to rounding
-        assert euro <= amer + 1e-12
+        # the recorded price is the American pass's own European leg
+        assert euro <= amer
         assert payoff(config.model.spot) <= amer
 
 
@@ -524,6 +526,7 @@ def _tree_bits(config, payoffs, leaves):
     stored = tree.log_stock[config.depth]
     for leaf in leaves:
         assert replay_leaf(tree, leaf) == stored[leaf]
+    bits.append((tree.stats["clamp_cells"], tree.stats["domain_clips"]))
     for payoff in payoffs:
         bits.append(tree_price_american(tree, payoff).hex())
         bits.append(tree.exercise_counts.tobytes())
@@ -552,3 +555,51 @@ def test_block_size_never_changes_a_tree(config, payoffs, data):
             assert _tree_bits(config, payoffs, leaves) == whole
     finally:
         trees._TREE_BLOCK_NODES = saved
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=_small_tree_configs(), strike=_STRIKE,
+       kind=st.sampled_from(("call", "put", "callable put")))
+def test_european_price_is_the_american_pass_european_leg(config, strike,
+                                                          kind):
+    payoff = {"call": call_payoff, "put": put_payoff,
+              "callable put": _callable_put}[kind](strike)
+    # priced first on its own tree, so nothing is recorded yet
+    european = tree_price_european(build_tree(config), payoff)
+    tree = build_tree(config)
+    details = tree_price_american(tree, payoff, details=True)
+    assert details["european_price"] == european
+    assert tree_price_american(tree, payoff) >= european
+    assert details["early_exercise_premium"] >= 0.0
+    assert tree_price_european(tree, payoff) == european
+
+
+# ----------------------------------------------------------------------
+# clamp and clip counts
+# ----------------------------------------------------------------------
+
+def _driver_states(tree):
+    """Driver state Y at every node, level by level, from the increments."""
+    states = [np.array([tree.config.model.y0])]
+    for dy in tree.driver_increments[1:]:
+        states.append(np.repeat(states[-1], tree.branching) + dy)
+    return states
+
+
+def test_tree_counts_clamped_variances_and_clipped_driver_states():
+    model = RoughHestonGJRS(eta=0.01, kappa=1.0, theta=0.04, vol_of_vol=0.1,
+                            y0=0.04, hurst=0.1, rho=-0.7)
+    tree = build_tree(TreeConfig(model=model, depth=7))
+    clamped = sum(int(np.count_nonzero(v == 0.0)) for v in tree.variance[1:])
+    assert tree.stats["clamp_cells"] == clamped == 8158
+    assert tree.stats["domain_clips"] == 0
+    # kappa * dt = 5 overshoots the mean: level-1 states go negative and
+    # are clipped before the next Euler step
+    model = RoughHestonGJRS(eta=0.04, kappa=10.0, theta=0.04, vol_of_vol=0.5,
+                            y0=0.5, hurst=0.3, rho=-0.7)
+    tree = build_tree(TreeConfig(model=model, depth=3, horizon=1.5))
+    states = _driver_states(tree)
+    clipped = sum(int(np.count_nonzero(y < 0.0)) for y in states[1:-1])
+    assert tree.stats["domain_clips"] == clipped > 0
+    tree = build_tree(TreeConfig(model=_rbergomi(), depth=4))
+    assert tree.stats["clamp_cells"] == tree.stats["domain_clips"] == 0

@@ -418,6 +418,25 @@ def test_hybrid_terminal_variance():
     assert abs(sample.var(ddof=1) - target) < 3 * stderr
 
 
+def test_hybrid_history_sum_runs_by_the_requested_method(monkeypatch):
+    grid = Grid(n=32, T=1.0)
+    shocks = draw_shocks(NoiseConfig(paths=16, steps=32, rho=-0.7, seed=3,
+                                     antithetic=True))
+    kernel = riemann_liouville(hurst=0.1)
+
+    def paths(method):
+        return scheme_paths(kernel, "brownian", shocks.zeta, grid, "hybrid",
+                            method, seed=3,
+                            antithetic_group=shocks.antithetic_group).values
+
+    fft, naive = paths("fft"), paths("naive")
+    real = volterra.convolve_gfo
+    monkeypatch.setattr(volterra, "convolve_gfo", lambda *args, **kwargs:
+                        real(*args, **{**kwargs, "method": "naive"}))
+    np.testing.assert_array_equal(naive, paths("fft"))
+    np.testing.assert_allclose(naive, fft, rtol=0.0, atol=1e-12)
+
+
 def test_hybrid_validation():
     grid = Grid(n=4, T=1.0)
     with pytest.raises(ValueError):

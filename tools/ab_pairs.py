@@ -21,7 +21,9 @@ beyond bound" when the change's median is worse than the parent's by more
 than the bound, else "within bound". After its pairs, each workload gets
 one `--trace 1` run per side at seed `--seed`; its per-layer metrics and
 their change-minus-parent deltas are stored under the workload's "layers".
-Standard library only.
+Each side's runs write and read their bytecode under that side's own
+PYTHONPYCACHEPREFIX in the temporary directory, so neither side imports
+from a `__pycache__` the other lacks. Standard library only.
 """
 
 from __future__ import annotations
@@ -61,14 +63,24 @@ def commit_of(rev: str) -> str:
                           check=True).stdout.strip()
 
 
+def child_env(pycache: Path) -> dict:
+    """This process's environment for a benchmark run, with bytecode
+    written and read under `pycache`."""
+    env = {name: value for name, value in os.environ.items()
+           if name != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(pycache)
+    return env
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float,
-             trace: int = 0) -> dict:
+             pycache: Path, trace: int = 0) -> dict:
     """Metric values of one benchmark run in `tree`: the end-to-end metrics
-    untraced, the per-layer metrics with `trace` 1."""
+    untraced, the per-layer metrics with `trace` 1. The run's bytecode
+    cache lives under `pycache`."""
     proc = subprocess.run(
         [sys.executable, "benchmark/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=tree, capture_output=True, text=True)
+        cwd=tree, capture_output=True, text=True, env=child_env(pycache))
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
         raise RuntimeError(f"{workload} in {tree} exited {proc.returncode}:\n"
@@ -172,22 +184,24 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
         parent = extract(args.parent, Path(tmp) / "parent")
+        trees = {"parent": parent, "change": ROOT}
+        caches = {side: Path(tmp) / f"pycache-{side}" for side in trees}
         for workload in workloads:
             runs = {"parent": [], "change": []}
             for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    tree = parent if side == "parent" else ROOT
-                    runs[side].append(run_once(tree, workload, args.seed + i,
-                                               seconds))
+                    runs[side].append(run_once(trees[side], workload,
+                                               args.seed + i, seconds,
+                                               caches[side]))
                 p, c = runs["parent"][-1], runs["change"][-1]
                 print(f"{workload} pair {i} seed {args.seed + i}: "
                       f"{CLAIMED} parent {p[CLAIMED]:.4g} "
                       f"change {c[CLAIMED]:.4g}", flush=True)
             result = compare(runs["parent"], runs["change"], specs)
             result.update(pairs=args.pairs, seed=args.seed, runs=runs)
-            traced = {side: run_once(parent if side == "parent" else ROOT,
-                                     workload, args.seed, seconds, trace=1)
+            traced = {side: run_once(trees[side], workload, args.seed, seconds,
+                                     caches[side], trace=1)
                       for side in ("parent", "change")}
             result["layers"] = layer_deltas(traced["parent"], traced["change"])
             record["workloads"][workload] = result

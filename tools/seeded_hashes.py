@@ -6,12 +6,17 @@
 
 Each output is computed at a small size and printed as `<sha256>  <name>`:
 the shock matrices of `draw_shocks` in its three layouts, whole and in
-chunks; `validation.sample_paths` for every sampler; `smile` prices,
-standard errors and implied vols for every scheme, model type, estimator
-and antithetic setting; `simulate_logstock`; the tree levels,
-`replay_leaf`, American and European prices and `exercise_counts`; and
-`model_from_config` for each model type. An entry point that raises
-hashes its error message instead, so a refusal that changes shows too.
+chunks; `validation.sample_paths` for every sampler, and the hybrid's
+with the naive convolution; `bs_call` and `bs_put` on a grid of
+forwards, strikes and total variances (zero variance and a deep
+out-of-the-money put among them) and `implied_vol` of some of those
+calls; `squared_integral_profile` for a Riemann-Liouville, a gamma and a
+power-law kernel; `smile` prices, standard errors and implied vols for
+every scheme, model type, estimator and antithetic setting;
+`simulate_logstock`; the tree levels, `replay_leaf`, American and
+European prices and `exercise_counts`; and `model_from_config` for each
+model type. An entry point that raises hashes its error message instead,
+so a refusal that changes shows too.
 
 With `--parent REV` the same outputs are also computed from the committed
 tree of REV, extracted by `git archive` into a temporary directory, and
@@ -63,6 +68,23 @@ def _outputs(rs):
     """(name, thunk) of every seeded output of the package `rs`."""
     from roughsim import pricing, shocks, validation
 
+    # forwards x total variances, flattened; each strike prices all of them
+    forwards, variances = (a.ravel() for a in np.meshgrid(
+        [0.5, 0.9, 1.0, 1.1, 2.0], [0.0, 1e-4, 0.04, 0.25, 1.0]))
+    for kind in ("call", "put"):
+        price = getattr(rs, f"bs_{kind}")
+        yield f"bs/{kind}", lambda price=price: np.stack([
+            price(forwards, strike, variances) for strike in (0.5, 1.0, 2.0)])
+    yield "implied_vol", lambda: np.array([
+        _implied_vol(rs, rs.bs_call(1.0, strike, tv), strike)
+        for strike in (0.5, 0.9, 1.0, 1.1, 2.0) for tv in (1e-4, 0.04, 0.25)])
+    for name, kernel in (("rl", rs.riemann_liouville(hurst=0.1)),
+                         ("gamma", rs.gamma_fractional(-0.4, -1.0)),
+                         ("powerlaw", rs.power_law(-0.2, -2.5))):
+        yield (f"squared_integral_profile/{name}",
+               lambda kernel=kernel: rs.squared_integral_profile(
+                   kernel, rs.Grid(n=8, T=1.0)))
+
     def noise(**kw):
         # a NoiseConfig that still names its shock law draws Gaussians
         if "distribution" in {f.name for f in dataclasses.fields(rs.NoiseConfig)}:
@@ -89,6 +111,8 @@ def _outputs(rs):
         yield (f"sample_paths/{sampler}",
                lambda sampler=sampler: validation.sample_paths(
                    sampler, kernel, grid, 8, 17).values)
+    yield "sample_paths/hybrid/naive", lambda: validation.sample_paths(
+        "hybrid", kernel, grid, 8, 17, method="naive").values
 
     models = {kind: lambda cfg=cfg: rs.model_from_config(cfg)
               for kind, cfg in MODEL_CONFIGS.items()}
@@ -134,6 +158,14 @@ def _outputs(rs):
                 yield f"{name}/{payoff.kind}", \
                     lambda kind=kind, b=b, payoff=payoff: _prices(
                         rs, tree(kind, b), payoff)
+
+
+def _implied_vol(rs, price, strike):
+    """The implied vol of a forward-1, maturity-1 call, NaN if it has none."""
+    try:
+        return rs.implied_vol(price, 1.0, strike, 1.0)
+    except ValueError:
+        return np.nan
 
 
 def _smile(rs, model, config):
