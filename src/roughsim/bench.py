@@ -21,7 +21,7 @@ import numpy as np
 
 from .kernels import Grid, riemann_liouville
 from .models import RoughBergomi
-from .pricing import MCConfig, _estimate, _variance_chunk
+from .pricing import MCConfig, _estimate, _variance_chunk, chunk_layout
 from .shocks import NoiseConfig, draw_shocks
 from .validation import sample_paths
 from .volterra import PathSet
@@ -86,8 +86,8 @@ def _pipeline_price(kind: str, steps: int, paths: int, seed: int, *,
     model = RoughBergomi(xi0=xi0, nu=nu, hurst=hurst, rho=rho)
     config = MCConfig(num_paths=paths, grid=Grid(steps, 1.0),
                       variance_reduction="none", antithetic=False, seed=seed)
-    means, _, _ = _estimate(model, config, np.array([1.0]), "call", "none",
-                            variance=_PIPELINE_STAGES[kind])
+    means, *_ = _estimate(model, config, np.array([1.0]), "call", "none",
+                          variance=_PIPELINE_STAGES[kind])
     return float(means[0])
 
 
@@ -106,14 +106,20 @@ def time_full_pipeline(kind: str, steps: int = 1024, paths: int = 100_000, *,
 
 def run_bench(schemes=BENCH_SCHEMES, grid=BENCH_GRID, *, paths: int = 256,
               trials: int = 10, hurst: float = 0.3, seed: int = 0) -> dict:
-    """Timing table: median of `trials` runs per (scheme, steps) cell."""
+    """Timing table: median of `trials` runs per (scheme, steps) cell.
+
+    Each cell also gives the `pricing.chunk_layout` in which the pricing
+    pipeline, antithetics off, runs `paths` paths of `steps` steps; the
+    timed unit itself draws its paths in one piece.
+    """
     timings = []
     for scheme in schemes:
         for steps in grid:
             med = time_path_generation(scheme, steps, paths=paths,
                                        trials=trials, hurst=hurst, seed=seed)
             timings.append({"scheme": scheme, "steps": int(steps),
-                            "median_seconds": med, "trials": int(trials)})
+                            "median_seconds": med, "trials": int(trials),
+                            "pipeline_chunking": chunk_layout(paths, steps)})
     return {
         "schema_version": 1,
         "protocol": {"paths": int(paths), "trials": int(trials),

@@ -226,6 +226,7 @@ def cmd_price(config: dict, args) -> dict:
         "price": float(result.prices[0]), "stderr": float(result.stderrs[0]),
         "implied_vol": float(result.implied_vols[0]),
         "implied_vol_nan_reason": result.metadata["iv_nan_reasons"].get(0),
+        "chunking": result.metadata["chunking"],
         "metadata": _metadata("price", config, [result.metadata["scheme"]],
                               time.perf_counter() - start),
     }

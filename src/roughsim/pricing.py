@@ -7,10 +7,27 @@ given the volatility driver's path, the log-stock is Gaussian, so each
 path contributes a closed-form Black-Scholes price with per-path forward
 e^{X1} and residual variance (1-rho^2) * integral of V.
 
-Paths are processed in fixed-size chunks (per-path counter RNG makes the
-chunked run bitwise identical to a monolithic one), keeping memory flat
-at desk-scale path counts. Estimator statistics are computed over
-antithetic group means when antithetics are on.
+Paths are processed in chunks of at most `_CHUNK_ELEMENTS` path-steps
+(per-path counter RNG makes the chunked run bitwise identical to a
+monolithic one), keeping memory flat at desk-scale path counts.
+Estimator statistics are computed over antithetic group means when
+antithetics are on.
+
+The chunk size was chosen from a sweep of the benchmark's smile
+workloads (`benchmark/run.py --seconds 12`, seeds 301-303, 2-core x86-64
+VM; peak RSS, then the median and range of `op_s_p50`):
+
+    elements   smile-n2048 (M=4096)          smile-n256 (M=16384)
+    8M         379 MB  1.20 s [1.18, 1.21]   217 MB  0.59 s [0.53, 0.63]
+    4M         275 MB  1.53 s [1.36, 1.59]   216 MB  0.53 s [0.46, 0.59]
+    2M         179 MB  1.31 s [1.28, 1.52]   172 MB  0.47 s [0.42, 0.58]
+    1M         132 MB  1.30 s [1.25, 1.57]   131 MB  0.46 s [0.45, 0.66]
+
+The op times spread as widely as they differ; timed alternately in one
+process, the n=2048 legs took 0.65 s (rBergomi) and 1.05 s (rough
+Heston) at 8M and 0.52 s and 1.04 s at 2M. Below 2M the CIR driver's
+Euler loop, a Python loop over the steps of every chunk, costs more per
+path, so 2M (16 MB per float64 array) is the size used.
 
 `scheme_paths` is the one scheme dispatch and `_chunked` the one chunk
 loop; every estimator is a per-chunk function passed to it.
@@ -32,6 +49,7 @@ from roughsim.models import phi_apply
 from roughsim.shocks import NoiseConfig, base_group, check_seed, draw_shocks
 from roughsim.volterra import (
     CONV_METHODS,
+    NonFinitePath,
     PathSet,
     _mirrored,
     hybrid_scheme_rl,
@@ -41,9 +59,9 @@ from roughsim.volterra import (
 SCHEMES = ("rdonsker_matched", "rdonsker_left", "hybrid")
 PAYOFFS = ("call", "put")
 VARIANCE_REDUCTIONS = ("conditional_bs", "none")
-# chunk sizing: cap the per-chunk element count so several M x n
-# temporaries stay well under typical memory budgets
-_CHUNK_ELEMENTS = 8_388_608
+# path-steps per chunk: every M x n float64 temporary of the chunk loop
+# takes 16 MB; the module docstring gives the sweep this was chosen from
+_CHUNK_ELEMENTS = 2_097_152
 
 
 # ----------------------------------------------------------------------
@@ -240,33 +258,54 @@ def _variance_chunk(model, config: MCConfig, shocks, base_offset: int) -> PathSe
     return phi_apply(model, vol, config.grid)
 
 
+def chunk_layout(num_paths: int, steps: int, group: int = 1) -> dict:
+    """How `_chunked` splits `num_paths` paths of `steps` steps.
+
+    A chunk holds whole antithetic groups of `group` rows, at most
+    max(group, _CHUNK_ELEMENTS // steps) rows. Returns {"chunks": the
+    chunk count, "chunk_rows": the rows of every chunk but maybe the last}.
+    """
+    total_base = num_paths // group
+    rows_cap = max(group, _CHUNK_ELEMENTS // max(steps, 1))
+    base_step = min(total_base, max(1, rows_cap // group))
+    return {"chunks": -(-total_base // base_step),
+            "chunk_rows": base_step * group}
+
+
 def _chunked(model, config: MCConfig, per_chunk, *, group_means: bool = True,
              variance=_variance_chunk) -> tuple:
-    """(rows in path order, merged stats) of `per_chunk(v, shocks)`.
+    """(rows in path order, merged stats, chunk layout) of
+    `per_chunk(v, shocks)`.
 
     Per chunk: draw shocks, build variance paths `v` by `variance`, apply
     `per_chunk`, and take antithetic group means if `group_means`. Shock
     streams are keyed by absolute path index, so no result depends on
-    the chunk size.
+    the chunk size, and a non-finite error names the path of the whole
+    run. The layout is `chunk_layout`'s; it is kept out of the stats,
+    which do not depend on it.
     """
     noise = NoiseConfig(paths=config.num_paths, steps=config.grid.n,
                         rho=model.rho, seed=config.seed,
                         antithetic=config.antithetic)
     group = base_group(noise)
     total_base = config.num_paths // group
-    rows_cap = max(group, _CHUNK_ELEMENTS // max(config.grid.n, 1))
-    base_step = max(1, rows_cap // group)
+    layout = chunk_layout(config.num_paths, config.grid.n, group)
+    base_step = layout["chunk_rows"] // group
     blocks, stats = [], {}
     for start in range(0, total_base, base_step):
         stop = min(total_base, start + base_step)
         shocks = draw_shocks(noise, base_range=(start, stop))
-        v = variance(model, config, shocks, start)
+        try:
+            v = variance(model, config, shocks, start)
+        except NonFinitePath as exc:  # name the path, not the chunk's row
+            exc.renumber(start * group + exc.path)
+            raise
         rows = per_chunk(v, shocks)
         blocks.append(_group_means(rows, group) if group_means else rows)
         for key in ("clamp_cells", "domain_clips", "scheme_rows"):
             if key in v.stats:
                 stats[key] = stats.get(key, 0) + v.stats[key]
-    return np.concatenate(blocks), stats
+    return np.concatenate(blocks), stats, layout
 
 
 # ----------------------------------------------------------------------
@@ -316,7 +355,7 @@ def simulate_logstock(model, config: MCConfig) -> PathSet:
     Materializes the full M x (n+1) array; for estimator-only work the
     pricing entry points below stream chunks instead.
     """
-    x, stats = _chunked(
+    x, stats, _ = _chunked(
         model, config,
         lambda v, shocks: _logstock_from_variance(v.values, shocks.xi,
                                                   config.grid),
@@ -367,34 +406,36 @@ _PATH_ESTIMATES = {"conditional_bs": _conditional_path_prices,
 
 def _estimate(model, config: MCConfig, strikes: np.ndarray, payoff: str,
               variance_reduction: str, variance=_variance_chunk) -> tuple:
-    """(means, stderrs, stats) per strike of one estimator over all paths."""
+    """(means, stderrs, stats, chunk layout) per strike of one estimator
+    over all paths."""
     if payoff not in PAYOFFS:
         raise ValueError(f"unknown payoff {payoff!r}")
     per_chunk = partial(_PATH_ESTIMATES[variance_reduction], model,
                         config.grid, strikes, payoff)
-    groups, stats = _chunked(model, config, per_chunk, variance=variance)
-    return (*_mean_stderr(groups), stats)
+    groups, stats, layout = _chunked(model, config, per_chunk,
+                                     variance=variance)
+    return (*_mean_stderr(groups), stats, layout)
 
 
 def conditional_bs_estimate(model, config: MCConfig, strike: float,
                             payoff: str = "call") -> tuple:
     """(mean, stderr) of the conditional Black-Scholes price estimator."""
-    means, errs, _ = _estimate(model, config, np.array([strike]), payoff,
-                               "conditional_bs")
+    means, errs, *_ = _estimate(model, config, np.array([strike]), payoff,
+                                "conditional_bs")
     return float(means[0]), float(errs[0])
 
 
 def plain_mc_estimate(model, config: MCConfig, strike: float,
                       payoff: str = "call") -> tuple:
     """(mean, stderr) of the plain payoff-averaging estimator."""
-    means, errs, _ = _estimate(model, config, np.array([strike]), payoff,
-                               "none")
+    means, errs, *_ = _estimate(model, config, np.array([strike]), payoff,
+                                "none")
     return float(means[0]), float(errs[0])
 
 
 def martingale_statistic(model, config: MCConfig) -> tuple:
     """(mean, stderr) of e^{X(T)}; the exact value is 1."""
-    terminal, _ = _chunked(
+    terminal, *_ = _chunked(
         model, config,
         lambda v, shocks: np.exp(_logstock_from_variance(
             v.values, shocks.xi, config.grid)[:, -1]))
@@ -420,8 +461,8 @@ def smile(model, config: MCConfig, strikes, payoff: str = "call") -> SmileResult
     if np.any(strikes <= 0.0) or np.any(np.diff(strikes) <= 0.0):
         raise ValueError("strikes must be positive and strictly increasing")
     start = time.perf_counter()
-    prices, stderrs, stats = _estimate(model, config, strikes, payoff,
-                                       config.variance_reduction)
+    prices, stderrs, stats, layout = _estimate(model, config, strikes, payoff,
+                                               config.variance_reduction)
     runtime = time.perf_counter() - start
 
     forward = model.spot
@@ -449,6 +490,7 @@ def smile(model, config: MCConfig, strikes, payoff: str = "call") -> SmileResult
         "variance_convention": "C_H = sqrt(2H)",
         "runtime_seconds": runtime,
         "stats": stats,
+        "chunking": layout,
         "iv_nan_reasons": nan_reasons,
     }
     return SmileResult(strikes=strikes, prices=prices, stderrs=stderrs,

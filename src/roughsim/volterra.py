@@ -62,12 +62,25 @@ class DiffusionSpec:
     domain: tuple = (None, None)
     name: str = "diffusion"
 
-    def clip(self, state):
-        """The state clipped to `domain`; `state` itself if unbounded."""
+    def __post_init__(self):
+        lo, hi = self.domain
+        if lo is not None and hi is not None and lo > hi:
+            raise ValueError(f"domain {self.domain} is empty")
+
+    def clip(self, state, out=None):
+        """The state clipped to `domain` (into `out` if given); `state`
+        itself if unbounded."""
         lo, hi = self.domain
         if lo is None and hi is None:
             return state
-        return np.clip(state, lo, hi)
+        return np.clip(state, lo, hi, out=out)
+
+    def clip_count(self, states) -> int:
+        """How many of `states` lie outside `domain`, i.e. are clipped."""
+        lo, hi = self.domain
+        return sum(int(np.count_nonzero(outside(states, bound)))
+                   for bound, outside in ((lo, np.less), (hi, np.greater))
+                   if bound is not None)
 
 
 def check_diffusion_coefficients(spec: DiffusionSpec, lo: float, hi: float,
@@ -88,8 +101,39 @@ def check_diffusion_coefficients(spec: DiffusionSpec, lo: float, hi: float,
     return bool(ok_b and ok_a)
 
 
+class NonFinitePath(Exception):
+    """Base of the errors that name a non-finite value by path and time index.
+
+    A caller that ran the computation on some of its rows maps the row
+    the error names to its own path index with `renumber`, which rewrites
+    the message, and re-raises it.
+    """
+
+    def __init__(self, head: str, path: int, step: int, value, tail: str = ""):
+        self.head, self.path, self.step = head, int(path), int(step)
+        self.value, self.tail = value, tail
+        super().__init__(self._message())
+
+    def _message(self) -> str:
+        return (f"{self.head}: path {self.path}, time index {self.step} is "
+                f"{self.value}{self.tail}")
+
+    def renumber(self, path: int) -> None:
+        self.path = int(path)
+        self.args = (self._message(),)
+
+
+class NonFiniteValues(NonFinitePath, ValueError):
+    """Path values that are not finite (`check_finite`)."""
+
+
+class NonFiniteState(NonFinitePath, RuntimeError):
+    """An Euler state that is not finite (`euler_diffusion`)."""
+
+
 def check_finite(values: np.ndarray, label: str, cause: str = "") -> None:
-    """Raise a ValueError naming `values`' first non-finite entry.
+    """Raise a NonFiniteValues (a ValueError) naming `values`' first
+    non-finite entry.
 
     The message names `label`, the path (row) and time index (column) of
     the first non-finite value in row-major order, and `cause` if given.
@@ -103,9 +147,8 @@ def check_finite(values: np.ndarray, label: str, cause: str = "") -> None:
     if bad.size == 0:  # finite values whose sum overflowed
         return
     path, step = np.unravel_index(bad[0], values.shape)
-    raise ValueError(f"{label} paths are not finite: path {path}, time index "
-                     f"{step} is {values[path, step]}"
-                     + (f"; {cause}" if cause else ""))
+    raise NonFiniteValues(f"{label} paths are not finite", path, step,
+                          values[path, step], f"; {cause}" if cause else "")
 
 
 @dataclass
@@ -189,8 +232,14 @@ def euler_diffusion(spec: DiffusionSpec, zeta: np.ndarray, grid: Grid) -> PathSe
     Y(t_i) = Y(t_{i-1}) + b(Y+)*dt + a(Y+)*sqrt(dt)*zeta_i where Y+ is
     the state clipped to the domain (full truncation); the number of
     clipped cells lands in stats["domain_clips"]. A non-finite state
-    aborts with a RuntimeError naming the `euler:<name>` tag, the first
-    bad path, its time index and value.
+    aborts with a NonFiniteState (a RuntimeError) naming the
+    `euler:<name>` tag, the first bad path at the first time index that
+    has one, and its value.
+
+    Each step updates one contiguous state row in place through buffers,
+    as (Y + b*dt) + (a*sqrt(dt))*zeta. The clips are counted and the
+    states checked after the loop, in one pass each: a state that is not
+    finite stays so at every later step, because each step adds to it.
     """
     m, n = zeta.shape
     if n != grid.n:
@@ -200,20 +249,29 @@ def euler_diffusion(spec: DiffusionSpec, zeta: np.ndarray, grid: Grid) -> PathSe
     values = np.empty((m, n + 1))
     values[:, 0] = spec.y0
     y = np.full(m, float(spec.y0))
-    clips = 0
-    for k in range(n):
-        yc = spec.clip(y)
-        if yc is not y:
-            clips += int(np.count_nonzero(yc != y))
-        y = y + spec.drift(yc) * dt + spec.diffusion(yc) * sq * zeta[:, k]
-        if not np.all(np.isfinite(y)):
-            bad = int(np.flatnonzero(~np.isfinite(y))[0])
-            raise RuntimeError(
-                f"euler:{spec.name} state non-finite: path {bad}, time index "
-                f"{k + 1} is {y[bad]}")
-        values[:, k + 1] = y
+    clipped, drift, noise = np.empty(m), np.empty(m), np.empty(m)
+    # the steps after a non-finite state may warn; it is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            yc = spec.clip(y, out=clipped)
+            np.multiply(spec.drift(yc), dt, out=drift)
+            np.add(y, drift, out=drift)
+            np.multiply(spec.diffusion(yc), sq, out=noise)
+            noise *= zeta[:, k]
+            np.add(drift, noise, out=y)
+            values[:, k + 1] = y
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        # each bad path's first non-finite time index; the earliest wins,
+        # the lowest path among equals
+        first = np.argmin(np.isfinite(values[bad, 1:]), axis=1)
+        path = bad[np.argmin(first)]
+        step = int(first.min()) + 1
+        raise NonFiniteState(f"euler:{spec.name} state non-finite", path,
+                             step, values[path, step])
     return PathSet(values=values, grid=grid, scheme_tag=f"euler:{spec.name}",
-                   stats={"domain_clips": clips}, checked=True)
+                   stats={"domain_clips": spec.clip_count(values[:, :n])},
+                   checked=True)
 
 
 # ----------------------------------------------------------------------
@@ -418,7 +476,9 @@ def _mirrored(scheme, shocks: np.ndarray, group: int) -> PathSet:
     (every operation is sign-symmetric), so `scheme` runs on the first
     group/2 rows of each group only and their paths, negated, fill the
     others. The negation is a subtraction from zero, which leaves a zero
-    +0.0 as running the scheme on the negated rows does.
+    +0.0 as running the scheme on the negated rows does. A non-finite
+    error of the scheme names its row of `shocks`, as a run on every row
+    would.
     """
     if group == 1:
         return scheme(shocks)
@@ -435,7 +495,11 @@ def _mirrored(scheme, shocks: np.ndarray, group: int) -> PathSet:
         row = (bad // half) * group + half + bad % half
         raise ValueError(f"antithetic row {row} is not the negation of row "
                          f"{row - half}")
-    computed = scheme(plus.reshape(-1, n))
+    try:
+        computed = scheme(plus.reshape(-1, n))
+    except NonFinitePath as exc:  # name the row of the whole set
+        exc.renumber((exc.path // half) * group + exc.path % half)
+        raise
     width = computed.values.shape[1]
     values = np.empty((m, width))
     paths = values.reshape(m // group, group, width)

@@ -6,6 +6,8 @@ import os
 import subprocess
 from pathlib import Path
 
+import pytest
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "ab_pairs.py"
 _spec = importlib.util.spec_from_file_location("ab_pairs", _PATH)
 ab_pairs = importlib.util.module_from_spec(_spec)
@@ -97,6 +99,33 @@ def test_each_workload_gets_one_traced_run_per_side(tmp_path, monkeypatch):
     # every run of a side shares that side's bytecode cache
     assert len(caches["parent"]) == len(caches["change"]) == 1
     assert caches["parent"] != caches["change"]
+
+
+def test_the_claim_is_judged_on_the_chosen_metric(tmp_path, monkeypatch):
+    parent_tree = tmp_path / "parent"
+
+    def fake_run(tree, workload, seed, seconds, pycache, trace=0):
+        parent = tree == parent_tree
+        # the change halves the memory and is no faster
+        return {"op_s_p50": 1.0 + 0.01 * seed, "work_per_s": 1.0,
+                "setup_s": 0.5, "peak_rss_mb": (380.0 if parent else 180.0)
+                + seed % 3, "correct": True, "failed": 0, "attempted": 20}
+
+    monkeypatch.setattr(ab_pairs, "run_once", fake_run)
+    monkeypatch.setattr(ab_pairs, "extract", lambda rev, into: parent_tree)
+    monkeypatch.setattr(ab_pairs, "commit_of", lambda rev: "0" * 40)
+    verdicts = {}
+    for metric in (None, "peak_rss_mb"):
+        out = tmp_path / f"{metric}.json"
+        argv = ["--workload", "smile-n2048", "--pairs", "4", "--out", str(out)]
+        assert ab_pairs.main(argv + (["--metric", metric] if metric else [])) == 0
+        record = json.loads(out.read_text())
+        verdicts[record["metric"]] = \
+            record["workloads"]["smile-n2048"]["claim_met"]
+    assert verdicts == {"op_s_p50": False, "peak_rss_mb": True}
+    with pytest.raises(SystemExit):
+        ab_pairs.main(["--workload", "smile-n2048", "--metric", "trees.nodes",
+                       "--out", str(tmp_path / "x.json")])
 
 
 def test_each_side_writes_its_own_bytecode_cache(tmp_path, monkeypatch):

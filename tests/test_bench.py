@@ -37,9 +37,19 @@ def test_report_schema_stable():
                                        "timed_unit"}
     assert len(report["timings"]) == 4
     for cell in report["timings"]:
-        assert set(cell) == {"scheme", "steps", "median_seconds", "trials"}
+        assert set(cell) == {"scheme", "steps", "median_seconds", "trials",
+                             "pipeline_chunking"}
         assert cell["median_seconds"] > 0.0
     assert BENCH_GRID == (256, 1024, 4096, 8192)
+
+
+def test_report_gives_the_pipelines_chunk_layout(monkeypatch):
+    monkeypatch.setattr(pricing, "_CHUNK_ELEMENTS", 64)
+    report = run_bench(schemes=("markovian-euler",), grid=(16, 32, 128),
+                       paths=10, trials=1)
+    assert [cell["pipeline_chunking"] for cell in report["timings"]] == [
+        {"chunks": 3, "chunk_rows": 4}, {"chunks": 5, "chunk_rows": 2},
+        {"chunks": 10, "chunk_rows": 1}]
 
 
 def test_pipeline_chunking_is_exact(monkeypatch):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roughsim
-from roughsim import cli
+from roughsim import cli, pricing
 from roughsim.cli import main
 from roughsim.volterra import load_binary
 
@@ -200,6 +200,22 @@ def test_flat_smile_artifacts(tmp_path, capsys):
     # antithetic groups of four: the scheme ran on half of the 512 rows
     assert meta["pricing"]["stats"]["scheme_rows"] == 256
     assert "runtime_seconds" in meta
+
+
+def test_smile_and_price_report_their_chunk_layout(tmp_path, capsys,
+                                                   monkeypatch):
+    # 16 rows a chunk at 8 steps: the 40 antithetic paths run in 3 chunks
+    monkeypatch.setattr(pricing, "_CHUNK_ELEMENTS", 16 * 8)
+    layout = {"chunks": 3, "chunk_rows": 16}
+    code, _, _ = _run(capsys, ["smile", *_PRICE_ARGS[:-6], "--paths", "40",
+                               "--steps", "8", "--output-dir", str(tmp_path)])
+    assert code == 0
+    meta = json.loads((tmp_path / "smile.meta.json").read_text())
+    assert meta["pricing"]["chunking"] == layout
+    code, out, _ = _run(capsys, ["price", *_PRICE_ARGS[:-6], "--paths", "40",
+                                 "--steps", "8"])
+    assert code == 0
+    assert json.loads(out)["chunking"] == layout
 
 
 def test_price_record_flat_model(capsys):

@@ -1,6 +1,7 @@
 """Black-Scholes utilities, conditional estimator, smiles."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from roughsim import pricing
 from roughsim.kernels import Grid
 from roughsim.models import GammaBergomi, RoughBergomi, RoughHestonGJRS
+from roughsim.shocks import NoiseConfig, draw_shocks
+from roughsim.volterra import DiffusionSpec, euler_diffusion
 from roughsim.pricing import (
     SCHEMES,
     MCConfig,
@@ -257,6 +260,102 @@ def test_chunked_pipeline_matches_monolithic(monkeypatch):
     monkeypatch.setattr(pricing, "_CHUNK_ELEMENTS", 32 * 8)
     chunked = simulate_logstock(model, cfg)
     np.testing.assert_array_equal(full.values, chunked.values)
+
+
+@dataclass(frozen=True)
+class _BlowUpHeston(RoughHestonGJRS):
+    """Rough Heston over a Brownian walk whose drift is inf once y > 1.5."""
+
+    def driver(self):
+        return DiffusionSpec(drift=lambda y: np.where(y > 1.5, np.inf, 0.0),
+                             diffusion=lambda y: np.ones_like(y), y0=0.0,
+                             name="walk")
+
+
+_BLOW_UP = _BlowUpHeston(eta=0.04, kappa=1.0, theta=0.04, vol_of_vol=0.1,
+                         y0=0.04, hurst=0.3, rho=-0.7)
+
+
+@pytest.mark.parametrize("model,cfg,error,message", [
+    (_BLOW_UP, _config(paths=64, n=8, scheme="rdonsker_left", antithetic=True,
+                       seed=3),
+     RuntimeError, "euler:walk state non-finite: path 16, time index 3 is inf"),
+    # the Bergomi variance overflows where 1.55 phi - 1.2 Q(t) exceeds 3;
+    # at rho = 0 every conditional forward is the spot, so no other check
+    # fails on the paths before it
+    (_rbergomi(xi0=np.finfo(float).max / math.exp(3.0), rho=0.0),
+     _config(paths=64, n=8, antithetic=True, seed=0),
+     ValueError, "rdonsker_matched variance paths are not finite: path 28, "
+                 "time index 5 is inf; "),
+], ids=["euler", "variance"])
+def test_a_failing_path_is_named_alike_in_every_chunking(monkeypatch, model,
+                                                         cfg, error, message):
+    # one chunk, chunks of 16 rows and chunks of one antithetic group: the
+    # path is never in the first chunk of the last two
+    for chunk_elements in (pricing._CHUNK_ELEMENTS, 16 * 8, 5 * 8):
+        monkeypatch.setattr(pricing, "_CHUNK_ELEMENTS", chunk_elements)
+        with pytest.raises(error) as err, np.errstate(over="ignore"):
+            smile(model, cfg, [1.0])
+        assert str(err.value).startswith(message)
+    if error is RuntimeError:  # the driver alone on every path agrees
+        zeta = draw_shocks(NoiseConfig(paths=64, steps=8, rho=model.rho,
+                                       seed=3, antithetic=True)).zeta
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            euler_diffusion(model.driver(), zeta, cfg.grid)
+
+
+def _recorded_chunks(monkeypatch):
+    """The (start, stop) base ranges and antithetic group of every draw."""
+    chunks = []
+    draw = pricing.draw_shocks
+
+    def recording(noise, base_range=None):
+        shocks = draw(noise, base_range=base_range)
+        chunks.append((base_range, shocks.antithetic_group))
+        return shocks
+
+    monkeypatch.setattr(pricing, "draw_shocks", recording)
+    return chunks
+
+
+@pytest.mark.parametrize("model,scheme", [
+    (_rbergomi(hurst=0.1), "rdonsker_matched"),
+    (RoughHestonGJRS(eta=0.04, kappa=1.0, theta=0.04, vol_of_vol=0.1, y0=0.04,
+                     hurst=0.1, rho=-0.7), "rdonsker_left"),
+])
+def test_a_long_grid_smile_runs_in_chunks_of_the_cap(monkeypatch, model, scheme):
+    chunks = _recorded_chunks(monkeypatch)
+    cfg = _config(paths=4096, n=2048, scheme=scheme, antithetic=True, seed=1)
+    result = smile(model, cfg, [0.9, 1.0, 1.1])
+    cap = max(4, pricing._CHUNK_ELEMENTS // 2048)
+    assert [r for r, _ in chunks] == [(0, 256), (256, 512), (512, 768),
+                                      (768, 1024)]
+    assert all(group * (stop - start) <= cap
+               for (start, stop), group in chunks)
+    assert result.metadata["chunking"] == {"chunks": 4, "chunk_rows": 1024}
+
+
+@settings(max_examples=40, deadline=None)
+@given(chunk_elements=st.integers(1, 200), base_paths=st.integers(1, 20),
+       n=st.integers(1, 12), antithetic=st.booleans(),
+       rho=st.sampled_from([-0.7, -1.0]))
+def test_chunks_tile_the_paths_under_the_cap(chunk_elements, base_paths, n,
+                                             antithetic, rho):
+    with pytest.MonkeyPatch.context() as mp:
+        chunks = _recorded_chunks(mp)
+        mp.setattr(pricing, "_CHUNK_ELEMENTS", chunk_elements)
+        group = (2 if rho == -1.0 else 4) if antithetic else 1
+        cfg = _config(paths=group * base_paths, n=n, antithetic=antithetic,
+                      seed=base_paths)
+        result = smile(_rbergomi(rho=rho), cfg, [1.0])
+    ranges = [r for r, _ in chunks]
+    assert ranges[0][0] == 0 and ranges[-1][1] == base_paths
+    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+    cap = max(group, chunk_elements // n)
+    assert all(g == group and g * (stop - start) <= cap
+               for (start, stop), g in chunks)
+    assert result.metadata["chunking"] == {
+        "chunks": len(ranges), "chunk_rows": group * (ranges[0][1] - ranges[0][0])}
 
 
 # ----------------------------------------------------------------------

@@ -112,6 +112,71 @@ def test_euler_nan_names_tag_path_time_index_and_value():
         euler_diffusion(spec, zeta, grid)
 
 
+def _euler_reference(spec, zeta, grid):
+    """The Euler loop step by step: a clip, a count and a finiteness check
+    at every step, as (Y + b dt) + (a sqrt(dt)) zeta."""
+    m, n = zeta.shape
+    sq = np.sqrt(grid.dt)
+    values = np.empty((m, n + 1))
+    values[:, 0] = spec.y0
+    y = np.full(m, float(spec.y0))
+    clips = 0
+    for k in range(n):
+        lo, hi = spec.domain
+        yc = y if lo is None and hi is None else np.clip(y, lo, hi)
+        clips += int(np.count_nonzero(yc != y))
+        y = y + spec.drift(yc) * grid.dt + spec.diffusion(yc) * sq * zeta[:, k]
+        if not np.all(np.isfinite(y)):
+            bad = int(np.flatnonzero(~np.isfinite(y))[0])
+            raise RuntimeError(
+                f"euler:{spec.name} state non-finite: path {bad}, time index "
+                f"{k + 1} is {y[bad]}")
+        values[:, k + 1] = y
+    return values, clips
+
+
+_EULER_SPECS = [
+    _cir_spec(xi=0.6),
+    DiffusionSpec(drift=lambda y: 0.5 - y, diffusion=lambda y: 0.3 + 0.0 * y,
+                  y0=0.1, domain=(-0.2, 0.4), name="band"),
+    DiffusionSpec(drift=lambda y: -y, diffusion=lambda y: np.ones_like(y),
+                  y0=0.0, name="ou"),
+    # a constant drift and diffusion: the coefficients may be scalars
+    DiffusionSpec(drift=lambda y: 0.1, diffusion=lambda y: 2.0, y0=1.0,
+                  domain=(None, 1.5), name="scalar"),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=st.sampled_from(_EULER_SPECS), m=st.integers(1, 9),
+       n=st.integers(1, 24), seed=st.integers(0, 2 ** 32 - 1),
+       bad=st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
+                              st.floats(0, 1, exclude_max=True),
+                              st.sampled_from([np.inf, -np.inf, np.nan])),
+                    max_size=3))
+def test_euler_matches_the_per_step_reference(spec, m, n, seed, bad):
+    grid = Grid(n=n, T=1.0)
+    zeta = np.random.default_rng(seed).standard_normal((m, n))
+    for path, step, value in bad:
+        zeta[int(path * m), int(step * n)] = value
+    try:
+        want, clips = _euler_reference(spec, zeta, grid)
+    except RuntimeError as exc:
+        with pytest.raises(RuntimeError) as got:
+            euler_diffusion(spec, zeta, grid)
+        assert str(got.value) == str(exc)
+        return
+    out = euler_diffusion(spec, zeta, grid)
+    assert out.values.tobytes() == want.tobytes()
+    assert out.stats["domain_clips"] == clips
+
+
+def test_empty_diffusion_domain_is_refused():
+    with pytest.raises(ValueError, match=r"domain \(1.0, 0.0\) is empty"):
+        DiffusionSpec(drift=lambda y: y, diffusion=lambda y: y, y0=0.5,
+                      domain=(1.0, 0.0))
+
+
 def test_coefficient_check():
     assert check_diffusion_coefficients(_cir_spec(xi=0.1), 0.0, 2.0,
                                         c_b=1.0 + 1e-9, c_a=0.1 + 1e-9)
@@ -740,6 +805,27 @@ def test_mirrored_scheme_rows_are_the_row_by_row_paths(scheme, rho, hurst,
                                          f"negation of row {row - half}"):
         scheme_paths(kernel, "brownian", bad, grid, scheme, seed=seed,
                      antithetic_group=group, base_offset=offset)
+
+
+@pytest.mark.parametrize("group", [2, 4])
+def test_a_mirrored_scheme_names_the_row_of_the_whole_set(group):
+    # the hybrid runs on the + half of each group; its non-finite error
+    # names the row of the full set, as a run on every row does
+    grid = Grid(n=6, T=1.0)
+    half = group // 2
+    plus = np.random.default_rng(9).standard_normal((4, half, 6))
+    zeta = np.concatenate([plus, -plus], axis=1).reshape(-1, 6)
+    row = 2 * group + half - 1  # the last + row of the third group
+    zeta[row, 3] = np.inf
+    zeta[row + half, 3] = -np.inf
+    messages = []
+    for antithetic_group in (1, group):
+        with pytest.raises(ValueError, match="paths are not finite") as err:
+            hybrid_scheme_rl(0.3, zeta, grid, seed=5,
+                             antithetic_group=antithetic_group, method="naive")
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert f"path {row}, time index 4 is" in messages[1]
 
 
 def test_diffusion_driver_rows_are_not_mirrored():

@@ -2,7 +2,7 @@
 """Alternating parent/change pairs of the benchmark, with a claim verdict.
 
     python3 tools/ab_pairs.py --workload smile-n256 --pairs 10 --seed 101 \
-        --out BENCH.json
+        --metric op_s_p50 --out BENCH.json
 
 The parent is the committed tree of `--parent`, extracted by `git archive`
 into a temporary directory (which leaves no worktree behind in the
@@ -11,9 +11,11 @@ repository); the change is the working tree. Pair i runs
 sides with seed `--seed` + i, the parent first on even pairs and the
 change first on odd ones. For each workload and end-to-end metric the
 report gives both sides' medians and quartiles and the change's wins. The
-claim on `op_s_p50` is met when every change run is correct, the change
-fails no more ops than the parent, wins at least nine pairs in ten and its
-median beats the parent's by more than the parent's interquartile range.
+claim is judged on `--metric`, any BENCHMARK.json end-to-end metric
+(default `op_s_p50`), and recorded as the report's "metric". It is met
+when every change run is correct, the change fails no more ops than the
+parent, wins at least nine pairs in ten on that metric and its median
+beats the parent's by more than the parent's interquartile range.
 Every end-to-end metric of every workload also gets a regression verdict
 against its BENCHMARK.json bound (a relative change): "unresolved" when
 the parent's IQR exceeds the bound relative to its median, else "worse
@@ -117,10 +119,11 @@ def regression(parent: dict, change: dict, direction: str, bound: float) -> str:
     return "worse beyond bound" if worse > bound * scale else "within bound"
 
 
-def compare(parent_runs: list, change_runs: list, specs: dict) -> dict:
+def compare(parent_runs: list, change_runs: list, specs: dict,
+            claimed: str = CLAIMED) -> dict:
     """Per-metric medians, quartiles, wins and regression verdicts, and the
-    verdict on `CLAIMED`; `specs` maps each metric to its BENCHMARK.json
-    entry."""
+    verdict on the `claimed` metric; `specs` maps each metric to its
+    BENCHMARK.json entry."""
     metrics = {}
     for name, spec in specs.items():
         direction = spec["better"]
@@ -134,7 +137,7 @@ def compare(parent_runs: list, change_runs: list, specs: dict) -> dict:
             "relative_change": c_sum["median"] / p_sum["median"] - 1.0,
             "regression": regression(p_sum, c_sum, direction, spec["bound"]),
         }
-    claim = metrics[CLAIMED]
+    claim = metrics[claimed]
     failed = {side: sum(run["failed"] for run in runs)
               for side, runs in (("parent", parent_runs),
                                  ("change", change_runs))}
@@ -165,6 +168,9 @@ def main(argv=None) -> int:
                         choices=names + ["all"])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--metric", default=CLAIMED,
+                        choices=[m["name"] for m in spec["end_to_end"]],
+                        help="the end-to-end metric the claim is judged on")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     if args.pairs < 2:
@@ -175,7 +181,7 @@ def main(argv=None) -> int:
 
     record = {
         "pairs": args.pairs, "seed": args.seed, "seconds": seconds,
-        "metric": CLAIMED, "nproc": os.cpu_count(),
+        "metric": args.metric, "nproc": os.cpu_count(),
         "cpu_affinity": len(os.sched_getaffinity(0)),
         "machine": platform.machine(), "python": platform.python_version(),
         "parent": {"rev": args.parent, "commit": commit_of(args.parent)},
@@ -196,9 +202,10 @@ def main(argv=None) -> int:
                                                caches[side]))
                 p, c = runs["parent"][-1], runs["change"][-1]
                 print(f"{workload} pair {i} seed {args.seed + i}: "
-                      f"{CLAIMED} parent {p[CLAIMED]:.4g} "
-                      f"change {c[CLAIMED]:.4g}", flush=True)
-            result = compare(runs["parent"], runs["change"], specs)
+                      f"{args.metric} parent {p[args.metric]:.4g} "
+                      f"change {c[args.metric]:.4g}", flush=True)
+            result = compare(runs["parent"], runs["change"], specs,
+                             args.metric)
             result.update(pairs=args.pairs, seed=args.seed, runs=runs)
             traced = {side: run_once(trees[side], workload, args.seed, seconds,
                                      caches[side], trace=1)
@@ -219,7 +226,7 @@ def main(argv=None) -> int:
                           f"{traced['parent'][name]:.4g} change "
                           f"{traced['change'][name]:.4g} ({delta:+.4g})")
             print(f"{workload} failed ops: parent {result['failed']['parent']}, "
-                  f"change {result['failed']['change']}; claim on {CLAIMED}: "
+                  f"change {result['failed']['change']}; claim on {args.metric}: "
                   f"{'met' if result['claim_met'] else 'not met'}", flush=True)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
