@@ -13,6 +13,9 @@ functional Phi applied pathwise:
 C_H := sqrt(2H), which makes the Bergomi compensator exactly half the
 variance of the Gaussian exponent (a genuine Wick exponential). This
 convention is recorded in run metadata.
+
+`variance_map` is the one variance stage, for Monte-Carlo chunks
+(`phi_apply`), tree levels and `replay_leaf`; it also checks the result.
 """
 
 from __future__ import annotations
@@ -32,7 +35,12 @@ from roughsim.kernels import (
     squared_cell_integrals,
     squared_kernel_integral,
 )
-from roughsim.volterra import DiffusionSpec, PathSet, check_finite
+from roughsim.volterra import (
+    DiffusionSpec,
+    PathSet,
+    check_finite,
+    first_non_finite,
+)
 
 
 # ----------------------------------------------------------------------
@@ -186,7 +194,6 @@ class RoughHestonGJRS:
         )
 
 
-BERGOMI_VARIANTS = (RoughBergomi, GammaBergomi)
 # config `type` -> model class
 MODELS = {"rbergomi": RoughBergomi, "gbergomi": GammaBergomi,
           "rheston_gjrs": RoughHestonGJRS}
@@ -212,72 +219,73 @@ def squared_integral_profile(kernel: KernelSpec, grid: Grid) -> np.ndarray:
     return q
 
 
-def variance_map(model, phi, q, xi, stats=None, out=None):
-    """V = Phi(phi) on an array of Volterra values or on one value.
+@lru_cache(maxsize=16)
+def _wick_inputs(model, grid: Grid) -> tuple:
+    """(Q, xi0) at every time of `grid` for a Bergomi variant, read-only."""
+    xi = model.xi0(grid.times)
+    xi.setflags(write=False)
+    return squared_integral_profile(model.kernel(), grid), xi
 
-    Bergomi variants: xi * exp(2 nu C_H phi - 2 nu^2 C_H^2 q), where q =
-    Q(t) and xi = xi0(t) are taken at phi's times (they broadcast).
-    RoughHestonGJRS: max(eta + phi, 0), ignoring q and xi; when `stats` is
-    given, the clamped cells are counted into it. Monte Carlo
-    (`phi_apply`) and the trees both call this map, so they agree bitwise.
-    An array `phi` is mapped into one new array, or into `out` (which may
-    be `phi` itself), in place, by the same operations in the same order
-    as one value is.
+
+def variance_map(model, phi, grid: Grid, level=None, *, node: int = 0,
+                 stats=None, out=None, label: str = "variance"):
+    """V = Phi(phi), into a new array or in place into `out` (maybe `phi`).
+
+    `phi` holds paths over every time of `grid` (M x (n+1)), or with a
+    `level` i the values at t_i of consecutive tree nodes from `node` on.
+    Bergomi variants: xi0(t) exp(2 nu C_H phi - 2 nu^2 C_H^2 Q(t)).
+    RoughHestonGJRS: max(eta + phi, 0), adding the clamped cells to
+    `stats["clamp_cells"]`. A non-finite variance raises a ValueError
+    naming `label`, path and time index (`check_finite`) or level and
+    node, and for a Bergomi variant the overflow, with nu and H.
     """
-    scalar = np.ndim(phi) == 0
-    if isinstance(model, BERGOMI_VARIANTS):
+    cause = ""
+    if isinstance(model, (RoughBergomi, GammaBergomi)):
+        q, xi = _wick_inputs(model, grid)
+        if level is not None:
+            q, xi = q[level], xi[level]
         c_h = math.sqrt(2.0 * model.hurst)
         # a float64 square overflows to inf where a Python float raises
         # OverflowError, so a huge nu gives a non-finite variance, which is
         # then reported with nu and H
         compensator = 2.0 * np.float64(model.nu) ** 2 * c_h ** 2
-        if scalar:
-            v = xi * np.exp(2.0 * model.nu * c_h * phi - compensator * q)
-            if not np.isfinite(v):
-                raise ValueError(f"variance {v} is not finite; "
-                                 f"{_bergomi_overflow(model)}")
-            return v
         v = np.multiply(2.0 * model.nu * c_h, phi, out=out)
         v -= compensator * q
         np.exp(v, out=v)
         v *= xi
-        return v
-    if isinstance(model, RoughHestonGJRS):
+        cause = (f"the variance map's exp(2 nu C_H phi - 2 nu^2 C_H^2 Q) "
+                 f"overflowed (nu={model.nu}, H={model.hurst})")
+    elif isinstance(model, RoughHestonGJRS):
         v = np.add(model.eta, phi, out=out)
         if stats is not None:
-            clamped = int(np.count_nonzero(v < 0.0))
-            stats["clamp_cells"] = clamped
-            stats["clamp_fraction"] = clamped / np.size(v)
-        return np.maximum(v, 0.0) if scalar else np.maximum(v, 0.0, out=v)
-    raise TypeError(f"unsupported model {type(model).__name__}")
-
-
-def _bergomi_overflow(model) -> str:
-    return (f"the variance map's exp(2 nu C_H phi - 2 nu^2 C_H^2 Q) overflowed "
-            f"(nu={model.nu}, H={model.hurst})")
+            stats["clamp_cells"] = (stats.get("clamp_cells", 0)
+                                    + int(np.count_nonzero(v < 0.0)))
+        np.maximum(v, 0.0, out=v)
+    else:
+        raise TypeError(f"unsupported model {type(model).__name__}")
+    if level is None:
+        check_finite(v, label, cause)
+        return v
+    index = first_non_finite(v)
+    if index is not None:
+        raise ValueError(f"{label} is not finite: level {level}, node "
+                         f"{node + index} is {v[index]}"
+                         + (f"; {cause}" if cause else ""))
+    return v
 
 
 def phi_apply(model, volterra: PathSet, grid: Grid) -> PathSet:
-    """Map Volterra paths phi to variance paths V = Phi(phi).
-
-    Bergomi variants exponentiate with the Wick compensator (V > 0
-    always); RoughHestonGJRS shifts by eta and clamps at zero, recording
-    `clamp_cells` / `clamp_fraction` in the output stats. The variance is
-    checked to be finite here, once; for a Bergomi variant the error says
-    that the exponential overflowed, with nu and H.
-    """
+    """Variance paths V = Phi(phi) of Volterra paths, by `variance_map`;
+    for RoughHestonGJRS the stats gain `clamp_cells` / `clamp_fraction`."""
     if volterra.grid != grid:
         raise ValueError(
             f"path grid {volterra.grid} does not match requested grid {grid}"
         )
     stats = dict(volterra.stats)
-    q = xi = None
-    if isinstance(model, BERGOMI_VARIANTS):
-        q = squared_integral_profile(model.kernel(), grid)
-        xi = model.xi0(grid.times)
-    v = variance_map(model, volterra.values, q, xi, stats)
-    check_finite(v, f"{volterra.scheme_tag} variance",
-                 _bergomi_overflow(model) if q is not None else "")
+    v = variance_map(model, volterra.values, grid, stats=stats,
+                     label=f"{volterra.scheme_tag} variance")
+    if "clamp_cells" in stats:
+        stats["clamp_fraction"] = stats["clamp_cells"] / v.size
     return PathSet(values=v, grid=grid, scheme_tag=volterra.scheme_tag,
                    seed=volterra.seed, stats=stats, checked=True)
 

@@ -174,6 +174,10 @@ def bs_put(forward, strike: float, total_variance):
         else max(value, 0.0)
 
 
+class NonPositiveForward(NonFinitePath, ValueError):
+    """A path whose conditional forward e^{X1} is not positive."""
+
+
 class NoImpliedVol(ValueError):
     """No volatility reproduces a price; `reason` says why."""
 
@@ -272,6 +276,15 @@ def chunk_layout(num_paths: int, steps: int, group: int = 1) -> dict:
             "chunk_rows": base_step * group}
 
 
+def _in_run(first: int, stage, *args):
+    """`stage(*args)` on a chunk from path `first` on, naming run paths."""
+    try:
+        return stage(*args)
+    except NonFinitePath as exc:
+        exc.renumber(first + exc.path)
+        raise
+
+
 def _chunked(model, config: MCConfig, per_chunk, *, group_means: bool = True,
              variance=_variance_chunk) -> tuple:
     """(rows in path order, merged stats, chunk layout) of
@@ -280,8 +293,10 @@ def _chunked(model, config: MCConfig, per_chunk, *, group_means: bool = True,
     Per chunk: draw shocks, build variance paths `v` by `variance`, apply
     `per_chunk`, and take antithetic group means if `group_means`. Shock
     streams are keyed by absolute path index, so no result depends on
-    the chunk size, and a non-finite error names the path of the whole
-    run. The layout is `chunk_layout`'s; it is kept out of the stats,
+    the chunk size. Nor does an error: it names the path of the whole run,
+    and as in one chunk a variance error on any path outranks the first
+    estimator error, which is raised after every chunk's variance is
+    built. The layout is `chunk_layout`'s; it is kept out of the stats,
     which do not depend on it.
     """
     noise = NoiseConfig(paths=config.num_paths, steps=config.grid.n,
@@ -291,20 +306,24 @@ def _chunked(model, config: MCConfig, per_chunk, *, group_means: bool = True,
     total_base = config.num_paths // group
     layout = chunk_layout(config.num_paths, config.grid.n, group)
     base_step = layout["chunk_rows"] // group
-    blocks, stats = [], {}
+    blocks, stats, failed = [], {}, None
     for start in range(0, total_base, base_step):
         stop = min(total_base, start + base_step)
         shocks = draw_shocks(noise, base_range=(start, stop))
+        v = _in_run(start * group, variance, model, config, shocks, start)
+        if failed is not None:
+            continue
         try:
-            v = variance(model, config, shocks, start)
-        except NonFinitePath as exc:  # name the path, not the chunk's row
-            exc.renumber(start * group + exc.path)
-            raise
-        rows = per_chunk(v, shocks)
+            rows = _in_run(start * group, per_chunk, v, shocks)
+        except Exception as exc:  # noqa: BLE001 - raised after the loop
+            failed = exc
+            continue
         blocks.append(_group_means(rows, group) if group_means else rows)
         for key in ("clamp_cells", "domain_clips", "scheme_rows"):
             if key in v.stats:
                 stats[key] = stats.get(key, 0) + v.stats[key]
+    if failed is not None:
+        raise failed
     return np.concatenate(blocks), stats, layout
 
 
@@ -381,7 +400,8 @@ def _conditional_path_prices(model, grid: Grid, strikes: np.ndarray,
     X1 collects the volatility-measurable part of the log-stock (order
     rho^2 drift plus the correlated shock sum, using the volatility
     driver's own shocks); the residual variance (1-rho^2) * dt * sum V
-    is priced in closed form.
+    is priced in closed form. A forward e^{X1} that is not positive
+    raises `NonPositiveForward`, naming the chunk's row.
     """
     dt = grid.dt
     vleft = v.values[:, :-1]
@@ -391,6 +411,10 @@ def _conditional_path_prices(model, grid: Grid, strikes: np.ndarray,
         + rho * np.sqrt(dt) * np.einsum("ij,ij->i", np.sqrt(vleft), shocks.zeta)
     residual = (1.0 - rho * rho) * integral
     fwd = model.spot * np.exp(x1)
+    if not np.all(fwd > 0.0):
+        k = int(np.argmin(fwd > 0.0))
+        raise NonPositiveForward("conditional forwards are not positive", k,
+                                 None, fwd[k], f" (X1 = {x1[k]})")
     out = np.empty((len(fwd), len(strikes)))
     for k, strike in enumerate(strikes):
         if payoff == "call":

@@ -14,13 +14,15 @@ orthogonal shock carries no weight) encodes zeta = +1, -1.
 
 All level computations are vectorized reshaped-view updates applied in a
 fixed lag order, so any leaf value is bitwise reproducible by replaying
-its shock string through the same scalar recursion (`replay_leaf`).
-Building a level and each step of the backward induction run over
-blocks of `_TREE_BLOCK_NODES` nodes, so that every elementwise pass over
-a block stays in cache; each node sees the same operations in the same
-order as in one pass over the whole level, so the block size changes no
-bit of any result. Level arrays spill to disk-backed scratch when the
-tree exceeds the configured in-memory byte budget.
+its shock string through the same recursion on one-node arrays
+(`replay_leaf`). Every node's variance comes from the Monte-Carlo variance
+stage, `models.variance_map`, which names a non-finite one. Building a
+level and each step of the backward induction run over blocks of
+`_TREE_BLOCK_NODES` nodes, so that every elementwise pass over a block
+stays in cache; each node sees the same operations in the same order as
+in one pass over the whole level, so the block size changes no bit of
+any result. Level arrays spill to disk-backed scratch when the tree
+exceeds the configured in-memory byte budget.
 
 Calls and puts are `VanillaPayoff` values, `(kind, strike)`. For them
 both pricers take the last step, level n-1 to n, in closed form: given a
@@ -30,8 +32,8 @@ is the discounted Black-Scholes price (the BBS method of Broadie and
 Detemple, 1996). The strike's position between the leaves, which the
 variance compensator shifts with depth, then no longer sets the error.
 Any other payoff callable starts from the leaves. The European price is
-the discounted backward mean of these last-step values, the European leg
-of the American pass, so American >= European holds bitwise.
+the American pass with exercise switched off, the discounted backward
+mean of these values, so American >= European holds bitwise.
 """
 
 from __future__ import annotations
@@ -46,8 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from roughsim.kernels import Grid, left_point_weights, optimal_eval_weights
-from roughsim.models import (
-    BERGOMI_VARIANTS,
+from roughsim.models import (  # noqa: F401 - Q stays importable from here
     squared_integral_profile,
     variance_map,
 )
@@ -211,19 +212,26 @@ def _shock_patterns(branching: int, rho: float) -> tuple:
     return np.array(zetas), np.array(stocks)
 
 
-def _tree_weights(config: TreeConfig) -> np.ndarray:
-    kernel = config.model.kernel()
-    if config.weights == "moment_matched":
-        return optimal_eval_weights(kernel, config.grid)
-    return left_point_weights(kernel, config.grid)
+def _step_inputs(config: TreeConfig) -> tuple:
+    """What every level step of `build_tree` and `replay_leaf` reads."""
+    model = config.model
+    dt = config.grid.dt
+    weigh = (optimal_eval_weights if config.weights == "moment_matched"
+             else left_point_weights)
+    driver = model.driver()
+    return (*_shock_patterns(config.branching, model.rho),
+            weigh(model.kernel(), config.grid),
+            driver if isinstance(driver, DiffusionSpec) else None,
+            dt, np.sqrt(dt), (config.rate - config.dividend) * dt, -0.5 * dt)
 
 
 class _LevelAllocator:
-    """Allocate level arrays in RAM or in a disk-backed scratch dir."""
+    """Allocate level arrays in RAM or in a disk-backed `scratch` dir
+    (None until a level spills)."""
 
     def __init__(self, budget_bytes: int):
         self._remaining = budget_bytes
-        self._scratch = None
+        self.scratch = None
         self._count = 0
 
     def make(self, size: int) -> np.ndarray:
@@ -231,27 +239,11 @@ class _LevelAllocator:
         if nbytes <= self._remaining:
             self._remaining -= nbytes
             return np.empty(size)
-        if self._scratch is None:
-            self._scratch = tempfile.TemporaryDirectory(prefix="roughsim-tree-")
+        if self.scratch is None:
+            self.scratch = tempfile.TemporaryDirectory(prefix="roughsim-tree-")
         self._count += 1
-        path = os.path.join(self._scratch.name, f"level{self._count}.f64")
+        path = os.path.join(self.scratch.name, f"level{self._count}.f64")
         return np.memmap(path, dtype=np.float64, mode="w+", shape=(size,))
-
-    @property
-    def scratch(self):
-        return self._scratch
-
-
-def _variance_inputs(model, grid: Grid) -> list:
-    """Per-level (q, xi) arguments of `variance_map`.
-
-    Q(t_i) and xi0(t_i) for the Bergomi variants; the affine map of
-    RoughHestonGJRS takes neither.
-    """
-    if isinstance(model, BERGOMI_VARIANTS):
-        q = squared_integral_profile(model.kernel(), grid)
-        return list(zip(q, model.xi0(grid.times)))
-    return [(None, None)] * (grid.n + 1)
 
 
 def _blocks(size: int, step: int):
@@ -268,31 +260,20 @@ def build_tree(config: TreeConfig) -> BushyTree:
     map to variance and log-stock. A level is built in blocks of about
     `_TREE_BLOCK_NODES` nodes (whole parents' children), each finished
     before the next starts; phi is summed in the block's slice of the
-    variance array and mapped there in place.
+    variance array and mapped there in place by `variance_map`.
     """
     start = time.perf_counter()
-    model = config.model
-    grid = config.grid
-    b = config.branching
-    n = config.depth
-    dt = grid.dt
-    zetas, stock_shocks = _shock_patterns(b, model.rho)
-    weights = _tree_weights(config)
-    driver = model.driver()
-    diffusion = driver if isinstance(driver, DiffusionSpec) else None
-    inputs = _variance_inputs(model, grid)
-
+    model, grid = config.model, config.grid
+    b, n = config.branching, config.depth
+    (zetas, stock_shocks, weights, diffusion, dt, sqrt_dt, growth,
+     half_dt) = _step_inputs(config)
     alloc = _LevelAllocator(config.max_in_memory_bytes)
+    stats = {"clamp_cells": 0, "domain_clips": 0}
     log_stock = [np.zeros(1)]
-    variance = [np.array([variance_map(model, 0.0, *inputs[0])])]
+    variance = [variance_map(model, np.zeros(1), grid, 0, stats=stats)]
     increments = [None]
-    sqrt_dt = np.sqrt(dt)
-    growth = (config.rate - config.dividend) * dt
-    half_dt = -0.5 * dt
     y_state = None if diffusion is None else np.full(1, diffusion.y0)
     parent_block = max(_TREE_BLOCK_NODES // b, 1)
-    # variance_map overwrites its count on each call, so blocks are summed
-    mapped, clamps, clips = {}, 0, 0
 
     for i in range(1, n + 1):
         parents = b ** (i - 1)
@@ -301,9 +282,8 @@ def build_tree(config: TreeConfig) -> BushyTree:
         # driver increments for the new level
         dy = alloc.make(size)
         if diffusion is not None:
+            stats["domain_clips"] += diffusion.clip_count(y_state)
             clipped = diffusion.clip(y_state)
-            if clipped is not y_state:
-                clips += int(np.count_nonzero(clipped != y_state))
             drift = np.asarray(diffusion.drift(clipped), dtype=float)
             diff = np.asarray(diffusion.diffusion(clipped), dtype=float)
             dy.reshape(parents, b)[:] = (drift[:, None] * dt
@@ -333,8 +313,7 @@ def build_tree(config: TreeConfig) -> BushyTree:
                 else:
                     contrib = weights[m - 1] * ancestors[lo // span:hi // span]
                     phi.reshape(-1, span)[...] += contrib[:, None]
-            variance_map(model, phi, *inputs[i], stats=mapped, out=phi)
-            clamps += mapped.get("clamp_cells", 0)
+            variance_map(model, phi, grid, i, node=lo, stats=stats, out=phi)
 
             # log-stock Euler step from the parent level
             v_parent = v_prev[p_lo:p_hi]
@@ -347,11 +326,9 @@ def build_tree(config: TreeConfig) -> BushyTree:
 
     arrays = log_stock + variance + increments[1:]
     spilled = sum(a.nbytes for a in arrays if isinstance(a, np.memmap))
-    stats = {"nodes": sum(b ** i for i in range(n + 1)),
-             "ram_bytes": sum(a.nbytes for a in arrays) - spilled,
-             "spilled_bytes": spilled,
-             "clamp_cells": clamps, "domain_clips": clips,
-             "build_s": time.perf_counter() - start}
+    stats.update(nodes=sum(b ** i for i in range(n + 1)),
+                 ram_bytes=sum(a.nbytes for a in arrays) - spilled,
+                 spilled_bytes=spilled, build_s=time.perf_counter() - start)
     return BushyTree(config=config, log_stock=log_stock, variance=variance,
                      driver_increments=increments, stats=stats,
                      _scratch=alloc.scratch)
@@ -360,33 +337,24 @@ def build_tree(config: TreeConfig) -> BushyTree:
 def replay_leaf(tree: BushyTree, leaf: int) -> float:
     """Recompute one leaf's log-stock from its shock string alone.
 
-    Follows the identical scalar operation sequence as the vectorized
-    builder, so the result is bitwise equal to the stored leaf value.
+    Follows the identical operation sequence as the vectorized builder,
+    on one-node arrays, so the result is bitwise equal to the stored leaf
+    value; a non-finite variance names the leaf's ancestor at its level.
     """
     config = tree.config
-    model = config.model
-    b = config.branching
-    n = config.depth
+    model, grid = config.model, config.grid
+    b, n = config.branching, config.depth
     if not 0 <= leaf < b ** n:
         raise ValueError(f"leaf {leaf} outside level {n}")
-    grid = config.grid
-    dt = grid.dt
-    zetas, stock_shocks = _shock_patterns(b, model.rho)
-    weights = _tree_weights(config)
-    driver = model.driver()
-    diffusion = driver if isinstance(driver, DiffusionSpec) else None
-    inputs = _variance_inputs(model, grid)
-
-    digits = [(leaf // b ** (n - l)) % b for l in range(1, n + 1)]
-    sqrt_dt = np.sqrt(dt)
-    growth = (config.rate - config.dividend) * dt
-    half_dt = -0.5 * dt
+    (zetas, stock_shocks, weights, diffusion, dt, sqrt_dt, growth,
+     half_dt) = _step_inputs(config)
     x = np.float64(0.0)
-    v_prev = np.float64(variance_map(model, 0.0, *inputs[0]))
+    v_prev = variance_map(model, np.zeros(1), grid, 0)[0]
     y_state = None if diffusion is None else np.float64(diffusion.y0)
     dy_path = []
     for i in range(1, n + 1):
-        r = digits[i - 1]
+        node = leaf // b ** (n - i)  # the leaf's ancestor at level i
+        r = node % b
         if diffusion is None:
             dy = np.float64(sqrt_dt * zetas[r])
         else:
@@ -399,7 +367,7 @@ def replay_leaf(tree: BushyTree, leaf: int) -> float:
         phi = np.float64(0.0)
         for m in range(1, i + 1):
             phi += weights[m - 1] * dy_path[i - m]
-        v = np.float64(variance_map(model, phi, *inputs[i]))
+        v = variance_map(model, np.array([phi]), grid, i, node=node)[0]
         base = (x + growth) + half_dt * v_prev
         x = base + np.sqrt(dt * v_prev) * stock_shocks[r]
         v_prev = v
@@ -467,29 +435,13 @@ def tree_price_european(tree: BushyTree, payoff) -> float:
     """The discounted backward mean of `payoff` from level n-1 to the root.
 
     A call or put (`VanillaPayoff`) starts from its discounted closed-form
-    last step, any other callable from its leaves. This is the European
-    leg of `tree_price_american`, bitwise. A call or put's price is
-    recorded on the tree, by either pricer, and later calls return it.
+    last step, any other callable from its leaves: `_backward` with
+    exercise off, so the American pass's European leg, bitwise. A call or
+    put's price is recorded on the tree, by either pricer, and returned.
     """
-    vanilla = isinstance(payoff, VanillaPayoff)
-    if vanilla and payoff in tree._european:
+    if isinstance(payoff, VanillaPayoff) and payoff in tree._european:
         return tree._european[payoff]
-    config = tree.config
-    b = config.branching
-    n = config.depth
-    disc = math.exp(-config.rate * config.horizon / n)
-    if vanilla:
-        values = _last_step_values(tree, payoff)
-        values *= disc
-    else:
-        leaves = config.model.spot * np.exp(tree.log_stock[n])
-        values = _continuation(payoff(leaves), b, disc)
-    for _ in range(n - 1):
-        values = _continuation(values, b, disc)
-    price = float(values[0])
-    if vanilla:
-        tree._european[payoff] = price
-    return price
+    return _backward(tree, payoff, exercise=False)[1]
 
 
 def _snell_violation(level, offset, payoff, amer, euro, exercise) -> str:
@@ -513,29 +465,16 @@ def _snell_violation(level, offset, payoff, amer, euro, exercise) -> str:
             f"{float(amer[index])!r} is not >= {other}")
 
 
-def tree_price_american(tree: BushyTree, payoff, details: bool = False):
-    """Snell-envelope backward induction.
-
-    Per level: node value = max(discount * mean(children), exercise)
-    with per-step discount e^{-rate * T/n}. At level n-1 the continuation
-    of a call or put is the discounted closed-form last step, as in
-    `tree_price_european`; any other callable (which must act elementwise)
-    starts from the leaves. Dominance over both the European continuation
-    and the exercise value is asserted at every node. Each level runs in
-    blocks of `_TREE_BLOCK_NODES` nodes, and its American and European
-    values overwrite the front of the level below's arrays, which no later
-    block reads. With `details`, returns a dict carrying the American and
-    European root values, the early-exercise premium and per-level
-    exercising-node counts (the exercise boundary's level profile, also
-    stored on the tree), the pass's `induction_s` and `last_step_s`, the
-    part of it spent on the closed-form last step (0 for other
-    callables). The European root value is the price `tree_price_european`
-    gives, bitwise; a call or put's is recorded on the tree.
+def _backward(tree: BushyTree, payoff, exercise: bool) -> tuple:
+    """(American root or None, European root, exercise counts or None,
+    last_step_s) of the backward pass; `exercise` switches the American
+    leg and its Snell check on. Levels run in blocks of `_TREE_BLOCK_NODES`
+    nodes, whose values overwrite the front of the level below's arrays,
+    which no later block reads. A call or put's European root is recorded.
     """
     start = time.perf_counter()
     config = tree.config
-    b = config.branching
-    n = config.depth
+    b, n = config.branching, config.depth
     spot = config.model.spot
     disc = math.exp(-config.rate * config.horizon / n)
     vanilla = isinstance(payoff, VanillaPayoff)
@@ -546,12 +485,13 @@ def tree_price_american(tree: BushyTree, payoff, details: bool = False):
         euro *= disc  # level n-1's continuation, American and European
     else:
         euro = np.empty(b ** (n - 1))
-    amer = np.empty(b ** (n - 1))
-    counts = np.zeros(n, dtype=np.int64)
+    amer = np.empty(b ** (n - 1)) if exercise else None
+    counts = np.zeros(n, dtype=np.int64) if exercise else None
     for i in range(n - 1, -1, -1):
         for lo, hi in _blocks(b ** i, _TREE_BLOCK_NODES):
             if i < n - 1:
-                cont = _continuation(amer[b * lo:b * hi], b, disc)
+                if exercise:
+                    cont = _continuation(amer[b * lo:b * hi], b, disc)
                 euro[lo:hi] = _continuation(euro[b * lo:b * hi], b, disc)
             elif vanilla:
                 cont = euro[lo:hi]
@@ -559,25 +499,49 @@ def tree_price_american(tree: BushyTree, payoff, details: bool = False):
                 leaves = spot * np.exp(tree.log_stock[n][b * lo:b * hi])
                 cont = _continuation(payoff(leaves), b, disc)
                 euro[lo:hi] = cont
-            exercise = payoff(spot * np.exp(tree.log_stock[i][lo:hi]))
-            value = np.maximum(cont, exercise, out=amer[lo:hi])
-            if not (np.all(value >= euro[lo:hi]) and np.all(value >= exercise)):
+            if not exercise:
+                continue
+            exercised = payoff(spot * np.exp(tree.log_stock[i][lo:hi]))
+            value = np.maximum(cont, exercised, out=amer[lo:hi])
+            if not (np.all(value >= euro[lo:hi]) and np.all(value >= exercised)):
                 raise AssertionError(_snell_violation(
-                    i, lo, payoff, value, euro[lo:hi], exercise))
-            counts[i] += np.count_nonzero(exercise > cont)
-    tree.exercise_counts = counts
+                    i, lo, payoff, value, euro[lo:hi], exercised))
+            counts[i] += np.count_nonzero(exercised > cont)
     if vanilla:
         tree._european[payoff] = float(euro[0])
-    price = float(amer[0])
+    return (float(amer[0]) if exercise else None, float(euro[0]), counts,
+            last_step_s)
+
+
+def tree_price_american(tree: BushyTree, payoff, details: bool = False):
+    """Snell-envelope backward induction.
+
+    Per level: node value = max(discount * mean(children), exercise)
+    with per-step discount e^{-rate * T/n}. At level n-1 the continuation
+    of a call or put is the discounted closed-form last step, as in
+    `tree_price_european`; any other callable (which must act elementwise)
+    starts from the leaves. Dominance over both the European continuation
+    and the exercise value is asserted at every node. With `details`,
+    returns a dict carrying the American and European root values (the
+    latter `tree_price_european`'s price, bitwise), the early-exercise
+    premium and per-level exercising-node counts (the exercise boundary's
+    level profile, also stored on the tree), the pass's `induction_s` and
+    `last_step_s`, the part of it spent on the closed-form last step (0
+    for other callables).
+    """
+    start = time.perf_counter()
+    price, european, counts, last_step_s = _backward(tree, payoff,
+                                                     exercise=True)
+    tree.exercise_counts = counts
     if not details:
         return price
     return {
         "price": price,
-        "european_price": float(euro[0]),
-        "early_exercise_premium": price - float(euro[0]),
+        "european_price": european,
+        "early_exercise_premium": price - european,
         "exercise_counts": counts,
-        "depth": n,
-        "branching": b,
+        "depth": tree.depth,
+        "branching": tree.branching,
         "induction_s": time.perf_counter() - start,
         "last_step_s": last_step_s,
     }

@@ -102,21 +102,23 @@ def check_diffusion_coefficients(spec: DiffusionSpec, lo: float, hi: float,
 
 
 class NonFinitePath(Exception):
-    """Base of the errors that name a non-finite value by path and time index.
+    """Base of the errors that name a bad value by path and time index (or
+    by path alone, when `step` is None).
 
     A caller that ran the computation on some of its rows maps the row
     the error names to its own path index with `renumber`, which rewrites
     the message, and re-raises it.
     """
 
-    def __init__(self, head: str, path: int, step: int, value, tail: str = ""):
-        self.head, self.path, self.step = head, int(path), int(step)
+    def __init__(self, head: str, path: int, step, value, tail: str = ""):
+        self.head, self.path = head, int(path)
+        self.step = None if step is None else int(step)
         self.value, self.tail = value, tail
         super().__init__(self._message())
 
     def _message(self) -> str:
-        return (f"{self.head}: path {self.path}, time index {self.step} is "
-                f"{self.value}{self.tail}")
+        at = "" if self.step is None else f", time index {self.step}"
+        return f"{self.head}: path {self.path}{at} is {self.value}{self.tail}"
 
     def renumber(self, path: int) -> None:
         self.path = int(path)
@@ -131,24 +133,25 @@ class NonFiniteState(NonFinitePath, RuntimeError):
     """An Euler state that is not finite (`euler_diffusion`)."""
 
 
-def check_finite(values: np.ndarray, label: str, cause: str = "") -> None:
-    """Raise a NonFiniteValues (a ValueError) naming `values`' first
-    non-finite entry.
-
-    The message names `label`, the path (row) and time index (column) of
-    the first non-finite value in row-major order, and `cause` if given.
-    One summing pass decides; only a non-finite (or overflowing) sum
-    looks for the entry.
-    """
+def first_non_finite(values: np.ndarray) -> int | None:
+    """Flat index of `values`' first non-finite entry, None if there is
+    none. One summing pass decides; only a non-finite sum looks further."""
     with np.errstate(over="ignore", invalid="ignore"):
         if np.isfinite(np.sum(values)):
-            return
+            return None
     bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size == 0:  # finite values whose sum overflowed
-        return
-    path, step = np.unravel_index(bad[0], values.shape)
-    raise NonFiniteValues(f"{label} paths are not finite", path, step,
-                          values[path, step], f"; {cause}" if cause else "")
+    return int(bad[0]) if bad.size else None  # else a finite sum overflowed
+
+
+def check_finite(values: np.ndarray, label: str, cause: str = "") -> None:
+    """Raise a NonFiniteValues (a ValueError) naming `label`, the path
+    (row) and time index (column) of `values`' first non-finite entry,
+    and `cause` if given."""
+    index = first_non_finite(values)
+    if index is not None:
+        path, step = np.unravel_index(index, values.shape)
+        raise NonFiniteValues(f"{label} paths are not finite", path, step,
+                              values[path, step], f"; {cause}" if cause else "")
 
 
 @dataclass

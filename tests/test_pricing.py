@@ -304,6 +304,28 @@ def test_a_failing_path_is_named_alike_in_every_chunking(monkeypatch, model,
             euler_diffusion(model.driver(), zeta, cfg.grid)
 
 
+@pytest.mark.parametrize("xi0,nu,message", [
+    # a variance overflow on path 31 outranks the zero conditional forward
+    # that an earlier path's huge but finite variance gives
+    (np.finfo(float).max / math.exp(3.0), 1.0,
+     "rdonsker_matched variance paths are not finite: path 31, time index 4 "
+     "is inf; the variance map's exp("),
+    # finite variances whose integral sends e^{X1} below the smallest double
+    (1000.0, 0.5, "conditional forwards are not positive: path 15 is 0.0 "
+                  "(X1 = -770."),
+], ids=["variance", "estimator"])
+def test_a_failing_smile_raises_alike_in_every_chunking(monkeypatch, xi0, nu,
+                                                         message):
+    model = _rbergomi(xi0=xi0, nu=nu)
+    cfg = _config(paths=64, n=8, antithetic=True, seed=0)
+    # one chunk, chunks of 16 rows and chunks of one antithetic group
+    for chunk_elements in (pricing._CHUNK_ELEMENTS, 16 * 8, 5 * 8):
+        monkeypatch.setattr(pricing, "_CHUNK_ELEMENTS", chunk_elements)
+        with pytest.raises(ValueError) as err, np.errstate(over="ignore"):
+            smile(model, cfg, [1.0])
+        assert str(err.value).startswith(message)
+
+
 def _recorded_chunks(monkeypatch):
     """The (start, stop) base ranges and antithetic group of every draw."""
     chunks = []

@@ -81,3 +81,25 @@ def test_outputs_name_the_closed_form_quantities():
     # the grid holds zero variance, where each price is intrinsic
     assert np.all(outputs["bs/put"]() >= 0.0)
     assert np.count_nonzero(np.isfinite(outputs["implied_vol"]())) >= 10
+
+
+def test_outputs_hold_the_variance_stage_counts_and_refusals():
+    import pytest
+
+    import roughsim as rs
+
+    outputs = dict(seeded_hashes._outputs(rs))
+    # the European-only call is the American pass's European leg
+    assert (outputs["tree/rbergomi/b4/european_only"]()[0]
+            == outputs["tree/rbergomi/b4/call"]()[1])
+    assert np.all(outputs["tree/rheston_gjrs/clamping/stats"]() > 0)
+    with pytest.raises(ValueError, match="^variance is not finite: level 6, "):
+        outputs["tree/overflow/build_tree"]()
+    messages = []
+    for label in ("whole", "rows16"):
+        with pytest.raises(ValueError) as err:
+            outputs[f"smile/overflow/{label}"]()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("rdonsker_matched variance paths are not "
+                                  "finite: path 31, time index 4 is inf")

@@ -574,6 +574,87 @@ def test_european_price_is_the_american_pass_european_leg(config, strike,
     assert tree_price_european(tree, payoff) == european
 
 
+@settings(max_examples=30, deadline=None)
+@given(config=_blocked_tree_configs(), strike=_STRIKE,
+       kind=st.sampled_from(("call", "put", "callable put")), data=st.data())
+def test_a_european_price_on_a_fresh_tree_is_the_american_european_leg(
+        config, strike, kind, data):
+    payoff = {"call": call_payoff, "put": put_payoff,
+              "callable put": _callable_put}[kind](strike)
+    details = tree_price_american(build_tree(config), payoff, details=True)
+    saved = trees._TREE_BLOCK_NODES
+    try:
+        trees._TREE_BLOCK_NODES = config.branching ** data.draw(
+            st.integers(0, config.depth + 1))
+        assert (tree_price_european(build_tree(config), payoff)
+                == details["european_price"])
+    finally:
+        trees._TREE_BLOCK_NODES = saved
+
+
+@pytest.mark.parametrize("payoff", [call_payoff(1.0), _callable_put(1.0)],
+                         ids=["call", "callable"])
+def test_a_european_price_records_no_exercise_counts(payoff):
+    tree = build_tree(TreeConfig(model=_rbergomi(), depth=4, rate=0.05))
+    tree_price_european(tree, payoff)
+    assert tree.exercise_counts is None
+
+
+# ----------------------------------------------------------------------
+# non-finite variances
+# ----------------------------------------------------------------------
+
+# xi0 e^{2 nu C_H phi} passes DBL_MAX first at level 6, on its 64 nodes of
+# the largest phi (all zeta shocks +1)
+_OVERFLOWING = RoughBergomi(xi0=np.finfo(float).max / 4, nu=2.0, hurst=0.3,
+                            rho=-0.7)
+_OVERFLOW_AT_LEVEL_6 = (r"^variance is not finite: level 6, node 0 is inf; "
+                        r"the variance map's exp\(2 nu C_H phi - 2 nu\^2 "
+                        r"C_H\^2 Q\) overflowed \(nu=2.0, H=0.3\)$")
+
+
+def test_an_overflowing_tree_is_named_alike_at_every_block_size():
+    config = TreeConfig(model=_OVERFLOWING, depth=6)
+    saved = trees._TREE_BLOCK_NODES
+    try:
+        for k in range(8):
+            trees._TREE_BLOCK_NODES = 4 ** k
+            with pytest.raises(ValueError, match=_OVERFLOW_AT_LEVEL_6), \
+                    np.errstate(over="ignore"):
+                build_tree(config)
+    finally:
+        trees._TREE_BLOCK_NODES = saved
+
+
+def test_a_replayed_overflowing_leaf_names_its_level_and_ancestor():
+    # replay reads only the configuration, so no built levels are needed
+    tree = BushyTree(config=TreeConfig(model=_OVERFLOWING, depth=6),
+                     log_stock=[], variance=[], driver_increments=[])
+    with pytest.raises(ValueError, match=_OVERFLOW_AT_LEVEL_6), \
+            np.errstate(over="ignore"):
+        replay_leaf(tree, 0)
+    # the depth-5 tree of the same model is finite throughout
+    tree = build_tree(TreeConfig(model=_OVERFLOWING, depth=5))
+    assert all(np.isfinite(v).all() for v in tree.variance)
+    assert replay_leaf(tree, 7) == tree.log_stock[5][7]
+
+
+def test_a_non_finite_heston_tree_variance_has_no_overflow_cause():
+    model = RoughHestonGJRS(eta=0.04, kappa=1.0, theta=0.04, vol_of_vol=0.1,
+                            y0=0.04, hurst=0.3, rho=-0.7)
+    config = TreeConfig(model=model, depth=3)
+    weights = trees.left_point_weights(model.kernel(), config.grid)
+    saved = trees.left_point_weights
+    try:
+        trees.left_point_weights = lambda kernel, grid: np.where(
+            np.arange(len(weights)) == 1, np.inf, weights)
+        with pytest.raises(ValueError, match=r"^variance is not finite: "
+                                             r"level 2, node 0 is inf$"):
+            build_tree(config)
+    finally:
+        trees.left_point_weights = saved
+
+
 # ----------------------------------------------------------------------
 # clamp and clip counts
 # ----------------------------------------------------------------------

@@ -14,9 +14,12 @@ calls; `squared_integral_profile` for a Riemann-Liouville, a gamma and a
 power-law kernel; `smile` prices, standard errors and implied vols for
 every scheme, model type, estimator and antithetic setting;
 `simulate_logstock`; the tree levels, `replay_leaf`, American and
-European prices and `exercise_counts`; and `model_from_config` for each
-model type. An entry point that raises hashes its error message instead,
-so a refusal that changes shows too.
+European prices and `exercise_counts`, European-only prices on fresh
+trees and a clamping rough-Heston tree's clamp and clip counts;
+`model_from_config` for each model type; and the errors of a tree build
+and of a smile (whole and in 16-row chunks) whose variance overflows. An
+entry point that raises hashes its error message instead, so a refusal
+that changes shows too.
 
 With `--parent REV` the same outputs are also computed from the committed
 tree of REV, extracted by `git archive` into a temporary directory, and
@@ -135,13 +138,14 @@ def _outputs(rs):
                    build(), rs.MCConfig(num_paths=8, grid=grid, seed=5,
                                         scheme="rdonsker_left")).values)
 
-    @functools.lru_cache(maxsize=None)
-    def tree(kind, branching):
+    def fresh_tree(kind, branching):
         model = models[kind]()
         if branching == 2:
             model = dataclasses.replace(model, rho=-1.0)
         return rs.build_tree(rs.TreeConfig(model=model, depth=4, rate=0.02,
                                            branching=branching))
+
+    tree = functools.lru_cache(maxsize=None)(fresh_tree)
 
     for kind in models:
         for b in ((2, 4) if kind == "rbergomi" else (4,)):
@@ -158,6 +162,48 @@ def _outputs(rs):
                 yield f"{name}/{payoff.kind}", \
                     lambda kind=kind, b=b, payoff=payoff: _prices(
                         rs, tree(kind, b), payoff)
+            # priced before any American pass could record them
+            yield f"{name}/european_only", lambda kind=kind, b=b: np.array([
+                rs.tree_price_european(fresh_tree(kind, b), payoff)
+                for payoff in (rs.call_payoff(1.05),
+                               lambda s: np.maximum(0.95 - s, 0.0))])
+
+    # kappa dt = 3.75 overshoots the mean, so driver states are clipped,
+    # and eta = 0.01 lets the variance clamp
+    clamping = rs.RoughHestonGJRS(eta=0.01, kappa=10.0, theta=0.04,
+                                  vol_of_vol=0.5, y0=0.5, hurst=0.3, rho=-0.7)
+    yield "tree/rheston_gjrs/clamping/stats", lambda: np.array([
+        rs.build_tree(rs.TreeConfig(model=clamping, depth=4, horizon=1.5))
+        .stats[key] for key in ("clamp_cells", "domain_clips")])
+    yield "tree/overflow/build_tree", lambda: _overflowing_tree(rs)
+    for label, chunk_elements in (("whole", None), ("rows16", 16 * 8)):
+        yield (f"smile/overflow/{label}",
+               lambda chunk_elements=chunk_elements: _overflowing_smile(
+                   rs, pricing, chunk_elements))
+
+
+def _overflowing_tree(rs):
+    """The variance levels of a tree whose level-6 variance overflows."""
+    model = rs.RoughBergomi(xi0=np.finfo(float).max / 4, nu=2.0, hurst=0.3,
+                            rho=-0.7)
+    with np.errstate(over="ignore"):
+        tree = rs.build_tree(rs.TreeConfig(model=model, depth=6))
+    return np.concatenate(tree.variance)
+
+
+def _overflowing_smile(rs, pricing, chunk_elements):
+    """Prices of a smile whose variance overflows on path 31, in chunks of
+    `chunk_elements` path-steps (None: the default)."""
+    model = rs.RoughBergomi(xi0=np.finfo(float).max / np.exp(3.0), nu=1.0,
+                            hurst=0.3, rho=-0.7)
+    config = rs.MCConfig(num_paths=64, grid=rs.Grid(n=8, T=1.0), seed=0)
+    saved = pricing._CHUNK_ELEMENTS
+    pricing._CHUNK_ELEMENTS = chunk_elements or saved
+    try:
+        with np.errstate(over="ignore"):
+            return rs.smile(model, config, [1.0]).prices
+    finally:
+        pricing._CHUNK_ELEMENTS = saved
 
 
 def _implied_vol(rs, price, strike):
