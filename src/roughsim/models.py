@@ -246,13 +246,15 @@ def variance_map(model, phi, grid: Grid, level=None, *, node: int = 0,
             q, xi = q[level], xi[level]
         c_h = math.sqrt(2.0 * model.hurst)
         # a float64 square overflows to inf where a Python float raises
-        # OverflowError, so a huge nu gives a non-finite variance, which is
-        # then reported with nu and H
-        compensator = 2.0 * np.float64(model.nu) ** 2 * c_h ** 2
-        v = np.multiply(2.0 * model.nu * c_h, phi, out=out)
-        v -= compensator * q
-        np.exp(v, out=v)
-        v *= xi
+        # OverflowError, so a huge nu gives a non-finite variance; numpy's
+        # overflow warning is silenced, as the check below names the
+        # overflow with nu and H
+        with np.errstate(over="ignore"):
+            compensator = 2.0 * np.float64(model.nu) ** 2 * c_h ** 2
+            v = np.multiply(2.0 * model.nu * c_h, phi, out=out)
+            v -= compensator * q
+            np.exp(v, out=v)
+            v *= xi
         cause = (f"the variance map's exp(2 nu C_H phi - 2 nu^2 C_H^2 Q) "
                  f"overflowed (nu={model.nu}, H={model.hurst})")
     elif isinstance(model, RoughHestonGJRS):
@@ -274,15 +276,16 @@ def variance_map(model, phi, grid: Grid, level=None, *, node: int = 0,
     return v
 
 
-def phi_apply(model, volterra: PathSet, grid: Grid) -> PathSet:
-    """Variance paths V = Phi(phi) of Volterra paths, by `variance_map`;
-    for RoughHestonGJRS the stats gain `clamp_cells` / `clamp_fraction`."""
+def phi_apply(model, volterra: PathSet, grid: Grid, *, out=None) -> PathSet:
+    """Variance paths V = Phi(phi) of Volterra paths, by `variance_map`,
+    into `out` if given (`volterra.values` maps them in place); for
+    RoughHestonGJRS the stats gain `clamp_cells` / `clamp_fraction`."""
     if volterra.grid != grid:
         raise ValueError(
             f"path grid {volterra.grid} does not match requested grid {grid}"
         )
     stats = dict(volterra.stats)
-    v = variance_map(model, volterra.values, grid, stats=stats,
+    v = variance_map(model, volterra.values, grid, stats=stats, out=out,
                      label=f"{volterra.scheme_tag} variance")
     if "clamp_cells" in stats:
         stats["clamp_fraction"] = stats["clamp_cells"] / v.size

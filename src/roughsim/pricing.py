@@ -9,19 +9,27 @@ e^{X1} and residual variance (1-rho^2) * integral of V.
 
 Paths are processed in chunks of at most `_CHUNK_ELEMENTS` path-steps
 (per-path counter RNG makes the chunked run bitwise identical to a
-monolithic one), keeping memory flat at desk-scale path counts.
-Estimator statistics are computed over antithetic group means when
-antithetics are on.
+monolithic one), keeping memory flat at desk-scale path counts. Each
+chunk runs in its own scope, and a conditional-estimator chunk holds
+about three arrays of the chunk at its peak: the variance is mapped into
+the scheme's own array, and sqrt(V) taken in place there once V is
+summed. Estimator statistics are computed over antithetic group means
+when antithetics are on.
 
 The chunk size was chosen from a sweep of the benchmark's smile
 workloads (`benchmark/run.py --seconds 12`, seeds 301-303, 2-core x86-64
 VM; peak RSS, then the median and range of `op_s_p50`):
 
     elements   smile-n2048 (M=4096)          smile-n256 (M=16384)
-    8M         379 MB  1.20 s [1.18, 1.21]   217 MB  0.59 s [0.53, 0.63]
-    4M         275 MB  1.53 s [1.36, 1.59]   216 MB  0.53 s [0.46, 0.59]
-    2M         179 MB  1.31 s [1.28, 1.52]   172 MB  0.47 s [0.42, 0.58]
-    1M         132 MB  1.30 s [1.25, 1.57]   131 MB  0.46 s [0.45, 0.66]
+    8M         283 MB  1.20 s [1.18, 1.21]   217 MB  0.59 s [0.53, 0.63]
+    4M         201 MB  1.53 s [1.36, 1.59]   217 MB  0.53 s [0.46, 0.59]
+    2M         144 MB  1.31 s [1.28, 1.52]   148 MB  0.47 s [0.42, 0.58]
+    1M         116 MB  1.30 s [1.25, 1.57]   115 MB  0.46 s [0.45, 0.66]
+
+The RSS column was measured again, by the same command and seeds, once
+a chunk held about three arrays (it read 379/275/179/132 MB and
+217/216/172/131 MB before, at four to six); the op times are the first
+sweep's. At 8M and 4M smile-n256 is one chunk of 16384 rows either way.
 
 The op times spread as widely as they differ; timed alternately in one
 process, the n=2048 legs took 0.65 s (rBergomi) and 1.05 s (rough
@@ -37,6 +45,7 @@ from __future__ import annotations
 
 import math
 import time
+import traceback
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -174,8 +183,19 @@ def bs_put(forward, strike: float, total_variance):
         else max(value, 0.0)
 
 
-class NonPositiveForward(NonFinitePath, ValueError):
-    """A path whose conditional forward e^{X1} is not positive."""
+class NonPositiveStock(NonFinitePath, ValueError):
+    """A path whose simulated terminal stock, or conditional forward
+    e^{X1}, is not positive."""
+
+
+def _check_positive(what: str, values: np.ndarray, log_name: str,
+                    logs: np.ndarray) -> None:
+    """Raise `NonPositiveStock` naming the chunk row of the first of
+    `values` that is not positive, with its log `logs`."""
+    if not np.all(values > 0.0):
+        k = int(np.argmin(values > 0.0))
+        raise NonPositiveStock(f"{what} are not positive", k, None, values[k],
+                               f" ({log_name} = {logs[k]})")
 
 
 class NoImpliedVol(ValueError):
@@ -253,13 +273,14 @@ def scheme_paths(kernel, driver, shocks: np.ndarray, grid: Grid, scheme: str,
 
 
 def _variance_chunk(model, config: MCConfig, shocks, base_offset: int) -> PathSet:
-    """Variance paths V = Phi(G^alpha Y) for one shock chunk."""
+    """Variance paths V = Phi(G^alpha Y) for one shock chunk, mapped in
+    place into the scheme's own array."""
     vol = scheme_paths(model.kernel(), model.driver(), shocks.zeta,
                        config.grid, config.scheme, config.method,
                        seed=config.seed,
                        antithetic_group=shocks.antithetic_group,
                        base_offset=base_offset)
-    return phi_apply(model, vol, config.grid)
+    return phi_apply(model, vol, config.grid, out=vol.values)
 
 
 def chunk_layout(num_paths: int, steps: int, group: int = 1) -> dict:
@@ -285,19 +306,45 @@ def _in_run(first: int, stage, *args):
         raise
 
 
+def _chunk(model, config: MCConfig, noise: NoiseConfig, base_range: tuple,
+           variance, per_chunk, group_means: bool) -> tuple:
+    """(rows, variance stats) of one chunk of `_chunked`.
+
+    Draws the shocks of the base paths in `base_range`, builds the
+    variance paths `v` by `variance` and, unless `per_chunk` is None,
+    applies it and takes antithetic group means if `group_means`. The
+    chunk's arrays live in this one scope, so they are freed before the
+    next chunk draws. A variance error is raised; an estimator error is
+    returned as the rows, for `_chunked` to raise after every later
+    chunk's variance is built. Either names the path of the whole run.
+    """
+    group = base_group(noise)
+    first = base_range[0] * group
+    shocks = draw_shocks(noise, base_range=base_range)
+    v = _in_run(first, variance, model, config, shocks, base_range[0])
+    if per_chunk is None:
+        return None, v.stats
+    try:
+        rows = _in_run(first, per_chunk, v, shocks)
+    except Exception as exc:  # noqa: BLE001 - raised by `_chunked`
+        return exc, v.stats
+    return (_group_means(rows, group) if group_means else rows), v.stats
+
+
 def _chunked(model, config: MCConfig, per_chunk, *, group_means: bool = True,
              variance=_variance_chunk) -> tuple:
     """(rows in path order, merged stats, chunk layout) of
     `per_chunk(v, shocks)`.
 
-    Per chunk: draw shocks, build variance paths `v` by `variance`, apply
-    `per_chunk`, and take antithetic group means if `group_means`. Shock
-    streams are keyed by absolute path index, so no result depends on
-    the chunk size. Nor does an error: it names the path of the whole run,
-    and as in one chunk a variance error on any path outranks the first
-    estimator error, which is raised after every chunk's variance is
-    built. The layout is `chunk_layout`'s; it is kept out of the stats,
-    which do not depend on it.
+    Per chunk (`_chunk`): draw shocks, build variance paths `v` by
+    `variance`, apply `per_chunk`, and take antithetic group means if
+    `group_means`. `per_chunk` may consume `v`. Shock streams are keyed
+    by absolute path index, so no result depends on the chunk size. Nor
+    does an error: it names the path of the whole run, and as in one
+    chunk a variance error on any path outranks the first estimator
+    error, which is raised after every chunk's variance is built. The
+    layout is `chunk_layout`'s; it is kept out of the stats, which do not
+    depend on it.
     """
     noise = NoiseConfig(paths=config.num_paths, steps=config.grid.n,
                         rho=model.rho, seed=config.seed,
@@ -308,20 +355,19 @@ def _chunked(model, config: MCConfig, per_chunk, *, group_means: bool = True,
     base_step = layout["chunk_rows"] // group
     blocks, stats, failed = [], {}, None
     for start in range(0, total_base, base_step):
-        stop = min(total_base, start + base_step)
-        shocks = draw_shocks(noise, base_range=(start, stop))
-        v = _in_run(start * group, variance, model, config, shocks, start)
+        base_range = (start, min(total_base, start + base_step))
+        rows, chunk_stats = _chunk(model, config, noise, base_range, variance,
+                                   None if failed else per_chunk, group_means)
+        if isinstance(rows, Exception):
+            # its frames would keep the chunk's arrays alive until it is raised
+            traceback.clear_frames(rows.__traceback__)
+            failed = rows
         if failed is not None:
             continue
-        try:
-            rows = _in_run(start * group, per_chunk, v, shocks)
-        except Exception as exc:  # noqa: BLE001 - raised after the loop
-            failed = exc
-            continue
-        blocks.append(_group_means(rows, group) if group_means else rows)
+        blocks.append(rows)
         for key in ("clamp_cells", "domain_clips", "scheme_rows"):
-            if key in v.stats:
-                stats[key] = stats.get(key, 0) + v.stats[key]
+            if key in chunk_stats:
+                stats[key] = stats.get(key, 0) + chunk_stats[key]
     if failed is not None:
         raise failed
     return np.concatenate(blocks), stats, layout
@@ -386,9 +432,14 @@ def simulate_logstock(model, config: MCConfig) -> PathSet:
 
 def _path_payoffs(model, grid: Grid, strikes: np.ndarray, payoff: str,
                   v: PathSet, shocks) -> np.ndarray:
-    """Per-path payoffs of the simulated terminal stock (plain estimator)."""
-    x = _logstock_from_variance(v.values, shocks.xi, grid)
-    stock = model.spot * np.exp(x[:, -1])[:, None]
+    """Per-path payoffs of the simulated terminal stock (plain estimator).
+
+    A terminal stock that is not positive (e^{X(T)} underflowed) raises
+    `NonPositiveStock`, naming the chunk's row."""
+    x = _logstock_from_variance(v.values, shocks.xi, grid)[:, -1]
+    stock = model.spot * np.exp(x)
+    _check_positive("simulated stocks", stock, "X(T)", x)
+    stock = stock[:, None]
     return np.maximum(stock - strikes if payoff == "call" else strikes - stock,
                       0.0)
 
@@ -400,21 +451,20 @@ def _conditional_path_prices(model, grid: Grid, strikes: np.ndarray,
     X1 collects the volatility-measurable part of the log-stock (order
     rho^2 drift plus the correlated shock sum, using the volatility
     driver's own shocks); the residual variance (1-rho^2) * dt * sum V
-    is priced in closed form. A forward e^{X1} that is not positive
-    raises `NonPositiveForward`, naming the chunk's row.
+    is priced in closed form. Once V is summed, sqrt(V) is taken in place,
+    so `v` is consumed. A forward e^{X1} that is not positive raises
+    `NonPositiveStock`, naming the chunk's row.
     """
     dt = grid.dt
     vleft = v.values[:, :-1]
     rho = model.rho
     integral = dt * vleft.sum(axis=1)
+    vol = np.sqrt(vleft, out=vleft)
     x1 = -0.5 * rho * rho * integral \
-        + rho * np.sqrt(dt) * np.einsum("ij,ij->i", np.sqrt(vleft), shocks.zeta)
+        + rho * np.sqrt(dt) * np.einsum("ij,ij->i", vol, shocks.zeta)
     residual = (1.0 - rho * rho) * integral
     fwd = model.spot * np.exp(x1)
-    if not np.all(fwd > 0.0):
-        k = int(np.argmin(fwd > 0.0))
-        raise NonPositiveForward("conditional forwards are not positive", k,
-                                 None, fwd[k], f" (X1 = {x1[k]})")
+    _check_positive("conditional forwards", fwd, "X1", x1)
     out = np.empty((len(fwd), len(strikes)))
     for k, strike in enumerate(strikes):
         if payoff == "call":

@@ -289,7 +289,8 @@ def _fft_length(n: int) -> int:
 
 
 def convolve_gfo(weights: np.ndarray, increments: np.ndarray, grid: Grid,
-                 method: str = "fft", scale=None) -> PathSet:
+                 method: str = "fft", scale=None, *,
+                 levels: bool = False) -> PathSet:
     """Causal convolution: out(t_i) = sum_{k<=i} weights[i-k+1] * dY(t_k).
 
     `fft` zero-pads both vectors to a power of two >= 2n-1, multiplies
@@ -303,36 +304,50 @@ def convolve_gfo(weights: np.ndarray, increments: np.ndarray, grid: Grid,
     and serves as the oracle. The output carries a zero first column.
     A `scale` multiplies the increments first, dY = scale * increments,
     one row block at a time, so no scaled copy of the whole batch is held.
+
+    With `levels`, the second argument holds a driver's levels
+    Y(t_0), ..., Y(t_n) (M x (n+1)) and dY = diff(Y). `fft` differences
+    one row block at a time and writes that block's convolution over the
+    same rows, so the output is the levels array itself and no increments
+    of the whole batch are held; the result is bitwise that of convolving
+    np.diff(Y). `naive` differences the whole batch first.
     """
     weights = np.asarray(weights, dtype=float)
     increments = np.atleast_2d(np.asarray(increments, dtype=float))
     m, n = increments.shape
+    if levels:
+        n -= 1
     if weights.shape != (n,):
         raise ValueError(f"weights shape {weights.shape} does not match n={n}")
     if n != grid.n:
         raise ValueError(f"increment columns {n} do not match grid n={grid.n}")
-    out = np.zeros((m, n + 1))
+
+    def block_increments(a: int, b: int) -> np.ndarray:
+        block = increments[a:b]
+        if levels:
+            block = np.diff(block, axis=1)
+        return block if scale is None else scale * block
+
+    out = increments if levels else np.empty((m, n + 1))
     if method == "fft":
         size = _fft_length(n)
         workers = _config.get_threads()
         what = sfft.rfft(weights, size)
         rows = max(1, _FFT_BLOCK_BYTES // (8 * size))
         for a in range(0, m, rows):
-            block = increments[a:a + rows]
-            if scale is not None:
-                block = scale * block
-            ihat = sfft.rfft(block, size, axis=1, workers=workers)
+            ihat = sfft.rfft(block_increments(a, a + rows), size, axis=1,
+                             workers=workers)
             ihat *= what
             conv = sfft.irfft(ihat, size, axis=1, workers=workers,
                               overwrite_x=True)
             out[a:a + rows, 1:] = conv[:, :n]
     elif method == "naive":
-        if scale is not None:
-            increments = scale * increments
+        dy = block_increments(0, m)
         for i in range(1, n + 1):
-            out[:, i] = increments[:, :i] @ weights[i - 1:: -1]
+            out[:, i] = dy[:, :i] @ weights[i - 1:: -1]
     else:
         raise ValueError(f"unknown convolution method {method!r}")
+    out[:, 0] = 0.0
     return PathSet(values=out, grid=grid, scheme_tag=f"conv:{method}")
 
 
@@ -345,8 +360,10 @@ def rdonsker_volterra(kernel: KernelSpec, driver, shocks: np.ndarray, grid: Grid
     ----------
     driver : "brownian" or DiffusionSpec
         Brownian drivers skip the Euler stage: increments are
-        sqrt(T/n) * zeta directly. A DiffusionSpec is Euler-stepped and
-        differenced.
+        sqrt(T/n) * zeta directly. A DiffusionSpec is Euler-stepped, and
+        its levels are differenced and convolved in place
+        (`convolve_gfo(..., levels=True)`), so the paths returned are the
+        Euler array.
     eval_mode : str
         "moment_matched" (optimal evaluation points; Brownian drivers
         only, since variance matching presumes unit-variance iid
@@ -354,17 +371,16 @@ def rdonsker_volterra(kernel: KernelSpec, driver, shocks: np.ndarray, grid: Grid
     """
     if eval_mode not in ("moment_matched", "left_point"):
         raise ValueError(f"unknown eval_mode {eval_mode!r}")
-    stats = {}
-    scale = None
+    scale, levels = None, False
     if isinstance(driver, DiffusionSpec):
         if eval_mode == "moment_matched":
             raise ValueError("moment_matched weights need a Brownian driver")
         ypaths = euler_diffusion(driver, shocks, grid)
-        increments = np.diff(ypaths.values, axis=1)
-        stats = ypaths.stats
+        # differenced block by block and convolved over the levels in place
+        increments, levels, stats = ypaths.values, True, ypaths.stats
     elif driver == "brownian":
         # scaled block by block inside the convolution
-        increments, scale = shocks, np.sqrt(grid.dt)
+        increments, scale, stats = shocks, np.sqrt(grid.dt), {}
     else:
         raise ValueError(f"unknown driver {driver!r}")
     if eval_mode == "moment_matched":
@@ -373,7 +389,8 @@ def rdonsker_volterra(kernel: KernelSpec, driver, shocks: np.ndarray, grid: Grid
     else:
         weights = left_point_weights(kernel, grid)
         tag = "rdonsker_left"
-    out = convolve_gfo(weights, increments, grid, method=method, scale=scale)
+    out = convolve_gfo(weights, increments, grid, method=method, scale=scale,
+                       levels=levels)
     stats["scheme_rows"] = shocks.shape[0]
     return PathSet(values=out.values, grid=grid, scheme_tag=tag, stats=stats,
                    checked=True)

@@ -1,5 +1,8 @@
 """Variance-map models: curve lookup, Wick mean, clamping, config."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -281,6 +284,33 @@ def test_huge_nu_variance_names_the_overflow_and_the_parameters():
                               "finite: path 0, time index 0 is nan")
     assert "exp(2 nu C_H phi - 2 nu^2 C_H^2 Q) overflowed" in message
     assert "nu=1e+200, H=0.1" in message
+
+
+def _overflowing_tree():
+    from roughsim.trees import TreeConfig, build_tree
+    model = RoughBergomi(xi0=np.finfo(float).max / 4, nu=2.0, hurst=0.3,
+                         rho=-0.7)
+    build_tree(TreeConfig(model=model, depth=6))
+
+
+def _overflowing_smile():
+    from roughsim.pricing import MCConfig, smile
+    model = RoughBergomi(xi0=np.finfo(float).max / math.exp(3.0), nu=2.0,
+                         hurst=0.3, rho=-0.7)
+    smile(model, MCConfig(num_paths=64, grid=Grid(n=8, T=1.0), seed=0), [1.0])
+
+
+@pytest.mark.parametrize("run", [_overflowing_tree, _overflowing_smile],
+                         ids=["tree", "smile"])
+def test_an_overflowing_variance_warns_nothing_before_its_error(run):
+    # numpy's own "overflow encountered" warning would reach stderr next to
+    # the error that names the same overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"variance (paths are|is) not "
+                                             r"finite: .* overflowed "
+                                             r"\(nu=2.0, H=0.3\)$"):
+            run()
 
 
 def test_nonfinite_heston_variance_names_the_path_without_an_overflow_cause():

@@ -1,6 +1,7 @@
 """Black-Scholes utilities, conditional estimator, smiles."""
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roughsim import pricing
+from roughsim import pricing, volterra
 from roughsim.kernels import Grid
 from roughsim.models import GammaBergomi, RoughBergomi, RoughHestonGJRS
 from roughsim.shocks import NoiseConfig, draw_shocks
@@ -324,6 +325,49 @@ def test_a_failing_smile_raises_alike_in_every_chunking(monkeypatch, xi0, nu,
         with pytest.raises(ValueError) as err, np.errstate(over="ignore"):
             smile(model, cfg, [1.0])
         assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("payoff", ["call", "put"])
+def test_the_plain_estimator_names_a_non_positive_stock(monkeypatch, payoff):
+    # finite variances whose log-stock sends e^{X(T)} below the smallest
+    # double: the plain estimator names the path, as the conditional one
+    # does, where it would price every payoff at its zero-stock value
+    model = _rbergomi(xi0=1000.0, nu=0.5)
+    cfg = _config(paths=64, n=8, antithetic=True, seed=0,
+                  variance_reduction="none")
+    for chunk_elements in (pricing._CHUNK_ELEMENTS, 16 * 8, 5 * 8):
+        monkeypatch.setattr(pricing, "_CHUNK_ELEMENTS", chunk_elements)
+        with pytest.raises(pricing.NonPositiveStock) as err:
+            smile(model, cfg, [1.0], payoff=payoff)
+        assert str(err.value).startswith("simulated stocks are not positive: "
+                                         "path 11 is 0.0 (X(T) = -1377.")
+
+
+@pytest.mark.parametrize("model,scheme,n", [
+    (_rbergomi(hurst=0.1), "rdonsker_matched", 256),
+    (_rbergomi(hurst=0.1), "hybrid", 256),
+    (RoughHestonGJRS(eta=0.04, kappa=1.0, theta=0.04, vol_of_vol=0.1, y0=0.04,
+                     hurst=0.1, rho=-0.7), "rdonsker_left", 2048),
+], ids=["matched", "hybrid", "rough-heston-left"])
+def test_a_smile_chunk_holds_about_three_path_arrays(model, scheme, n):
+    # numpy reports its allocations to tracemalloc. A chunk's shocks, its
+    # scheme paths (into which the variance is mapped and sqrt(V) taken)
+    # and the scheme's own output or Euler levels (convolved in place) are
+    # about three arrays of the chunk; the previous chunk's are freed
+    # before the next draws. The FFT's row blocks come on top.
+    paths = 2 * pricing._CHUNK_ELEMENTS // n  # two chunks
+    cfg = _config(paths=paths, n=n, scheme=scheme, antithetic=True, seed=7)
+    layout = pricing.chunk_layout(paths, n, 4)
+    assert layout["chunks"] == 2
+    chunk_array = 8 * layout["chunk_rows"] * (n + 1)
+    tracemalloc.start()
+    try:
+        result = smile(model, cfg, np.linspace(0.8, 1.2, 9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(result.implied_vols))
+    assert peak <= 3.5 * chunk_array + 6 * volterra._FFT_BLOCK_BYTES
 
 
 def _recorded_chunks(monkeypatch):

@@ -103,3 +103,26 @@ def test_outputs_hold_the_variance_stage_counts_and_refusals():
     assert messages[0] == messages[1]
     assert messages[0].startswith("rdonsker_matched variance paths are not "
                                   "finite: path 31, time index 4 is inf")
+
+
+def test_chunked_smile_outputs_run_in_16_row_chunks(monkeypatch):
+    import roughsim as rs
+    from roughsim import pricing
+
+    outputs = dict(seeded_hashes._outputs(rs))
+    names = [name for name in outputs if name.endswith("/rows16")
+             and name != "smile/overflow/rows16"]
+    assert len(names) == 3 * 3 * 2  # model x scheme x estimator
+    default, draws = pricing._CHUNK_ELEMENTS, []
+    draw = pricing.draw_shocks
+    monkeypatch.setattr(pricing, "draw_shocks", lambda noise, base_range: (
+        draws.append(base_range) or draw(noise, base_range=base_range)))
+    chunked = outputs["smile/rbergomi/rdonsker_matched/conditional_bs/"
+                      "antithetic/rows16"]()
+    # a call and a put smile, each in four chunks of 4 base paths
+    assert draws == [(0, 4), (4, 8), (8, 12), (12, 16)] * 2
+    assert pricing._CHUNK_ELEMENTS == default
+    model = rs.model_from_config(seeded_hashes.MODEL_CONFIGS["rbergomi"])
+    whole = np.stack(seeded_hashes._smile(rs, model, dict(
+        num_paths=64, grid=rs.Grid(n=8, T=1.0), antithetic=True, seed=23)))
+    assert chunked.tobytes() == whole.tobytes()

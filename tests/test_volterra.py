@@ -20,6 +20,7 @@ from roughsim.shocks import (
     path_rng,
 )
 from roughsim.volterra import (
+    CONV_METHODS,
     _covariance_entry,
     _covariance_quadrature,
     DiffusionSpec,
@@ -270,6 +271,60 @@ def test_blocked_fft_is_the_whole_batch_fft_and_matches_naive(n, rows, block,
     assert naive.tobytes() == convolve_gfo(weights, dy, grid,
                                            method="naive").values.tobytes()
     assert np.abs(got - naive).max() < 1e-9  # criterion 2's tolerance
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 40), n=st.integers(1, 300),
+       block_bytes=st.integers(1, 1 << 16), seed=st.integers(0, 2 ** 32 - 1),
+       method=st.sampled_from(CONV_METHODS), scaled=st.booleans())
+@example(m=1, n=1, block_bytes=1, seed=0, method="fft", scaled=False)
+@example(m=37, n=256, block_bytes=8 * 512 * 8, seed=1, method="fft",
+         scaled=True)  # 8-row blocks and a short last one
+def test_levels_convolved_in_place_are_the_convolution_of_their_diff(
+        m, n, block_bytes, seed, method, scaled):
+    rng = np.random.default_rng(seed)
+    weights = rng.standard_normal(n)
+    levels = np.cumsum(rng.standard_normal((m, n + 1)), axis=1)
+    grid = Grid(n=n, T=1.0)
+    scale = np.sqrt(grid.dt) if scaled else None
+    saved = volterra._FFT_BLOCK_BYTES
+    volterra._FFT_BLOCK_BYTES = block_bytes
+    try:
+        expected = convolve_gfo(weights, np.diff(levels, axis=1), grid,
+                                method=method, scale=scale).values
+        got = convolve_gfo(weights, levels, grid, method=method, scale=scale,
+                           levels=True).values
+    finally:
+        volterra._FFT_BLOCK_BYTES = saved
+    assert got is levels  # written over the levels
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_a_diffusion_driven_volterra_path_is_its_euler_array():
+    # the Euler levels are differenced and convolved in place: the scheme
+    # returns the array the Euler stage filled, bitwise the convolution of
+    # its increments
+    grid = Grid(n=64, T=1.0)
+    zeta = _gauss(40, 64, seed=3).zeta
+    kernel = riemann_liouville(hurst=0.2)
+    filled = []
+    euler = volterra.euler_diffusion
+
+    def recording(*args):
+        out = euler(*args)
+        filled.append(out.values)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(volterra, "euler_diffusion", recording)
+        got = rdonsker_volterra(kernel, _cir_spec(), zeta, grid,
+                                eval_mode="left_point")
+    assert got.values is filled[0]
+    increments = np.diff(euler_diffusion(_cir_spec(), zeta, grid).values,
+                         axis=1)
+    weights = volterra.left_point_weights(kernel, grid)
+    assert got.values.tobytes() == convolve_gfo(weights, increments,
+                                                grid).values.tobytes()
 
 
 def test_fft_at_the_default_block_size_is_the_whole_batch_fft():

@@ -13,6 +13,7 @@ out-of-the-money put among them) and `implied_vol` of some of those
 calls; `squared_integral_profile` for a Riemann-Liouville, a gamma and a
 power-law kernel; `smile` prices, standard errors and implied vols for
 every scheme, model type, estimator and antithetic setting;
+the same smiles of 64 antithetic paths priced in 16-row chunks;
 `simulate_logstock`; the tree levels, `replay_leaf`, American and
 European prices and `exercise_counts`, European-only prices on fresh
 trees and a clamping rough-Heston tree's clamp and clip counts;
@@ -133,6 +134,16 @@ def _outputs(rs):
                         "antithetic" if antithetic else "plain")
                     yield name, lambda build=build, config=config: np.stack(
                         _smile(rs, build(), config))
+        # 64 antithetic paths priced in four chunks of 16 rows
+        for scheme in pricing.SCHEMES:
+            for reduction in pricing.VARIANCE_REDUCTIONS:
+                config = dict(num_paths=64, grid=grid, scheme=scheme,
+                              variance_reduction=reduction, antithetic=True,
+                              seed=23)
+                yield (f"smile/{kind}/{scheme}/{reduction}/antithetic/rows16",
+                       lambda build=build, config=config: _in_chunks(
+                           pricing, 16 * grid.n,
+                           lambda: np.stack(_smile(rs, build(), config))))
         yield (f"simulate_logstock/{kind}",
                lambda build=build: rs.simulate_logstock(
                    build(), rs.MCConfig(num_paths=8, grid=grid, seed=5,
@@ -197,11 +208,18 @@ def _overflowing_smile(rs, pricing, chunk_elements):
     model = rs.RoughBergomi(xi0=np.finfo(float).max / np.exp(3.0), nu=1.0,
                             hurst=0.3, rho=-0.7)
     config = rs.MCConfig(num_paths=64, grid=rs.Grid(n=8, T=1.0), seed=0)
+    with np.errstate(over="ignore"):
+        return _in_chunks(pricing, chunk_elements,
+                          lambda: rs.smile(model, config, [1.0]).prices)
+
+
+def _in_chunks(pricing, chunk_elements, thunk):
+    """`thunk()` with `pricing` chunking by `chunk_elements` path-steps
+    (None: the default)."""
     saved = pricing._CHUNK_ELEMENTS
     pricing._CHUNK_ELEMENTS = chunk_elements or saved
     try:
-        with np.errstate(over="ignore"):
-            return rs.smile(model, config, [1.0]).prices
+        return thunk()
     finally:
         pricing._CHUNK_ELEMENTS = saved
 
