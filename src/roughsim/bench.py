@@ -19,32 +19,34 @@ from statistics import median
 
 import numpy as np
 
-from .kernels import Grid, riemann_liouville
+from .kernels import Grid, optimal_eval_weights, riemann_liouville
 from .models import RoughBergomi
 from .pricing import MCConfig, _estimate, _variance_chunk, chunk_layout
 from .shocks import NoiseConfig, draw_shocks
 from .validation import sample_paths
-from .volterra import PathSet
+from .volterra import PathSet, convolve_gfo
 
 BENCH_SCHEMES = ("rdonsker-fft", "rdonsker-naive", "hybrid", "markovian-euler")
 BENCH_GRID = (256, 1024, 4096, 8192)
-_SAMPLERS = {"rdonsker-fft": ("rdonsker_matched", "fft"),
-             "rdonsker-naive": ("rdonsker_matched", "naive"),
-             "hybrid": ("hybrid", "fft")}
+_SAMPLERS = {"rdonsker-fft": "rdonsker_matched", "hybrid": "hybrid"}
 
 
 def _generate_once(scheme: str, hurst: float, grid: Grid, paths: int,
                    seed: int) -> np.ndarray:
     """One timed unit: draw shocks, then run the scheme transform."""
-    if scheme == "markovian-euler":
-        zeta = draw_shocks(NoiseConfig(paths=paths, steps=grid.n, rho=0.0,
-                                       seed=seed)).zeta
-        return np.cumsum(np.sqrt(grid.dt) * zeta, axis=1)
-    if scheme not in _SAMPLERS:
+    if scheme in _SAMPLERS:
+        return sample_paths(_SAMPLERS[scheme], riemann_liouville(hurst=hurst),
+                            grid, paths, seed).values
+    if scheme not in BENCH_SCHEMES:
         raise ValueError(f"unknown benchmark scheme {scheme!r}")
-    sampler, method = _SAMPLERS[scheme]
-    return sample_paths(sampler, riemann_liouville(hurst=hurst), grid, paths,
-                        seed, method).values
+    zeta = draw_shocks(NoiseConfig(paths=paths, steps=grid.n, rho=0.0,
+                                   seed=seed)).zeta
+    if scheme == "markovian-euler":
+        return np.cumsum(np.sqrt(grid.dt) * zeta, axis=1)
+    # rdonsker-naive: the rdonsker-fft row's paths by the naive oracle
+    weights = optimal_eval_weights(riemann_liouville(hurst=hurst), grid)
+    return convolve_gfo(weights, zeta, grid, method="naive",
+                        scale=np.sqrt(grid.dt)).values
 
 
 def time_path_generation(scheme: str, steps: int, *, paths: int = 256,

@@ -48,7 +48,7 @@ from .trees import (
     put_payoff,
     tree_price_american,
 )
-from .volterra import CONV_METHODS, save_binary, save_csv
+from .volterra import save_binary, save_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -167,7 +167,7 @@ def cmd_simulate(config: dict, args) -> dict:
         check_seed(mc["seed"])
         out_dir = _output_dir(args)
         paths = validation.sample_paths(mc["scheme"], kernel, grid,
-                                        mc["paths"], mc["seed"], mc["method"])
+                                        mc["paths"], mc["seed"])
 
     csv = output["format"] == "csv"
     data_path = out_dir / (output["prefix"] + (".csv" if csv else ".bin"))
@@ -188,7 +188,7 @@ def _model_and_mc(config: dict):
         return model_from_config(config["model"]), MCConfig(
             num_paths=mc["paths"], grid=Grid(mc["steps"], float(mc["horizon"])),
             scheme=mc["scheme"], variance_reduction=mc["variance_reduction"],
-            antithetic=mc["antithetic"], seed=mc["seed"], method=mc["method"])
+            antithetic=mc["antithetic"], seed=mc["seed"])
 
 
 def cmd_smile(config: dict, args) -> dict:
@@ -339,8 +339,7 @@ _MODEL = (
 
 def _mc(schemes) -> tuple:
     return (*(Opt("mc", key, int) for key in ("paths", "steps", "seed")),
-            Opt("mc", "horizon"), Opt("mc", "scheme", str, schemes),
-            Opt("mc", "method", str, CONV_METHODS))
+            Opt("mc", "horizon"), Opt("mc", "scheme", str, schemes))
 
 
 _PRICING = (*_MODEL, *_mc(SCHEMES), Opt("mc", "antithetic", bool),
@@ -364,7 +363,7 @@ _COMMANDS = {
     "american": ("bushy-tree American pricing", cmd_american, (
         *_MODEL, Opt("tree", "depth", int),
         *(Opt("tree", key) for key in ("rate", "dividend", "horizon")),
-        Opt("tree", "branching", int), Opt("tree", "weights", str, WEIGHTS),
+        Opt("tree", "weights", str, WEIGHTS),
         Opt(None, "strike"), _PAYOFF,
         Opt(None, "dump_tree", (str, bool), const=_TREE_DUMP,
             help="level-ordered node CSV (depth<=6)"),
@@ -531,6 +530,7 @@ def main(argv=None) -> int:
     try:
         if args.threads is not None:
             set_threads(args.threads)
+        get_threads()  # reads and checks ROUGHSIM_THREADS if no --threads
         config = _assemble_config(args)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

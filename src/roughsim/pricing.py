@@ -57,7 +57,6 @@ from roughsim.kernels import Grid
 from roughsim.models import phi_apply
 from roughsim.shocks import NoiseConfig, base_group, check_seed, draw_shocks
 from roughsim.volterra import (
-    CONV_METHODS,
     NonFinitePath,
     PathSet,
     _mirrored,
@@ -87,7 +86,6 @@ class MCConfig:
     variance_reduction: str = "conditional_bs"
     antithetic: bool = True
     seed: int = 0
-    method: str = "fft"
 
     def __post_init__(self):
         if self.num_paths < 1:
@@ -97,8 +95,6 @@ class MCConfig:
         if self.variance_reduction not in VARIANCE_REDUCTIONS:
             raise ValueError(
                 f"unknown variance_reduction {self.variance_reduction!r}")
-        if self.method not in CONV_METHODS:
-            raise ValueError(f"unknown convolution method {self.method!r}")
         check_seed(self.seed)
 
 
@@ -239,15 +235,14 @@ def implied_vol(price: float, forward: float, strike: float,
 # ----------------------------------------------------------------------
 
 def scheme_paths(kernel, driver, shocks: np.ndarray, grid: Grid, scheme: str,
-                 method: str = "fft", *, seed: int = 0,
-                 antithetic_group: int = 1, base_offset: int = 0) -> PathSet:
+                 *, seed: int = 0, antithetic_group: int = 1,
+                 base_offset: int = 0) -> PathSet:
     """Volterra paths G^alpha Y of one scheme from the driver's shocks.
 
-    `rdonsker_matched` / `rdonsker_left`: the rDonsker convolution by
-    `method`, with moment-matched / left-point weights. `hybrid`: the
-    kappa = 1 hybrid scheme (RL kernel, Brownian driver), whose auxiliary
-    normals come from `seed`'s streams and whose history sum runs by
-    `method`, see `hybrid_scheme_rl`.
+    `rdonsker_matched` / `rdonsker_left`: the rDonsker FFT convolution,
+    with moment-matched / left-point weights. `hybrid`: the kappa = 1
+    hybrid scheme (RL kernel, Brownian driver), whose auxiliary normals
+    come from `seed`'s streams, see `hybrid_scheme_rl`.
 
     With a Brownian driver and `antithetic_group` 2 or 4, the last half
     of each group's rows must negate the first half; the scheme then runs
@@ -263,21 +258,19 @@ def scheme_paths(kernel, driver, shocks: np.ndarray, grid: Grid, scheme: str,
                              "kernel with a Brownian driver")
         return hybrid_scheme_rl(kernel.hurst, shocks, grid, seed=seed,
                                 antithetic_group=antithetic_group,
-                                base_offset=base_offset, method=method)
+                                base_offset=base_offset)
     mode = "moment_matched" if scheme == "rdonsker_matched" else "left_point"
     # an Euler-stepped driver is not odd in its shocks, so it is not mirrored
     group = antithetic_group if driver == "brownian" else 1
     return _mirrored(lambda rows: rdonsker_volterra(
-        kernel, driver, rows, grid, eval_mode=mode, method=method),
-        shocks, group)
+        kernel, driver, rows, grid, eval_mode=mode), shocks, group)
 
 
 def _variance_chunk(model, config: MCConfig, shocks, base_offset: int) -> PathSet:
     """Variance paths V = Phi(G^alpha Y) for one shock chunk, mapped in
     place into the scheme's own array."""
     vol = scheme_paths(model.kernel(), model.driver(), shocks.zeta,
-                       config.grid, config.scheme, config.method,
-                       seed=config.seed,
+                       config.grid, config.scheme, seed=config.seed,
                        antithetic_group=shocks.antithetic_group,
                        base_offset=base_offset)
     return phi_apply(model, vol, config.grid, out=vol.values)
@@ -402,15 +395,21 @@ def _mean_stderr(groups: np.ndarray) -> tuple:
 
 
 def _logstock_from_variance(v: np.ndarray, xi: np.ndarray, grid: Grid) -> np.ndarray:
-    """Euler log-stock: increments -V/2*dt + sqrt(V*dt)*xi, left-point V."""
+    """Euler log-stock: increments -V/2*dt + sqrt(V*dt)*xi, left-point V,
+    built and summed in the output's columns; the drift consumes `v`."""
     if np.any(v < 0.0):
         raise ValueError("negative variance entering the log-stock step")
     vleft = v[:, :-1]
     dt = grid.dt
-    inc = -0.5 * vleft * dt + np.sqrt(vleft * dt) * xi
-    x = np.empty((v.shape[0], grid.n + 1))
-    x[:, 0] = 0.0
-    np.cumsum(inc, axis=1, out=x[:, 1:])
+    x = np.zeros((v.shape[0], grid.n + 1))
+    inc = x[:, 1:]
+    np.multiply(vleft, dt, out=inc)
+    np.sqrt(inc, out=inc)
+    inc *= xi
+    vleft *= -0.5
+    vleft *= dt
+    inc += vleft
+    np.cumsum(inc, axis=1, out=inc)
     return x
 
 

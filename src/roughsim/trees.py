@@ -71,10 +71,9 @@ _TREE_BLOCK_NODES = 4 ** 7
 class TreeConfig:
     """Bushy-tree build description.
 
-    `branching` is derived from the model correlation (2 when |rho| = 1,
-    else 4) unless forced explicitly; `weights` defaults to the
-    moment-matched rule for Brownian drivers and to left-point kernel
-    evaluations for diffusion drivers (moment matching presumes
+    `branching` is derived: 2 when |rho| = 1, else 4. `weights` defaults
+    to the moment-matched rule for Brownian drivers and to left-point
+    kernel evaluations for diffusion drivers (moment matching presumes
     unit-variance iid increments). `max_in_memory_bytes` caps the level
     arrays held in RAM before spilling to scratch files.
     """
@@ -85,7 +84,6 @@ class TreeConfig:
     dividend: float = 0.0
     horizon: float = 1.0
     weights: str | None = None
-    branching: int | None = None
     max_in_memory_bytes: int = 1 << 29
 
     def __post_init__(self):
@@ -93,13 +91,6 @@ class TreeConfig:
             raise ValueError("depth must be >= 1")
         if self.horizon <= 0.0:
             raise ValueError("horizon must be positive")
-        derived = 2 if abs(self.model.rho) == 1.0 else 4
-        if self.branching is None:
-            object.__setattr__(self, "branching", derived)
-        elif self.branching not in (2, 4):
-            raise ValueError("branching must be 2 or 4")
-        elif self.branching == 2 and derived == 4:
-            raise ValueError("branching 2 requires |rho| = 1")
         if self.depth > _MAX_DEPTH[self.branching]:
             raise ValueError(
                 f"depth {self.depth} exceeds the {self.branching}-branch "
@@ -115,6 +106,10 @@ class TreeConfig:
             raise ValueError(f"unknown weights rule {self.weights!r}")
         elif self.weights == "moment_matched" and is_diffusion:
             raise ValueError("moment_matched weights need a Brownian driver")
+
+    @property
+    def branching(self) -> int:
+        return 2 if abs(self.model.rho) == 1.0 else 4
 
     @property
     def grid(self) -> Grid:

@@ -121,8 +121,8 @@ def check_fft_naive(seed: int = 0) -> list:
         detail="max abs gap, n in 1..64 exhaustive plus 1024 x3")]
 
 
-def sample_paths(sampler: str, kernel, grid: Grid, paths: int, seed: int,
-                 method: str = "fft") -> PathSet:
+def sample_paths(sampler: str, kernel, grid: Grid, paths: int,
+                 seed: int) -> PathSet:
     """Standalone paths of G^alpha W, Brownian-driven, seeded by `seed`.
 
     `cholesky` samples the exact law (Riemann-Liouville kernel only);
@@ -136,8 +136,7 @@ def sample_paths(sampler: str, kernel, grid: Grid, paths: int, seed: int,
         return cholesky_exact_rl(kernel, grid, paths, seed)
     zeta = draw_shocks(NoiseConfig(paths=paths, steps=grid.n, rho=0.0,
                                    seed=seed)).zeta
-    out = scheme_paths(kernel, "brownian", zeta, grid, sampler, method,
-                       seed=seed)
+    out = scheme_paths(kernel, "brownian", zeta, grid, sampler, seed=seed)
     out.seed = seed
     return out
 

@@ -352,8 +352,7 @@ def convolve_gfo(weights: np.ndarray, increments: np.ndarray, grid: Grid,
 
 
 def rdonsker_volterra(kernel: KernelSpec, driver, shocks: np.ndarray, grid: Grid,
-                      eval_mode: str = "moment_matched",
-                      method: str = "fft") -> PathSet:
+                      eval_mode: str = "moment_matched") -> PathSet:
     """G^alpha Y paths by the rDonsker weight convolution.
 
     Parameters
@@ -389,8 +388,7 @@ def rdonsker_volterra(kernel: KernelSpec, driver, shocks: np.ndarray, grid: Grid
     else:
         weights = left_point_weights(kernel, grid)
         tag = "rdonsker_left"
-    out = convolve_gfo(weights, increments, grid, method=method, scale=scale,
-                       levels=levels)
+    out = convolve_gfo(weights, increments, grid, scale=scale, levels=levels)
     stats["scheme_rows"] = shocks.shape[0]
     return PathSet(values=out.values, grid=grid, scheme_tag=tag, stats=stats,
                    checked=True)
@@ -423,7 +421,7 @@ def _hybrid_history_weights(alpha: float, grid: Grid) -> np.ndarray:
 
 def hybrid_scheme_rl(hurst: float, shocks_base: np.ndarray, grid: Grid,
                      seed: int, antithetic_group: int = 1,
-                     base_offset: int = 0, method: str = "fft") -> PathSet:
+                     base_offset: int = 0) -> PathSet:
     """Hybrid-scheme paths of G^alpha W for the RL kernel, kappa = 1.
 
     The nearest interval integrates the kernel exactly: the pair
@@ -443,8 +441,7 @@ def hybrid_scheme_rl(hurst: float, shocks_base: np.ndarray, grid: Grid,
     paths are mirrored exactly as the rows are: the scheme runs on the
     first g/2 rows of each group and their negation fills the others.
     `base_offset` likewise shifts per-row streams when g = 1, letting
-    chunked calls reproduce a single full call. The history sum is a
-    `convolve_gfo` convolution by `method`.
+    chunked calls reproduce a single full call. The history sum is an FFT.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
@@ -455,12 +452,11 @@ def hybrid_scheme_rl(hurst: float, shocks_base: np.ndarray, grid: Grid,
     share = max(antithetic_group // 2, 1)
     return _mirrored(
         partial(_hybrid_rows, hurst - 0.5, grid=grid, seed=seed, share=share,
-                base_offset=base_offset, method=method),
-        shocks_base, antithetic_group)
+                base_offset=base_offset), shocks_base, antithetic_group)
 
 
 def _hybrid_rows(alpha: float, shocks: np.ndarray, *, grid: Grid, seed: int,
-                 share: int, base_offset: int, method: str) -> PathSet:
+                 share: int, base_offset: int) -> PathSet:
     """The hybrid scheme on rows whose consecutive runs of `share` rows
     share one auxiliary normal row, drawn from stream `base_offset` + run."""
     m, n = shocks.shape
@@ -480,8 +476,7 @@ def _hybrid_rows(alpha: float, shocks: np.ndarray, *, grid: Grid, seed: int,
         del eta  # not held while the convolution's output is built
     weights = _hybrid_history_weights(alpha, grid)
     # the history sum of the increments xi, scaled block by block inside
-    out = convolve_gfo(weights, shocks, grid, method=method,
-                       scale=np.sqrt(dt)).values
+    out = convolve_gfo(weights, shocks, grid, scale=np.sqrt(dt)).values
     out[:, 1:] += exact
     return PathSet(values=out, grid=grid, scheme_tag="hybrid", seed=seed,
                    stats={"scheme_rows": m})

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 import roughsim
 from roughsim import cli, pricing
 from roughsim.cli import main
+from roughsim.pricing import MCConfig
+from roughsim.trees import TreeConfig
 from roughsim.volterra import load_binary
 
 _COV_SEEDS = {"rdonsker_matched": 36, "hybrid": 4, "cholesky": 5}
@@ -54,17 +57,6 @@ def test_simulate_rerun_byte_identical(tmp_path, capsys):
     assert main(argv + ["--prefix", "b"]) == 0
     capsys.readouterr()
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
-
-
-def test_simulate_naive_fft_agree(tmp_path, capsys):
-    base = ["simulate", "--paths", "20", "--steps", "64", "--seed", "1",
-            "--format", "binary", "--output-dir", str(tmp_path)]
-    assert main(base + ["--method", "fft", "--prefix", "fft"]) == 0
-    assert main(base + ["--method", "naive", "--prefix", "naive"]) == 0
-    capsys.readouterr()
-    fft = load_binary(tmp_path / "fft.bin").values
-    naive = load_binary(tmp_path / "naive.bin").values
-    assert np.max(np.abs(fft - naive)) < 1e-10
 
 
 @pytest.mark.parametrize("scheme", ["rdonsker_left", "hybrid", "cholesky"])
@@ -439,6 +431,21 @@ def test_module_entry_point_and_env_threads(tmp_path):
     assert json.loads(proc.stdout)["threads"] == 3
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_a_bad_env_thread_count_is_config_error(value):
+    # checked by --threads's rule when first read, not at import
+    package_root = os.path.dirname(os.path.dirname(roughsim.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "roughsim.cli", "price", "--paths", "2",
+         "--steps", "2"],
+        capture_output=True, text=True, env={"PATH": "/usr/bin:/bin",
+                                             "PYTHONPATH": package_root,
+                                             "ROUGHSIM_THREADS": value})
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ("config error: ROUGHSIM_THREADS must be an "
+                           f"integer >= 1, got {value!r}\n")
+
+
 # ----------------------------------------------------------------------
 # config values are checked by type and choice
 # ----------------------------------------------------------------------
@@ -506,6 +513,27 @@ def test_config_choices_match_the_flags(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_the_mc_and_tree_rows_hold_one_key_per_config_field():
+    # the rows are written by hand next to the dataclasses; MCConfig's
+    # num_paths is the rows' paths and its grid their steps and horizon
+    def keys(command, section):
+        return sorted(opt.key for opt in cli._COMMANDS[command][2]
+                      if opt.section == section)
+
+    renamed = {"num_paths": ["paths"], "grid": ["steps", "horizon"]}
+    mc = sorted(key for f in fields(MCConfig)
+                for key in renamed.get(f.name, [f.name]))
+    assert keys("smile", "mc") == keys("price", "mc") == mc
+    simulate = keys("simulate", "mc")  # no estimator: no antithetics
+    assert len(set(simulate)) == len(simulate) and set(simulate) < set(mc)
+    tree = sorted(f.name for f in fields(TreeConfig) if f.name != "model")
+    assert keys("american", "tree") == tree
+    for argv in (["smile", "--method", "fft"],
+                 ["american", "--branching", "4"]):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv)
+
+
 def test_simulate_kernel_rejects_foreign_keys(tmp_path, capsys):
     code, _, err = _run(capsys, [
         "simulate", "--kernel", "gamma", "--alpha", "-0.2", "--beta", "-1",
@@ -537,7 +565,6 @@ _MODEL_FLAGS = {
 _MC_FLAGS = {
     **{f"--{k}": (f"mc.{k}", _INT) for k in ("paths", "steps", "seed")},
     "--horizon": ("mc.horizon", _NUM),
-    "--method": ("mc.method", _pick("fft", "naive")),
 }
 _PRICING_FLAGS = {
     **_MODEL_FLAGS, **_MC_FLAGS,
@@ -566,7 +593,7 @@ _FLAGS = {
     "price": {**_PRICING_FLAGS, **_PAYOFF_FLAG, "--strike": ("strike", _NUM)},
     "american": {
         **_MODEL_FLAGS, **_PAYOFF_FLAG,
-        **{f"--{k}": (f"tree.{k}", _INT) for k in ("depth", "branching")},
+        "--depth": ("tree.depth", _INT),
         **{f"--{k}": (f"tree.{k}", _NUM) for k in ("rate", "dividend",
                                                    "horizon")},
         "--weights": ("tree.weights", _pick("moment_matched", "left_point")),

@@ -154,8 +154,6 @@ def test_mcconfig_validation():
         MCConfig(num_paths=8, grid=grid, scheme="euler")
     with pytest.raises(ValueError):
         MCConfig(num_paths=8, grid=grid, variance_reduction="cv")
-    with pytest.raises(ValueError):
-        MCConfig(num_paths=8, grid=grid, method="dft")
     for seed in (2.5, -1, 2 ** 64, "0"):
         with pytest.raises(ValueError, match="seed"):
             MCConfig(num_paths=8, grid=grid, seed=seed)
@@ -368,6 +366,29 @@ def test_a_smile_chunk_holds_about_three_path_arrays(model, scheme, n):
         tracemalloc.stop()
     assert np.all(np.isfinite(result.implied_vols))
     assert peak <= 3.5 * chunk_array + 6 * volterra._FFT_BLOCK_BYTES
+
+
+@pytest.mark.parametrize("estimate", ["plain_smile", "martingale"])
+def test_a_log_stock_chunk_holds_about_four_path_arrays(estimate):
+    # the plain estimator and martingale_statistic hold a chunk's shocks
+    # zeta and xi, its variance (which takes the drift) and its log-stock,
+    # in whose columns the increments are built and summed
+    n = 256
+    paths = 2 * pricing._CHUNK_ELEMENTS // n  # two chunks
+    cfg = _config(paths=paths, n=n, variance_reduction="none",
+                  antithetic=True, seed=7)
+    chunk_array = 8 * pricing.chunk_layout(paths, n, 4)["chunk_rows"] * (n + 1)
+    model = _rbergomi(hurst=0.1)
+    tracemalloc.start()
+    try:
+        if estimate == "plain_smile":
+            smile(model, cfg, np.linspace(0.8, 1.2, 9))
+        else:
+            martingale_statistic(model, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.25 * chunk_array
 
 
 def _recorded_chunks(monkeypatch):

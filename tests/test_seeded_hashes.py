@@ -74,7 +74,7 @@ def test_outputs_name_the_closed_form_quantities():
     outputs = dict(seeded_hashes._outputs(rs))
     added = ("bs/call", "bs/put", "implied_vol",
              "squared_integral_profile/rl", "squared_integral_profile/gamma",
-             "squared_integral_profile/powerlaw", "sample_paths/hybrid/naive")
+             "squared_integral_profile/powerlaw", "convolve_gfo/naive")
     for name in added:
         value = outputs[name]()
         assert isinstance(value, np.ndarray) and value.size > 0

@@ -54,14 +54,14 @@ def test_depth_guards():
 
 
 def test_branching_override_rules():
-    # a |rho| = 1 model may be forced onto the 4-branch layout, but a
-    # correlated model cannot drop the orthogonal shock
-    assert TreeConfig(model=_rbergomi(rho=-1.0), depth=3,
-                      branching=4).branching == 4
-    with pytest.raises(ValueError):
-        TreeConfig(model=_rbergomi(rho=-0.7), depth=3, branching=2)
-    with pytest.raises(ValueError):
-        TreeConfig(model=_rbergomi(), depth=3, branching=3)
+    # the branching is the correlation's, never set: a 4-branch tree of a
+    # |rho| = 1 model only duplicates the binary tree's children
+    with pytest.raises(TypeError, match="branching"):
+        TreeConfig(model=_rbergomi(rho=-1.0), depth=3, branching=4)
+    config = TreeConfig(model=_rbergomi(rho=-1.0), depth=3)
+    with pytest.raises(AttributeError):
+        config.branching = 4
+    assert config.branching == 2
 
 
 def test_weights_rule_derivation():
@@ -275,20 +275,6 @@ def test_american_put_dominates_european():
     assert tree.exercise_counts is not None
 
 
-def test_four_branch_collapse_matches_two_branch():
-    model = _rbergomi(rho=-1.0)
-    tree2 = build_tree(TreeConfig(model=model, depth=6, rate=0.05))
-    tree4 = build_tree(TreeConfig(model=model, depth=6, rate=0.05,
-                                  branching=4))
-    for payoff in (call_payoff(1.05), put_payoff(1.05)):
-        eu2 = tree_price_european(tree2, payoff)
-        eu4 = tree_price_european(tree4, payoff)
-        am2 = tree_price_american(tree2, payoff)
-        am4 = tree_price_american(tree4, payoff)
-        assert abs(eu2 - eu4) < 1e-14
-        assert abs(am2 - am4) < 1e-14
-
-
 def test_memmap_spill_reproduces_in_memory_tree():
     config_ram = TreeConfig(model=_rbergomi(), depth=5, rate=0.05)
     config_disk = TreeConfig(model=_rbergomi(), depth=5, rate=0.05,
@@ -434,8 +420,7 @@ def _small_tree_configs(draw):
                          hurst=draw(st.floats(0.05, 0.45)), rho=rho)
     return TreeConfig(model=model, depth=draw(st.integers(1, 6)),
                       rate=draw(st.floats(-0.05, 0.1)),
-                      dividend=draw(st.floats(0.0, 0.08)),
-                      branching=branching)
+                      dividend=draw(st.floats(0.0, 0.08)))
 
 
 _STRIKE = st.floats(0.5, 2.0)
@@ -510,7 +495,6 @@ def _blocked_tree_configs(draw):
                       depth=draw(st.integers(1, 5 if branching == 4 else 8)),
                       rate=draw(st.floats(-0.05, 0.1)),
                       dividend=draw(st.floats(0.0, 0.08)),
-                      branching=branching,
                       max_in_memory_bytes=256 if spilled else 1 << 29)
 
 

@@ -539,22 +539,28 @@ def test_hybrid_terminal_variance():
 
 
 def test_hybrid_history_sum_runs_by_the_requested_method(monkeypatch):
+    # the history sum is the FFT convolution; run by the naive oracle
+    # instead, the paths agree to rounding
     grid = Grid(n=32, T=1.0)
     shocks = draw_shocks(NoiseConfig(paths=16, steps=32, rho=-0.7, seed=3,
                                      antithetic=True))
     kernel = riemann_liouville(hurst=0.1)
 
-    def paths(method):
+    def paths():
         return scheme_paths(kernel, "brownian", shocks.zeta, grid, "hybrid",
-                            method, seed=3,
+                            seed=3,
                             antithetic_group=shocks.antithetic_group).values
 
-    fft, naive = paths("fft"), paths("naive")
-    real = volterra.convolve_gfo
-    monkeypatch.setattr(volterra, "convolve_gfo", lambda *args, **kwargs:
-                        real(*args, **{**kwargs, "method": "naive"}))
-    np.testing.assert_array_equal(naive, paths("fft"))
-    np.testing.assert_allclose(naive, fft, rtol=0.0, atol=1e-12)
+    fft = paths()
+    real, methods = volterra.convolve_gfo, []
+
+    def naive(*args, method="fft", **kwargs):
+        methods.append(method)
+        return real(*args, method="naive", **kwargs)
+
+    monkeypatch.setattr(volterra, "convolve_gfo", naive)
+    np.testing.assert_allclose(paths(), fft, rtol=0.0, atol=1e-12)
+    assert methods == ["fft"]
 
 
 def test_hybrid_validation():
@@ -863,9 +869,13 @@ def test_mirrored_scheme_rows_are_the_row_by_row_paths(scheme, rho, hurst,
 
 
 @pytest.mark.parametrize("group", [2, 4])
-def test_a_mirrored_scheme_names_the_row_of_the_whole_set(group):
+def test_a_mirrored_scheme_names_the_row_of_the_whole_set(group, monkeypatch):
     # the hybrid runs on the + half of each group; its non-finite error
-    # names the row of the full set, as a run on every row does
+    # names the row of the full set, as a run on every row does. The naive
+    # history sum keeps the inf at its time index, where the FFT spreads it
+    real = volterra.convolve_gfo
+    monkeypatch.setattr(volterra, "convolve_gfo", lambda *args, **kwargs:
+                        real(*args, **{**kwargs, "method": "naive"}))
     grid = Grid(n=6, T=1.0)
     half = group // 2
     plus = np.random.default_rng(9).standard_normal((4, half, 6))
@@ -877,7 +887,7 @@ def test_a_mirrored_scheme_names_the_row_of_the_whole_set(group):
     for antithetic_group in (1, group):
         with pytest.raises(ValueError, match="paths are not finite") as err:
             hybrid_scheme_rl(0.3, zeta, grid, seed=5,
-                             antithetic_group=antithetic_group, method="naive")
+                             antithetic_group=antithetic_group)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert f"path {row}, time index 4 is" in messages[1]

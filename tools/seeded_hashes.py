@@ -6,13 +6,14 @@
 
 Each output is computed at a small size and printed as `<sha256>  <name>`:
 the shock matrices of `draw_shocks` in its three layouts, whole and in
-chunks; `validation.sample_paths` for every sampler, and the hybrid's
-with the naive convolution; `bs_call` and `bs_put` on a grid of
-forwards, strikes and total variances (zero variance and a deep
-out-of-the-money put among them) and `implied_vol` of some of those
-calls; `squared_integral_profile` for a Riemann-Liouville, a gamma and a
-power-law kernel; `smile` prices, standard errors and implied vols for
-every scheme, model type, estimator and antithetic setting;
+chunks; `validation.sample_paths` for every sampler, and the naive
+`convolve_gfo` oracle on the matched sampler's shocks and weights;
+`bs_call` and `bs_put` on a grid of forwards, strikes and total
+variances (zero variance and a deep out-of-the-money put among them) and
+`implied_vol` of some of those calls; `squared_integral_profile` for a
+Riemann-Liouville, a gamma and a power-law kernel; `smile` prices,
+standard errors and implied vols for every scheme, model type, estimator
+and antithetic setting;
 the same smiles of 64 antithetic paths priced in 16-row chunks;
 `simulate_logstock`; the tree levels, `replay_leaf`, American and
 European prices and `exercise_counts`, European-only prices on fresh
@@ -115,8 +116,10 @@ def _outputs(rs):
         yield (f"sample_paths/{sampler}",
                lambda sampler=sampler: validation.sample_paths(
                    sampler, kernel, grid, 8, 17).values)
-    yield "sample_paths/hybrid/naive", lambda: validation.sample_paths(
-        "hybrid", kernel, grid, 8, 17, method="naive").values
+    yield "convolve_gfo/naive", lambda: rs.convolve_gfo(
+        rs.optimal_eval_weights(kernel, grid),
+        rs.draw_shocks(noise(paths=8, steps=grid.n, rho=0.0, seed=17)).zeta,
+        grid, method="naive", scale=np.sqrt(grid.dt)).values
 
     models = {kind: lambda cfg=cfg: rs.model_from_config(cfg)
               for kind, cfg in MODEL_CONFIGS.items()}
@@ -153,8 +156,7 @@ def _outputs(rs):
         model = models[kind]()
         if branching == 2:
             model = dataclasses.replace(model, rho=-1.0)
-        return rs.build_tree(rs.TreeConfig(model=model, depth=4, rate=0.02,
-                                           branching=branching))
+        return rs.build_tree(rs.TreeConfig(model=model, depth=4, rate=0.02))
 
     tree = functools.lru_cache(maxsize=None)(fresh_tree)
 
