@@ -48,7 +48,7 @@ from .trees import (
     put_payoff,
     tree_price_american,
 )
-from .volterra import save_binary, save_csv
+from .volterra import NonFinitePath, save_binary, save_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -64,9 +64,12 @@ class ConfigError(Exception):
 
 @contextmanager
 def _config_errors():
-    """Raise a ValueError from the block as a ConfigError."""
+    """Raise a ValueError from the block as a ConfigError. A NonFinitePath,
+    a value that went bad during the run, passes as a runtime error."""
     try:
         yield
+    except NonFinitePath:
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -66,7 +66,7 @@ class ForwardVarianceCurve:
             raise ValueError("first curve knot must sit at t=0")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("curve knot times must be strictly increasing")
-        if any(v <= 0.0 for v in self.values):
+        if any(not v > 0.0 for v in self.values):
             raise ValueError("forward variance must be strictly positive")
 
     @classmethod
@@ -95,7 +95,7 @@ def as_curve(value) -> ForwardVarianceCurve:
 def _check_common(rho: float, spot: float, hurst: float) -> None:
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [-1, 1], got {rho}")
-    if spot <= 0.0:
+    if not spot > 0.0:
         raise ValueError(f"spot must be positive, got {spot}")
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
@@ -118,7 +118,7 @@ class RoughBergomi:
     def __post_init__(self):
         object.__setattr__(self, "xi0", as_curve(self.xi0))
         _check_common(self.rho, self.spot, self.hurst)
-        if self.nu < 0.0:
+        if not self.nu >= 0.0:
             raise ValueError(f"nu must be nonnegative, got {self.nu}")
 
     def kernel(self) -> KernelSpec:
@@ -142,9 +142,9 @@ class GammaBergomi:
     def __post_init__(self):
         object.__setattr__(self, "xi0", as_curve(self.xi0))
         _check_common(self.rho, self.spot, self.hurst)
-        if self.nu < 0.0:
+        if not self.nu >= 0.0:
             raise ValueError(f"nu must be nonnegative, got {self.nu}")
-        if self.beta_decay <= 0.0:
+        if not self.beta_decay > 0.0:
             raise ValueError(f"beta_decay must be positive, got {self.beta_decay}")
 
     def kernel(self) -> KernelSpec:
@@ -170,11 +170,11 @@ class RoughHestonGJRS:
     def __post_init__(self):
         _check_common(self.rho, self.spot, self.hurst)
         for name in ("eta", "kappa", "theta", "y0"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.vol_of_vol < 0.0:
+        if not self.vol_of_vol >= 0.0:
             raise ValueError("vol_of_vol must be nonnegative")
-        if 2.0 * self.kappa * self.theta <= self.vol_of_vol ** 2:
+        if not 2.0 * self.kappa * self.theta > self.vol_of_vol ** 2:
             raise ValueError(
                 "Feller condition 2*kappa*theta > vol_of_vol^2 violated: "
                 f"2*{self.kappa}*{self.theta} <= {self.vol_of_vol}**2"

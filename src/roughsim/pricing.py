@@ -531,8 +531,10 @@ def smile(model, config: MCConfig, strikes, payoff: str = "call") -> SmileResult
     strikes = np.asarray(strikes, dtype=float)
     if strikes.ndim != 1 or len(strikes) == 0:
         raise ValueError("strikes must be a nonempty 1-d array")
-    if np.any(strikes <= 0.0) or np.any(np.diff(strikes) <= 0.0):
-        raise ValueError("strikes must be positive and strictly increasing")
+    if not (np.all(np.isfinite(strikes)) and np.all(strikes > 0.0)
+            and np.all(np.diff(strikes) > 0.0)):
+        raise ValueError("strikes must be finite, positive and strictly "
+                         "increasing")
     start = time.perf_counter()
     prices, stderrs, stats, layout = _estimate(model, config, strikes, payoff,
                                                config.variance_reduction)

@@ -89,8 +89,11 @@ class TreeConfig:
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        if self.horizon <= 0.0:
+        if not self.horizon > 0.0:
             raise ValueError("horizon must be positive")
+        for name in ("rate", "dividend"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.depth > _MAX_DEPTH[self.branching]:
             raise ValueError(
                 f"depth {self.depth} exceeds the {self.branching}-branch "

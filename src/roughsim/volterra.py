@@ -2,9 +2,9 @@
 
 The rDonsker construction convolves per-lag kernel weights with driver
 increments; the FFT path zero-pads to a power of two >= 2n-1 so the
-circular convolution equals the linear one. A hybrid-scheme comparator
-(exact nearest-interval integral, optimal-point history weights) and an
-exact Cholesky sampler serve as benchmarks.
+circular convolution equals the linear one. The kappa=1 hybrid scheme is
+the same convolution with cell-mean weights plus a normal per cell (law
+dt*T*T' + c2^2*I); it and an exact Cholesky sampler serve as comparators.
 """
 
 from __future__ import annotations
@@ -398,25 +398,19 @@ def rdonsker_volterra(kernel: KernelSpec, driver, shocks: np.ndarray, grid: Grid
 # hybrid-scheme comparator (kappa = 1)
 # ----------------------------------------------------------------------
 
-def _hybrid_history_weights(alpha: float, grid: Grid) -> np.ndarray:
-    """Lag weights for the kappa=1 hybrid history sum.
+def _hybrid_weights(alpha: float, grid: Grid) -> np.ndarray:
+    """Lag weights of the kappa=1 hybrid: the mean of g(u) = u^alpha over
+    each lag cell [(k-1)dt, k*dt], k = 1..n,
+    m_k = dt^alpha * (k^(a+1) - (k-1)^(a+1)) / (a+1).
 
-    Lag 1 is handled by the exact integral, so the weight vector starts
-    at 0; lags m >= 2 evaluate g at the L2-optimal point of the lag
-    interval [(m-1)dt, m*dt]:
-    b*_m = dt * ((m^(a+1) - (m-1)^(a+1)) / (a+1))^(1/a).
+    For k >= 2 this is g at Bennedsen, Lunde and Pakkanen's optimal point
+    (g at the cell's far end instead biases the covariance by an order of
+    magnitude on coarse grids); m_1*dt is the covariance of the nearest
+    cell's exact integral with its increment.
     """
-    w = np.zeros(grid.n)
-    if grid.n == 1:
-        return w
-    m = np.arange(2, grid.n + 1, dtype=float)
-    if alpha == 0.0:
-        w[1:] = 1.0
-    else:
-        a1 = alpha + 1.0
-        bstar = grid.dt * ((m ** a1 - (m - 1.0) ** a1) / a1) ** (1.0 / alpha)
-        w[1:] = bstar ** alpha
-    return w
+    k = np.arange(1, grid.n + 1, dtype=float)
+    a1 = alpha + 1.0
+    return grid.dt ** alpha * (k ** a1 - (k - 1.0) ** a1) / a1
 
 
 def hybrid_scheme_rl(hurst: float, shocks_base: np.ndarray, grid: Grid,
@@ -424,14 +418,13 @@ def hybrid_scheme_rl(hurst: float, shocks_base: np.ndarray, grid: Grid,
                      base_offset: int = 0) -> PathSet:
     """Hybrid-scheme paths of G^alpha W for the RL kernel, kappa = 1.
 
-    The nearest interval integrates the kernel exactly: the pair
-    (xi_k, I_k) with xi_k the Brownian increment and
-    I_k = int_{t_{k-1}}^{t_k} (t_k - s)^alpha dW_s is jointly Gaussian
-    with Cov = dt^(a+1)/(a+1) and Var(I) = dt^(2a+1)/(2a+1), realised as
-    I = c1*xi + c2*eta with an auxiliary normal eta drawn from the
-    per-path stream (seed, row). Earlier lags use the optimal-point
-    weights: evaluating g at a lag interval's far endpoint instead
-    carries an order-of-magnitude covariance bias on coarse grids.
+    One causal convolution of the Brownian increments xi with the cell
+    means m_k of g (`_hybrid_weights`), lag 1 included, plus c2*eta per
+    cell, eta an auxiliary normal from the per-path stream (seed, row).
+    With c2^2 = dt^(2a+1)/(2a+1) - m_1^2*dt, m_1*xi + c2*eta has the
+    joint law with xi of the nearest cell's exact integral
+    int_{t_{k-1}}^{t_k} (t_k - s)^alpha dW_s. The paths' covariance is
+    dt*T*T' + c2^2*I, T the lower-triangular Toeplitz matrix of the m_k.
 
     With `antithetic_group` g > 1, rows arrive as contiguous groups of g
     sign variates per base path, the last g/2 rows of each negating the
@@ -441,7 +434,7 @@ def hybrid_scheme_rl(hurst: float, shocks_base: np.ndarray, grid: Grid,
     paths are mirrored exactly as the rows are: the scheme runs on the
     first g/2 rows of each group and their negation fills the others.
     `base_offset` likewise shifts per-row streams when g = 1, letting
-    chunked calls reproduce a single full call. The history sum is an FFT.
+    chunked calls reproduce a single full call. The convolution is an FFT.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
@@ -458,26 +451,20 @@ def hybrid_scheme_rl(hurst: float, shocks_base: np.ndarray, grid: Grid,
 def _hybrid_rows(alpha: float, shocks: np.ndarray, *, grid: Grid, seed: int,
                  share: int, base_offset: int) -> PathSet:
     """The hybrid scheme on rows whose consecutive runs of `share` rows
-    share one auxiliary normal row, drawn from stream `base_offset` + run."""
+    share one auxiliary normal row, drawn from stream `base_offset` + run:
+    one convolution, then c2*eta added in place."""
     m, n = shocks.shape
     dt = grid.dt
-    c1 = dt ** alpha / (alpha + 1.0)
+    weights = _hybrid_weights(alpha, grid)
+    # the increments are scaled block by block inside the convolution
+    out = convolve_gfo(weights, shocks, grid, scale=np.sqrt(dt)).values
     var_i = dt ** (2 * alpha + 1.0) / (2 * alpha + 1.0)
-    c2 = np.sqrt(max(var_i - c1 * c1 * dt, 0.0))
-    # the nearest cell's integral c1*xi + c2*eta, xi = sqrt(dt) * shocks
-    exact = np.multiply(np.sqrt(dt), shocks)
-    exact *= c1
+    c2 = np.sqrt(max(var_i - weights[0] * weights[0] * dt, 0.0))
     if c2 > 0.0:  # at alpha = 0 the integral is the increment itself
         eta = path_normals(seed, base_offset, base_offset + m // share, (n,),
                            STREAM_HYBRID_AUX)
         eta *= c2
-        runs = exact.reshape(m // share, share, n)
-        runs += eta[:, None, :]
-        del eta  # not held while the convolution's output is built
-    weights = _hybrid_history_weights(alpha, grid)
-    # the history sum of the increments xi, scaled block by block inside
-    out = convolve_gfo(weights, shocks, grid, scale=np.sqrt(dt)).values
-    out[:, 1:] += exact
+        out.reshape(m // share, share, n + 1)[:, :, 1:] += eta[:, None, :]
     return PathSet(values=out, grid=grid, scheme_tag="hybrid", seed=seed,
                    stats={"scheme_rows": m})
 

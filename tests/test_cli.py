@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roughsim
-from roughsim import cli, pricing
+from roughsim import _config, cli, pricing
 from roughsim.cli import main
 from roughsim.pricing import MCConfig
 from roughsim.trees import TreeConfig
@@ -164,13 +164,29 @@ def test_flag_value_of_double_dash_is_kept():
         == "tree.csv"
 
 
-def test_bad_model_parameters_are_config_errors(capsys):
+def test_bad_model_parameters_are_config_errors(capsys, monkeypatch):
     # Feller violation
     code, _, err = _run(capsys, [
         "price", "--model", "rheston_gjrs", "--eta", "0.04", "--kappa", "0.1",
         "--theta", "0.04", "--xi", "1.0", "--y0", "0.04", "--hurst", "0.3",
         "--rho", "-0.5", "--paths", "64", "--steps", "8"])
     assert code == 1 and "Feller" in err
+    # a NaN parameter is refused by name before any path is drawn
+    monkeypatch.setattr(pricing, "draw_shocks", None)
+    code, _, err = _run(capsys, [
+        "smile", "--model", "rbergomi", "--xi0", "0.04", "--nu", "nan",
+        "--hurst", "0.3", "--rho", "-0.7", "--paths", "64", "--steps", "8"])
+    assert code == 1 and err.startswith("config error: nu must be"), err
+
+
+def test_a_numerical_failure_is_a_runtime_error(capsys):
+    # the parameters are valid; the run underflows every forward
+    code, _, err = _run(capsys, [
+        "price", "--model", "rbergomi", "--xi0", "1e300", "--nu", "1.0",
+        "--hurst", "0.3", "--rho", "-0.7", "--paths", "64", "--steps", "8"])
+    assert code == 2
+    assert err.startswith("runtime error: conditional forwards are not "
+                          "positive: path 0"), err
 
 
 # ----------------------------------------------------------------------
@@ -408,7 +424,9 @@ def test_bench_report(capsys):
 # threads and entry point
 # ----------------------------------------------------------------------
 
-def test_threads_flag_reflected_in_metadata(tmp_path, capsys):
+def test_threads_flag_reflected_in_metadata(tmp_path, capsys, monkeypatch):
+    # the worker count is process-wide: restored for the tests after this
+    monkeypatch.setattr(_config, "_threads", None)
     code, out, _ = _run(capsys, [
         "--threads", "2", "simulate", "--paths", "2", "--steps", "4",
         "--output-dir", str(tmp_path)])

@@ -26,7 +26,9 @@ from roughsim.models import (
     phi_apply,
     squared_integral_profile,
 )
+from roughsim.pricing import MCConfig, smile
 from roughsim.shocks import NoiseConfig, draw_shocks
+from roughsim.trees import TreeConfig
 from roughsim.volterra import PathSet, cholesky_exact_rl, rdonsker_volterra
 
 
@@ -235,6 +237,40 @@ def test_heston_clamp_fraction_regression_guard():
 def test_feller_condition_enforced():
     with pytest.raises(ValueError, match="Feller"):
         _heston(vol_of_vol=0.3)
+
+
+def _bergomi(**kw):
+    return RoughBergomi(**{"xi0": 0.04, "nu": 1.0, "hurst": 0.3, "rho": -0.7,
+                           **kw})
+
+
+def _smile_at(strikes):
+    smile(_bergomi(), MCConfig(num_paths=8, grid=Grid(n=4, T=1.0)), strikes)
+
+
+_REFUSED = [
+    (lambda: _bergomi(nu=math.nan), "nu"),
+    (lambda: GammaBergomi(xi0=0.04, nu=1.0, hurst=0.3, rho=-0.7,
+                          beta_decay=math.nan), "beta_decay"),
+    *[(lambda name=name: _heston(**{name: math.nan}), name)
+      for name in ("eta", "kappa", "theta", "y0", "vol_of_vol")],
+    (lambda: ForwardVarianceCurve.constant(math.nan), "forward variance"),
+    (lambda: _bergomi(spot=math.nan), "spot"),
+    (lambda: TreeConfig(model=_bergomi(), depth=2, horizon=math.nan), "horizon"),
+    (lambda: TreeConfig(model=_bergomi(), depth=2, rate=math.nan), "rate"),
+    (lambda: TreeConfig(model=_bergomi(), depth=2, dividend=math.inf),
+     "dividend"),
+    (lambda: _smile_at([math.nan]), "strikes"),
+    (lambda: _smile_at([1.0, math.inf]), "strikes"),
+]
+
+
+@pytest.mark.parametrize("build, name", _REFUSED,
+                         ids=[name for _, name in _REFUSED])
+def test_nan_and_infinite_inputs_are_refused_by_name(build, name):
+    # a NaN fails every comparison, so each check asks for the good case
+    with pytest.raises(ValueError, match=name):
+        build()
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The hash comparison of tools/seeded_hashes.py on made-up hash maps."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,26 @@ def test_identical_hashes_pass(tmp_path, monkeypatch, capsys):
     # without a parent only this tree is hashed
     assert seeded_hashes.main([]) == 0
     assert "differ" not in capsys.readouterr().out
+
+
+def test_each_side_is_hashed_by_its_own_tool(tmp_path, monkeypatch):
+    # a side that has the tool runs its own copy, so an output it renamed
+    # or dropped shows as one-sided; a side without one runs this file
+    scripts = []
+
+    def fake_run(argv, **kwargs):
+        scripts.append((argv[1], argv[3]))
+        return subprocess.CompletedProcess(argv, 0, stdout="{}", stderr="")
+
+    monkeypatch.setattr(seeded_hashes.subprocess, "run", fake_run)
+    with_tool, without = tmp_path / "parent", tmp_path / "bare"
+    (with_tool / "tools").mkdir(parents=True)
+    (with_tool / "tools" / "seeded_hashes.py").write_text("")
+    for tree in (with_tool, without):
+        assert seeded_hashes.run_side(tree) == {}
+    assert scripts == [
+        (str(with_tool / "tools" / "seeded_hashes.py"), str(with_tool / "src")),
+        (str(_PATH), str(without / "src"))]
 
 
 def test_outputs_name_the_closed_form_quantities():

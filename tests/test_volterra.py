@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import fft as sfft
+from scipy.integrate import quad
 
 from roughsim import volterra
 
@@ -25,7 +26,7 @@ from roughsim.volterra import (
     _covariance_quadrature,
     DiffusionSpec,
     PathSet,
-    _hybrid_history_weights,
+    _hybrid_weights,
     check_diffusion_coefficients,
     cholesky_exact_rl,
     convolve_gfo,
@@ -411,7 +412,7 @@ def test_finite_values_whose_sum_overflows_pass_the_check():
 @pytest.mark.parametrize("scheme,group,checks", [
     ("rdonsker_matched", 4, 2),   # convolution, variance
     ("rdonsker_left", 1, 2),      # convolution, variance
-    ("hybrid", 4, 3),             # history sum, with the nearest cell, variance
+    ("hybrid", 4, 3),             # convolution, with c2 * eta added, variance
 ])
 def test_each_smile_array_is_checked_once(monkeypatch, scheme, group, checks):
     from roughsim import models
@@ -429,8 +430,8 @@ def test_each_smile_array_is_checked_once(monkeypatch, scheme, group, checks):
     smile(model, MCConfig(num_paths=64, grid=Grid(n=16, T=1.0), scheme=scheme,
                           antithetic=group > 1, seed=4), [0.9, 1.0, 1.1])
     assert len(seen) == checks
-    # no array is checked twice (the hybrid adds its nearest cell in place
-    # to the checked history sum, so that address holds new values)
+    # no array is checked twice (the hybrid adds c2 * eta in place to the
+    # checked convolution, so that address holds new values)
     for i, (address, values) in enumerate(seen):
         for other, again in seen[i + 1:]:
             assert address != other or not np.array_equal(values, again)
@@ -539,7 +540,7 @@ def test_hybrid_terminal_variance():
 
 
 def test_hybrid_history_sum_runs_by_the_requested_method(monkeypatch):
-    # the history sum is the FFT convolution; run by the naive oracle
+    # the hybrid's convolution is the FFT one; run by the naive oracle
     # instead, the paths agree to rounding
     grid = Grid(n=32, T=1.0)
     shocks = draw_shocks(NoiseConfig(paths=16, steps=32, rho=-0.7, seed=3,
@@ -561,6 +562,40 @@ def test_hybrid_history_sum_runs_by_the_requested_method(monkeypatch):
     monkeypatch.setattr(volterra, "convolve_gfo", naive)
     np.testing.assert_allclose(paths(), fft, rtol=0.0, atol=1e-12)
     assert methods == ["fft"]
+
+
+@pytest.mark.parametrize("hurst", [0.05, 0.1, 0.3, 0.75])
+def test_hybrid_weights_are_the_cell_means_of_g(hurst):
+    # each lag cell's mean of g by quadrature, lag 1 included; lag 1's is
+    # the covariance of the nearest cell's exact integral with its increment
+    alpha, grid = hurst - 0.5, Grid(n=8, T=1.0)
+    dt = grid.dt
+    means = [quad(lambda u: u ** alpha, (k - 1) * dt, k * dt, epsabs=0.0,
+                  epsrel=2e-14, limit=200)[0] / dt
+             for k in range(1, grid.n + 1)]
+    weights = _hybrid_weights(alpha, grid)
+    np.testing.assert_allclose(weights, means, rtol=1e-13, atol=0.0)
+    assert weights[0] == dt ** alpha / (alpha + 1.0)
+
+
+@pytest.mark.parametrize("hurst, seed", [(0.05, 1), (0.1, 2), (0.3, 3),
+                                         (0.75, 4)])
+def test_hybrid_covariance_is_its_closed_form_law(hurst, seed):
+    # Z = T xi + c2 eta: T the lower-triangular Toeplitz matrix of the
+    # weights, so Cov(Z) = dt T T' + c2^2 I. Each sample covariance entry
+    # is judged by its standard error sqrt((S_ii S_jj + S_ij^2) / M)
+    grid, m = Grid(n=8, T=1.0), 50_000
+    alpha, dt = hurst - 0.5, grid.dt
+    weights = _hybrid_weights(alpha, grid)
+    toeplitz = np.tril(weights[np.subtract.outer(np.arange(8), np.arange(8))])
+    c2_sq = dt ** (2 * alpha + 1.0) / (2 * alpha + 1.0) - weights[0] ** 2 * dt
+    law = dt * toeplitz @ toeplitz.T + c2_sq * np.eye(8)
+    z = hybrid_scheme_rl(hurst, _gauss(m, 8, seed=seed).zeta, grid,
+                         seed=seed).values[:, 1:]
+    sample = np.cov(z, rowvar=False)
+    var = np.diag(sample)
+    stderr = np.sqrt((np.outer(var, var) + sample ** 2) / m)
+    assert np.max(np.abs(sample - law) / stderr) < 4.5
 
 
 def test_hybrid_validation():
@@ -816,7 +851,7 @@ def _hybrid_reference(hurst, shocks, grid, seed, group, offset):
     c1 = dt ** alpha / (alpha + 1.0)
     c2 = np.sqrt(max(dt ** (2 * alpha + 1.0) / (2 * alpha + 1.0)
                      - c1 * c1 * dt, 0.0))
-    weights = _hybrid_history_weights(alpha, grid)
+    weights = _hybrid_weights(alpha, grid)
     out = np.empty((shocks.shape[0], grid.n + 1))
     for r, row in enumerate(shocks):
         sign = 1.0 if r % group < group // 2 else -1.0
@@ -824,7 +859,7 @@ def _hybrid_reference(hurst, shocks, grid, seed, group, offset):
             .standard_normal(grid.n)
         xi = np.sqrt(dt) * row[None, :]
         out[r] = convolve_gfo(weights, xi, grid).values[0]
-        out[r, 1:] += c1 * xi[0] + c2 * (sign * eta)
+        out[r, 1:] += c2 * (sign * eta)
     return out
 
 
@@ -872,7 +907,7 @@ def test_mirrored_scheme_rows_are_the_row_by_row_paths(scheme, rho, hurst,
 def test_a_mirrored_scheme_names_the_row_of_the_whole_set(group, monkeypatch):
     # the hybrid runs on the + half of each group; its non-finite error
     # names the row of the full set, as a run on every row does. The naive
-    # history sum keeps the inf at its time index, where the FFT spreads it
+    # convolution keeps the inf at its time index, where the FFT spreads it
     real = volterra.convolve_gfo
     monkeypatch.setattr(volterra, "convolve_gfo", lambda *args, **kwargs:
                         real(*args, **{**kwargs, "method": "naive"}))

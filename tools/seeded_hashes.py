@@ -27,8 +27,8 @@ With `--parent REV` the same outputs are also computed from the committed
 tree of REV, extracted by `git archive` into a temporary directory, and
 every output whose hash differs, or that only one side has, is listed;
 the exit status is then 1 if any differs. Each side runs in its own
-process, importing the roughsim under its own `src/`. Standard library
-and numpy only.
+process, by its own copy of this tool where it has one, importing the
+roughsim under its own `src/`. Standard library and numpy only.
 """
 
 from __future__ import annotations
@@ -271,10 +271,14 @@ def compute(src: Path) -> dict:
 
 
 def run_side(tree: Path) -> dict:
-    """{output name: hash} of the checkout at `tree`, in a new process."""
+    """{output name: hash} of the checkout at `tree`, in a new process, by
+    that checkout's own copy of this tool (this file if it has none), so
+    each side hashes its own list of outputs."""
+    tool = tree / "tools" / Path(__file__).name
+    if not tool.is_file():
+        tool = Path(__file__).resolve()
     proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--src",
-         str(tree / "src"), "--json"],
+        [sys.executable, str(tool), "--src", str(tree / "src"), "--json"],
         capture_output=True, text=True)
     if proc.returncode:
         raise RuntimeError(f"hashing {tree} exited {proc.returncode}:\n"
