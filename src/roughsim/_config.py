@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 
+from roughsim.shocks import check_int
+
 _threads = None  # ROUGHSIM_THREADS, read on first use, until set_threads
 
 
@@ -23,6 +25,4 @@ def get_threads() -> int:
 def set_threads(count: int) -> None:
     """Cap the FFT worker pool; results are bitwise independent of it."""
     global _threads
-    if count < 1:
-        raise ValueError("thread count must be >= 1")
-    _threads = int(count)
+    _threads = check_int("thread count", count)

@@ -15,6 +15,7 @@ arguments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,8 +44,8 @@ class Grid:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValueError(f"grid needs n >= 1, got {self.n}")
-        if not self.T > 0:
-            raise ValueError(f"grid needs T > 0, got {self.T}")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"grid needs a finite T > 0, got {self.T}")
 
     @property
     def dt(self) -> float:
@@ -79,14 +80,15 @@ class KernelSpec:
             if self.beta is not None:
                 raise ValueError("rl kernel takes no beta")
         elif self.kind == "gamma":
-            if self.beta is None or self.beta > 0:
+            if self.beta is None or not -math.inf < self.beta <= 0:
                 raise ValueError(
-                    "gamma kernel stores the signed rate and requires beta <= 0, "
-                    f"got {self.beta}"
+                    "gamma kernel stores the signed rate and requires a finite "
+                    f"beta <= 0, got {self.beta}"
                 )
         elif self.kind == "powerlaw":
-            if self.beta is None or self.beta >= -1:
-                raise ValueError(f"powerlaw kernel requires beta < -1, got {self.beta}")
+            if self.beta is None or not -math.inf < self.beta < -1:
+                raise ValueError("powerlaw kernel requires a finite beta < -1, "
+                                 f"got {self.beta}")
 
     @property
     def hurst(self) -> float:

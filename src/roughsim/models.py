@@ -64,10 +64,12 @@ class ForwardVarianceCurve:
             raise ValueError("times and values must be equal-length and nonempty")
         if self.times[0] != 0.0:
             raise ValueError("first curve knot must sit at t=0")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise ValueError("curve knot times must be strictly increasing")
-        if any(not v > 0.0 for v in self.values):
-            raise ValueError("forward variance must be strictly positive")
+        if not all(a < b < math.inf for a, b in zip(self.times, self.times[1:])):
+            raise ValueError("curve knot times must be finite and strictly "
+                             f"increasing, got {self.times}")
+        if not all(0.0 < v < math.inf for v in self.values):
+            raise ValueError("forward variance must be positive and finite, "
+                             f"got {self.values}")
 
     @classmethod
     def constant(cls, value: float) -> "ForwardVarianceCurve":
@@ -95,8 +97,8 @@ def as_curve(value) -> ForwardVarianceCurve:
 def _check_common(rho: float, spot: float, hurst: float) -> None:
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [-1, 1], got {rho}")
-    if not spot > 0.0:
-        raise ValueError(f"spot must be positive, got {spot}")
+    if not 0.0 < spot < math.inf:
+        raise ValueError(f"spot must be positive and finite, got {spot}")
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
 
@@ -118,8 +120,8 @@ class RoughBergomi:
     def __post_init__(self):
         object.__setattr__(self, "xi0", as_curve(self.xi0))
         _check_common(self.rho, self.spot, self.hurst)
-        if not self.nu >= 0.0:
-            raise ValueError(f"nu must be nonnegative, got {self.nu}")
+        if not 0.0 <= self.nu < math.inf:
+            raise ValueError(f"nu must be nonnegative and finite, got {self.nu}")
 
     def kernel(self) -> KernelSpec:
         return riemann_liouville(hurst=self.hurst)
@@ -142,10 +144,11 @@ class GammaBergomi:
     def __post_init__(self):
         object.__setattr__(self, "xi0", as_curve(self.xi0))
         _check_common(self.rho, self.spot, self.hurst)
-        if not self.nu >= 0.0:
-            raise ValueError(f"nu must be nonnegative, got {self.nu}")
-        if not self.beta_decay > 0.0:
-            raise ValueError(f"beta_decay must be positive, got {self.beta_decay}")
+        if not 0.0 <= self.nu < math.inf:
+            raise ValueError(f"nu must be nonnegative and finite, got {self.nu}")
+        if not 0.0 < self.beta_decay < math.inf:
+            raise ValueError("beta_decay must be positive and finite, got "
+                             f"{self.beta_decay}")
 
     def kernel(self) -> KernelSpec:
         return gamma_fractional(alpha=self.hurst - 0.5, beta=-self.beta_decay)
@@ -170,10 +173,12 @@ class RoughHestonGJRS:
     def __post_init__(self):
         _check_common(self.rho, self.spot, self.hurst)
         for name in ("eta", "kappa", "theta", "y0"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if not self.vol_of_vol >= 0.0:
-            raise ValueError("vol_of_vol must be nonnegative")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not 0.0 <= self.vol_of_vol < math.inf:
+            raise ValueError("vol_of_vol must be nonnegative and finite, got "
+                             f"{self.vol_of_vol}")
         if not 2.0 * self.kappa * self.theta > self.vol_of_vol ** 2:
             raise ValueError(
                 "Feller condition 2*kappa*theta > vol_of_vol^2 violated: "
@@ -211,8 +216,9 @@ def squared_integral_profile(kernel: KernelSpec, grid: Grid) -> np.ndarray:
     closed form for RL, else the running sum of `squared_cell_integrals`."""
     q = np.zeros(grid.n + 1)
     if kernel.kind == "rl":
+        times = grid.times
         for i in range(1, grid.n + 1):
-            q[i] = squared_kernel_integral(kernel, 0.0, grid.times[i])
+            q[i] = squared_kernel_integral(kernel, 0.0, times[i])
     else:
         np.cumsum(squared_cell_integrals(kernel, grid), out=q[1:])
     q.setflags(write=False)

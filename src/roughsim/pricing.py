@@ -55,7 +55,7 @@ from scipy.special import ndtr
 
 from roughsim.kernels import Grid
 from roughsim.models import phi_apply
-from roughsim.shocks import NoiseConfig, base_group, check_seed, draw_shocks
+from roughsim.shocks import NoiseConfig, check_int, check_seed, draw_shocks
 from roughsim.volterra import (
     NonFinitePath,
     PathSet,
@@ -88,8 +88,7 @@ class MCConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_paths < 1:
-            raise ValueError("num_paths must be >= 1")
+        check_int("num_paths", self.num_paths)
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; pick from {SCHEMES}")
         if self.variance_reduction not in VARIANCE_REDUCTIONS:
@@ -149,14 +148,14 @@ def _black_scholes(kind: str, strike: float, log_forward, forward, s,
 def _checked_black_scholes(kind: str, forward, strike: float,
                            total_variance):
     """`_black_scholes` of checked inputs; a float for scalar inputs."""
-    if strike <= 0.0:
-        raise ValueError("strike must be positive")
+    if not 0.0 < strike < math.inf:
+        raise ValueError(f"strike must be positive and finite, got {strike}")
     f = np.asarray(forward, dtype=float)
     tv = np.asarray(total_variance, dtype=float)
-    if np.any(f <= 0.0):
-        raise ValueError("forward must be positive")
-    if np.any(tv < 0.0):
-        raise ValueError("total variance must be nonnegative")
+    if not np.all((0.0 < f) & (f < math.inf)):
+        raise ValueError("forward must be positive and finite")
+    if not np.all((0.0 <= tv) & (tv < math.inf)):
+        raise ValueError("total variance must be nonnegative and finite")
     scalar = f.ndim == 0 and tv.ndim == 0
     f, tv = np.atleast_1d(*np.broadcast_arrays(f, tv))
     out = _black_scholes(kind, strike, np.log(f), f, np.sqrt(tv))
@@ -210,8 +209,8 @@ def implied_vol(price: float, forward: float, strike: float,
     the price sits outside the open no-arbitrage band (intrinsic, forward)
     or outside the bracket's price range.
     """
-    if maturity <= 0.0:
-        raise ValueError("maturity must be positive")
+    if not 0.0 < maturity < math.inf:
+        raise ValueError(f"maturity must be positive and finite, got {maturity}")
     intrinsic = max(forward - strike, 0.0)
     if not intrinsic < price < forward:
         raise NoImpliedVol(
@@ -311,7 +310,7 @@ def _chunk(model, config: MCConfig, noise: NoiseConfig, base_range: tuple,
     returned as the rows, for `_chunked` to raise after every later
     chunk's variance is built. Either names the path of the whole run.
     """
-    group = base_group(noise)
+    group = noise.group
     first = base_range[0] * group
     shocks = draw_shocks(noise, base_range=base_range)
     v = _in_run(first, variance, model, config, shocks, base_range[0])
@@ -342,7 +341,7 @@ def _chunked(model, config: MCConfig, per_chunk, *, group_means: bool = True,
     noise = NoiseConfig(paths=config.num_paths, steps=config.grid.n,
                         rho=model.rho, seed=config.seed,
                         antithetic=config.antithetic)
-    group = base_group(noise)
+    group = noise.group
     total_base = config.num_paths // group
     layout = chunk_layout(config.num_paths, config.grid.n, group)
     base_step = layout["chunk_rows"] // group

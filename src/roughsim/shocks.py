@@ -1,13 +1,15 @@
 """Correlated iid shock matrices (zeta, xi) with per-path counter streams.
 
 The volatility driver sees zeta; the stock driver sees
-xi = rho*zeta + sqrt(1-rho^2)*zeta_perp. Every path draws from its own
-Philox stream keyed by (seed, path index), so results are deterministic,
-parallel-safe and stable when the path count grows.
+xi = rho*zeta + sqrt(1-rho^2)*zeta_perp. Every normal is drawn by
+`path_normals` from a Philox stream keyed by (seed, path index), so results
+are deterministic, parallel-safe and stable when the path count grows.
+`NoiseConfig.group` gives the rows each base path expands into.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,14 +24,16 @@ _PATHS = 2 ** _TAG_SHIFT  # path indices below the stream tag
 _SEEDS = 2 ** 64  # Philox key words are unsigned 64-bit
 
 
-def _check_index(name: str, value, bound: int) -> int:
-    """`value` as an int; a ValueError naming it unless it is an integer in [0, bound)."""
-    if type(value) is int and 0 <= value < bound:  # cheap: checked once a path
+def check_int(name: str, value, low: int = 1, bound=math.inf) -> int:
+    """`value` as an int; a ValueError naming it unless it is an integer in
+    [low, bound). A float, even a whole one, and a bool are refused."""
+    if type(value) is int and low <= value < bound:  # cheap: checked once a path
         return value
-    if isinstance(value, np.integer) and 0 <= int(value) < bound:
+    if isinstance(value, np.integer) and low <= int(value) < bound:
         return int(value)
-    raise ValueError(f"{name} must be an integer in "
-                     f"[0, 2**{bound.bit_length() - 1}), got {value!r}")
+    span = f">= {low}" if bound == math.inf \
+        else f"in [{low}, 2**{bound.bit_length() - 1})"
+    raise ValueError(f"{name} must be an integer {span}, got {value!r}")
 
 
 def check_seed(seed) -> int:
@@ -38,7 +42,7 @@ def check_seed(seed) -> int:
     Philox keys are unsigned 64-bit words, so a negative or larger seed
     has no stream, and a float would be silently truncated to one.
     """
-    return _check_index("seed", seed, _SEEDS)
+    return check_int("seed", seed, 0, _SEEDS)
 
 
 # the state of a Philox bit generator that has drawn nothing, less its key
@@ -52,7 +56,7 @@ def check_path(path) -> int:
     The path index shares the second Philox key word with the stream tag
     above bit 48, so a larger index would draw another stream's numbers.
     """
-    return _check_index("path", path, _PATHS)
+    return check_int("path", path, 0, _PATHS)
 
 
 def path_rng(seed: int, path: int, stream: int = STREAM_SHOCKS, *,
@@ -73,39 +77,25 @@ def path_rng(seed: int, path: int, stream: int = STREAM_SHOCKS, *,
     return reuse
 
 
-def path_generators(seed: int, start: int, stop: int,
-                    stream: int = STREAM_SHOCKS):
-    """Yield, for paths start..stop-1, a generator drawing what `path_rng` draws.
-
-    One generator serves every path: `path_rng` re-keys it for each, so
-    the yielded object is the same one, valid until the next is taken.
-    Each path is keyed by a call to the module's `path_rng`, so whatever
-    wraps that name (the traced benchmark does) sees every path. A range
-    reaching outside [0, 2**48) is rejected before anything is drawn.
-    """
-    check_seed(seed)
-    if stop > start:
-        check_path(start)
-        check_path(stop - 1)
-    return _rekeyed(seed, start, stop, stream)
-
-
-def _rekeyed(seed: int, start: int, stop: int, stream: int):
-    rng = None
-    for path in range(start, stop):
-        rng = path_rng(seed, path, stream, reuse=rng)
-        yield rng
-
-
 def path_normals(seed: int, start: int, stop: int, shape: tuple,
                  stream: int = STREAM_SHOCKS) -> np.ndarray:
     """Standard normals of `shape` per path start..stop-1, as one array.
 
     Row j is what path start + j's `stream` draws first; every normal the
-    package draws is drawn here.
+    package draws is drawn here. The seed and the whole range, within
+    [0, 2**48), are checked before anything is drawn. Then one generator
+    is re-keyed for each path by a call to the module's `path_rng`, looked
+    up by name, so whatever wraps that name (the traced benchmark does)
+    sees every path.
     """
+    check_seed(seed)
+    if stop > start:
+        check_path(start)
+        check_path(stop - 1)
     out = np.empty((stop - start, *shape))
-    for row, rng in zip(out, path_generators(seed, start, stop, stream)):
+    rng = None
+    for path, row in enumerate(out, start):
+        rng = path_rng(seed, path, stream, reuse=rng)
         rng.standard_normal(out=row)
     return out
 
@@ -117,7 +107,7 @@ class NoiseConfig:
     Parameters
     ----------
     paths : int
-        Number of output rows M.
+        Number of output rows M, a multiple of `group`.
     steps : int
         Number of columns n.
     rho : float
@@ -126,8 +116,7 @@ class NoiseConfig:
         Base seed, an integer in [0, 2**64); per-path streams derive from
         (seed, path index).
     antithetic : bool
-        Expand sign-combination variates; requires M divisible by 4
-        (by 2 when |rho| = 1, where the four tuples collapse pairwise).
+        Expand each base path into the `group` sign-combination variates.
     """
 
     paths: int
@@ -138,18 +127,21 @@ class NoiseConfig:
 
     def __post_init__(self):
         check_seed(self.seed)
-        if self.paths < 1:
-            raise ValueError("paths must be >= 1")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        check_int("paths", self.paths)
+        check_int("steps", self.steps)
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [-1, 1], got {self.rho}")
-        if self.antithetic:
-            if abs(self.rho) == 1.0:
-                if self.paths % 2:
-                    raise ValueError("antithetic with |rho| = 1 needs M divisible by 2")
-            elif self.paths % 4:
-                raise ValueError("antithetic needs M divisible by 4")
+        if self.paths % self.group:
+            raise ValueError(f"paths must be a multiple of the antithetic "
+                             f"group of {self.group}, got {self.paths}")
+
+    @property
+    def group(self) -> int:
+        """Rows per base path: 4 antithetic variates, 2 at |rho| = 1, where
+        the four collapse pairwise, and 1 without antithetics."""
+        if not self.antithetic:
+            return 1
+        return 2 if abs(self.rho) == 1.0 else 4
 
 
 class ShockMatrices:
@@ -183,72 +175,63 @@ class ShockMatrices:
         return self._xi
 
 
-def base_group(config: NoiseConfig) -> int:
-    """Rows emitted per base path (4/2 antithetic variates, else 1)."""
-    if not config.antithetic:
-        return 1
-    return 2 if abs(config.rho) == 1.0 else 4
-
-
 def draw_shocks(config: NoiseConfig, base_range: tuple | None = None) -> ShockMatrices:
     """Generate the correlated shock matrices described by `config`.
 
+    Two independent normal rows (zeta, zeta_perp) are drawn per base path.
     Without antithetics, xi = rho*zeta + rhobar*zeta_perp entrywise. With
-    antithetics the four sign-combination variates of each base path are
-    emitted contiguously (two at |rho| = 1, where they collapse pairwise).
+    them each base path gives `config.group` contiguous rows: the four of
+    `antithetic_expand`, or at |rho| = 1 the mirrored pair of zeta_perp.
     The stock matrix xi is built when first read (see `ShockMatrices`).
 
     `base_range=(start, stop)` restricts the draw to those base paths
     (stream keys use absolute indices, so chunked draws concatenate to
     exactly the full matrix). Default: all of them.
     """
-    rho = config.rho
-    group = base_group(config)
+    rho, group = config.rho, config.group
     total_base = config.paths // group
     if base_range is None:
         base_range = (0, total_base)
     start, stop = base_range
     if not 0 <= start < stop <= total_base:
         raise ValueError(f"base_range {base_range} outside [0, {total_base}]")
-    # two independent draws per base path
     block = path_normals(config.seed, start, stop, (2, config.steps))
     block.setflags(write=False)  # a lazy xi reads it later
     first, second = block[:, 0], block[:, 1]
-
-    if config.antithetic and abs(rho) == 1.0:
-        # pairs (rho*xi, xi), (-rho*xi, -xi) of the second draw; the first
-        # is drawn to keep the stream layout identical across modes but
+    if group == 4:
+        return antithetic_expand(first, second, rho)
+    if group == 2:
+        # the first draw keeps the stream layout of the other modes but
         # carries no weight here
-        return ShockMatrices(zeta=_signed_pairs(rho * second),
-                             xi=lambda: _signed_pairs(second),
+        return ShockMatrices(zeta=_mirror(rho * second[:, None]),
+                             xi=lambda: _mirror(second[:, None]),
                              antithetic_group=2)
-    if config.antithetic:
-        return antithetic_expand(ShockMatrices(zeta=first, xi=second), rho)
     rhobar = np.sqrt(1.0 - rho ** 2)
     return ShockMatrices(zeta=first, xi=lambda: rho * first + rhobar * second)
 
 
-def _signed_pairs(rows: np.ndarray) -> np.ndarray:
-    """Rows r_0, -r_0, r_1, -r_1, ... of `rows`."""
-    out = np.empty((2 * rows.shape[0], rows.shape[1]))
-    pairs = out.reshape(rows.shape[0], 2, rows.shape[1])
-    pairs[:, 0] = rows
-    np.negative(rows, out=pairs[:, 1])
+def _mirror(half: np.ndarray) -> np.ndarray:
+    """Rows p_1..p_h, -p_1..-p_h of each group of `half` (groups x h x n)."""
+    groups, h, n = half.shape
+    out = np.empty((groups * 2 * h, n))
+    signed = out.reshape(groups, 2, h, n)
+    signed[:, 0] = half
+    np.negative(half, out=signed[:, 1])
     return out
 
 
-def antithetic_expand(shocks: ShockMatrices, rho: float) -> ShockMatrices:
-    """Expand base draws into the four antithetic variates per path.
+def antithetic_expand(zeta_b: np.ndarray, xi_b: np.ndarray,
+                      rho: float) -> ShockMatrices:
+    """Expand two base draws per path into its four antithetic variates.
 
-    The base matrices hold two independent draws (zeta, xi) per path; the
+    `zeta_b` and `xi_b` hold two independent draws per base path; the
     output pairs (volatility shock, stock shock) are
     (rho*xi + rhobar*zeta, xi), (rho*xi - rhobar*zeta, xi),
     (-rho*xi - rhobar*zeta, -xi), (-rho*xi + rhobar*zeta, -xi),
     grouped contiguously per base path. The volatility rows are written
-    in place into one M x n array; the stock rows are built from
-    `shocks.xi` when the result's `xi` is first read.
+    in place into one M x n array; the stock rows are mirrored from
+    `xi_b` when the result's `xi` is first read.
     """
-    zeta_b, xi_b = shocks.zeta, shocks.xi
     m_base, n = zeta_b.shape
     rhobar = np.sqrt(1.0 - rho ** 2)
     vol = np.empty((4 * m_base, n))
@@ -259,12 +242,6 @@ def antithetic_expand(shocks: ShockMatrices, rho: float) -> ShockMatrices:
     np.subtract(plus, variates[:, 2], out=minus)
     plus += variates[:, 2]
     np.negative(variates[:, :2], out=variates[:, 2:])
-
-    def stock():
-        out = np.empty((4 * m_base, n))
-        signed = out.reshape(m_base, 2, 2, n)
-        signed[:, 0] = xi_b[:, None]
-        np.negative(signed[:, 0], out=signed[:, 1])
-        return out
-
-    return ShockMatrices(zeta=vol, xi=stock, antithetic_group=4)
+    return ShockMatrices(
+        zeta=vol, antithetic_group=4,
+        xi=lambda: _mirror(np.broadcast_to(xi_b[:, None], (m_base, 2, n))))

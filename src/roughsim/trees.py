@@ -53,6 +53,7 @@ from roughsim.models import (  # noqa: F401 - Q stays importable from here
     variance_map,
 )
 from roughsim.pricing import _black_scholes
+from roughsim.shocks import check_int
 from roughsim.volterra import DiffusionSpec
 
 _MAX_DEPTH = {4: 12, 2: 24}
@@ -87,10 +88,11 @@ class TreeConfig:
     max_in_memory_bytes: int = 1 << 29
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
+        check_int("depth", self.depth)
+        check_int("max_in_memory_bytes", self.max_in_memory_bytes, 0)
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got "
+                             f"{self.horizon}")
         for name in ("rate", "dividend"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -178,8 +180,8 @@ class VanillaPayoff(NamedTuple):
 
 def _vanilla(kind: str, strike: float) -> VanillaPayoff:
     strike = float(strike)
-    if not strike > 0.0:
-        raise ValueError(f"strike must be positive, got {strike}")
+    if not 0.0 < strike < math.inf:
+        raise ValueError(f"strike must be positive and finite, got {strike}")
     return VanillaPayoff(kind, strike)
 
 

@@ -4,6 +4,8 @@ Frozen oracle values come from independent closed forms (incomplete
 gamma/beta functions), not from the quadrature code under test.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,25 @@ def test_grid_invalid():
         Grid(n=10, T=0.0)
     with pytest.raises(ValueError):
         Grid(n=10, T=-1.0)
+
+
+# (build, parameter name, test id): build() must raise a ValueError naming
+# the parameter; a NaN fails every comparison, so each check asks for the
+# good case
+_REFUSED = [pytest.param(*case[:2], id=case[-1]) for case in [
+    (lambda: Grid(4, math.inf), "T", "grid T=inf"),
+    (lambda: Grid(4, math.nan), "T", "grid T=nan"),
+    (lambda: gamma_fractional(-0.2, math.nan), "beta", "gamma beta=nan"),
+    (lambda: gamma_fractional(-0.2, -math.inf), "beta", "gamma beta=-inf"),
+    (lambda: power_law(-0.2, math.nan), "beta", "powerlaw beta=nan"),
+    (lambda: power_law(-0.2, -math.inf), "beta", "powerlaw beta=-inf"),
+]]
+
+
+@pytest.mark.parametrize("build, name", _REFUSED)
+def test_nan_and_infinite_inputs_are_refused_by_name(build, name):
+    with pytest.raises(ValueError, match=name):
+        build()
 
 
 def test_kernel_validation():

@@ -28,7 +28,7 @@ from roughsim.models import (
 )
 from roughsim.pricing import MCConfig, smile
 from roughsim.shocks import NoiseConfig, draw_shocks
-from roughsim.trees import TreeConfig
+from roughsim.trees import TreeConfig, call_payoff, put_payoff
 from roughsim.volterra import PathSet, cholesky_exact_rl, rdonsker_volterra
 
 
@@ -248,7 +248,9 @@ def _smile_at(strikes):
     smile(_bergomi(), MCConfig(num_paths=8, grid=Grid(n=4, T=1.0)), strikes)
 
 
-_REFUSED = [
+# (build, parameter name[, test id]): build() must raise a ValueError naming
+# the parameter; the test id is the name unless given
+_REFUSED = [pytest.param(*case[:2], id=case[-1]) for case in [
     (lambda: _bergomi(nu=math.nan), "nu"),
     (lambda: GammaBergomi(xi0=0.04, nu=1.0, hurst=0.3, rho=-0.7,
                           beta_decay=math.nan), "beta_decay"),
@@ -262,11 +264,28 @@ _REFUSED = [
      "dividend"),
     (lambda: _smile_at([math.nan]), "strikes"),
     (lambda: _smile_at([1.0, math.inf]), "strikes"),
-]
+    (lambda: _bergomi(spot=math.inf), "spot", "spot=inf"),
+    (lambda: _bergomi(xi0=math.inf), "forward variance", "xi0=inf"),
+    (lambda: _bergomi(xi0=[[0.0, 0.04], [math.nan, 0.05]]), "knot times",
+     "xi0 knot=nan"),
+    (lambda: _bergomi(xi0=[[0.0, 0.04], [math.inf, 0.05]]), "knot times",
+     "xi0 knot=inf"),
+    (lambda: _bergomi(nu=math.inf), "nu", "nu=inf"),
+    (lambda: GammaBergomi(xi0=0.04, nu=1.0, hurst=0.3, rho=-0.7,
+                          beta_decay=math.inf), "beta_decay", "beta_decay=inf"),
+    *[(lambda name=name: _heston(**{name: math.inf}), name, f"{name}=inf")
+      for name in ("eta", "kappa", "theta", "y0", "vol_of_vol")],
+    (lambda: TreeConfig(model=_bergomi(), depth=2, horizon=math.inf), "horizon",
+     "horizon=inf"),
+    (lambda: TreeConfig(model=_bergomi(), depth=2.5), "depth", "depth=2.5"),
+    (lambda: TreeConfig(model=_bergomi(), depth=2,
+                        max_in_memory_bytes=math.nan), "max_in_memory_bytes"),
+    (lambda: put_payoff(math.inf), "strike", "put strike=inf"),
+    (lambda: call_payoff(math.nan), "strike", "call strike=nan"),
+]]
 
 
-@pytest.mark.parametrize("build, name", _REFUSED,
-                         ids=[name for _, name in _REFUSED])
+@pytest.mark.parametrize("build, name", _REFUSED)
 def test_nan_and_infinite_inputs_are_refused_by_name(build, name):
     # a NaN fails every comparison, so each check asks for the good case
     with pytest.raises(ValueError, match=name):

@@ -142,6 +142,30 @@ def test_implied_vol_names_why_there_is_none(price, strike, reason):
     assert info.value.reason == reason
 
 
+# (build, parameter name, test id): build() must raise a ValueError naming
+# the parameter; a NaN fails every comparison, so each check asks for the
+# good case
+_REFUSED = [pytest.param(*case[:2], id=case[-1]) for case in [
+    (lambda: bs_call(1.0, math.nan, 0.04), "strike", "call strike=nan"),
+    (lambda: bs_put(1.0, math.inf, 0.04), "strike", "put strike=inf"),
+    (lambda: bs_call(math.nan, 1.0, 0.04), "forward", "call forward=nan"),
+    (lambda: bs_put(np.array([1.0, math.inf]), 1.0, 0.04), "forward",
+     "put forward=inf"),
+    (lambda: bs_call(1.0, 1.0, math.nan), "total variance", "call tv=nan"),
+    (lambda: bs_put(1.0, 1.0, np.array([0.04, math.inf])), "total variance",
+     "put tv=inf"),
+    (lambda: implied_vol(0.1, 1.0, 1.0, math.nan), "maturity", "maturity=nan"),
+    (lambda: MCConfig(num_paths=2.5, grid=Grid(n=8, T=1.0)), "num_paths",
+     "num_paths=2.5"),
+]]
+
+
+@pytest.mark.parametrize("build, name", _REFUSED)
+def test_nan_and_infinite_inputs_are_refused_by_name(build, name):
+    with pytest.raises(ValueError, match=name):
+        build()
+
+
 # ----------------------------------------------------------------------
 # config validation
 # ----------------------------------------------------------------------

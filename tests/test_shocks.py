@@ -1,10 +1,15 @@
 """Correlated shock generation, antithetic expansion, stream reproducibility."""
 
+import math
+from contextlib import contextmanager
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roughsim._config import set_threads
 from roughsim.kernels import Grid
 from roughsim.shocks import (
     STREAM_CHOLESKY,
@@ -14,16 +19,33 @@ from roughsim.shocks import (
     ShockMatrices,
     antithetic_expand,
     draw_shocks,
-    path_generators,
+    path_normals,
     path_rng,
 )
 from roughsim.volterra import hybrid_scheme_rl
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 
 
 def _cfg(**kw):
     base = dict(paths=16, steps=8, rho=0.0, seed=42, antithetic=False)
     base.update(kw)
     return NoiseConfig(**base)
+
+
+@contextmanager
+def _path_rng_calls():
+    """The paths that `shocks.path_rng`, looked up by name, keys in the block."""
+    import roughsim.shocks as shocks
+    real, calls = shocks.path_rng, []
+
+    def counting(seed, path, *args, **kwargs):
+        calls.append(path)
+        return real(seed, path, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shocks, "path_rng", counting)
+        yield calls
 
 
 # ----------------------------------------------------------------------
@@ -50,8 +72,9 @@ def test_bad_seed_is_rejected_by_name(seed):
         _cfg(seed=seed)
     with pytest.raises(ValueError, match="seed"):
         path_rng(seed, 0)
-    with pytest.raises(ValueError, match="seed"):
-        next(path_generators(seed, 0, 1))
+    with _path_rng_calls() as keyed, pytest.raises(ValueError, match="seed"):
+        path_normals(seed, 0, 1, (2,))
+    assert keyed == []
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, np.uint64(2 ** 64 - 1),
@@ -150,8 +173,7 @@ def test_antithetic_extension_keeps_prefix():
 # ----------------------------------------------------------------------
 
 def test_antithetic_expand_zero_base():
-    base = ShockMatrices(zeta=np.zeros((2, 3)), xi=np.zeros((2, 3)))
-    out = antithetic_expand(base, rho=-0.7)
+    out = antithetic_expand(np.zeros((2, 3)), np.zeros((2, 3)), rho=-0.7)
     assert out.zeta.shape == (8, 3)
     np.testing.assert_array_equal(out.zeta, 0.0)
     np.testing.assert_array_equal(out.xi, 0.0)
@@ -163,7 +185,7 @@ def test_antithetic_expand_tuples():
     xi_b = rng.standard_normal((3, 5))
     rho = -0.7
     rhobar = np.sqrt(1 - rho ** 2)
-    out = antithetic_expand(ShockMatrices(zeta=zeta_b, xi=xi_b), rho=rho)
+    out = antithetic_expand(zeta_b, xi_b, rho=rho)
     assert out.antithetic_group == 4
     for b in range(3):
         z, x = zeta_b[b], xi_b[b]
@@ -179,14 +201,25 @@ def test_antithetic_expand_tuples():
 
 def test_antithetic_expand_rho_zero_sign_flips():
     rng = np.random.default_rng(1)
-    base = ShockMatrices(zeta=rng.standard_normal((2, 4)),
-                         xi=rng.standard_normal((2, 4)))
-    out = antithetic_expand(base, rho=0.0)
+    zeta_b = rng.standard_normal((2, 4))
+    out = antithetic_expand(zeta_b, rng.standard_normal((2, 4)), rho=0.0)
     for b in range(2):
-        np.testing.assert_allclose(out.zeta[4 * b + 0], base.zeta[b])
-        np.testing.assert_allclose(out.zeta[4 * b + 1], -base.zeta[b])
-        np.testing.assert_allclose(out.zeta[4 * b + 2], -base.zeta[b])
-        np.testing.assert_allclose(out.zeta[4 * b + 3], base.zeta[b])
+        np.testing.assert_allclose(out.zeta[4 * b + 0], zeta_b[b])
+        np.testing.assert_allclose(out.zeta[4 * b + 1], -zeta_b[b])
+        np.testing.assert_allclose(out.zeta[4 * b + 2], -zeta_b[b])
+        np.testing.assert_allclose(out.zeta[4 * b + 3], zeta_b[b])
+
+
+def test_noise_group_is_the_rows_of_each_base_path():
+    for antithetic, rho, group in ((False, -1.0, 1), (True, -0.7, 4),
+                                   (True, 1.0, 2)):
+        config = _cfg(paths=12, antithetic=antithetic, rho=rho)
+        assert config.group == group
+        assert draw_shocks(config).antithetic_group == group
+        assert draw_shocks(config, base_range=(0, 1)).zeta.shape[0] == group
+        if group > 1:
+            with pytest.raises(ValueError, match=f"group of {group}, got 13"):
+                _cfg(paths=13, antithetic=antithetic, rho=rho)
 
 
 def test_antithetic_group_sums_vanish():
@@ -261,16 +294,21 @@ def _draw(rng, kind, shape):
        stream=st.sampled_from([STREAM_SHOCKS, STREAM_HYBRID_AUX,
                                STREAM_CHOLESKY]),
        kind=st.sampled_from(["normal", "integers"]))
-def test_path_generators_draw_what_path_rng_draws(seed, start, count, shape,
-                                                  stream, kind):
+def test_a_reused_path_rng_draws_what_a_fresh_one_draws(seed, start, count,
+                                                         shape, stream, kind):
     # an odd number of bounded integer draws leaves half a 64-bit word
     # buffered, which the re-key must discard as a fresh generator would
     # not have it
-    got = [_draw(rng, kind, shape)
-           for rng in path_generators(seed, start, start + count, stream)]
+    rng, got = None, []
+    for j in range(start, start + count):
+        rng = path_rng(seed, j, stream, reuse=rng)
+        got.append(_draw(rng, kind, shape))
     want = [_draw(path_rng(seed, j, stream), kind, shape)
             for j in range(start, start + count)]
     np.testing.assert_array_equal(got, want)
+    if kind == "normal":
+        np.testing.assert_array_equal(
+            path_normals(seed, start, start + count, shape, stream), want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -312,10 +350,14 @@ def test_stream_paths_have_distinct_keys_and_bounded_paths(seed, keys, bad):
     assert len(drawn) == len(keys)
     with pytest.raises(ValueError, match="path"):
         path_rng(seed, bad)
-    with pytest.raises(ValueError, match="path"):
-        path_generators(seed, bad, bad + 1)
-    with pytest.raises(ValueError, match="path"):
-        path_generators(seed, 2 ** 48 - 1, 2 ** 48 + 1, STREAM_HYBRID_AUX)
+    # the whole range is checked before its first path is keyed
+    with _path_rng_calls() as keyed:
+        with pytest.raises(ValueError, match="path"):
+            path_normals(seed, bad, bad + 1, (2,))
+        with pytest.raises(ValueError, match="path"):
+            path_normals(seed, 2 ** 48 - 1, 2 ** 48 + 1, (2,),
+                         STREAM_HYBRID_AUX)
+    assert keyed == []
 
 
 def test_hybrid_base_offset_past_the_path_bound_is_refused():
@@ -330,6 +372,22 @@ def test_hybrid_base_offset_past_the_path_bound_is_refused():
 def test_non_integer_path_is_rejected_by_name(path):
     with pytest.raises(ValueError, match="path"):
         path_rng(0, path)
+
+
+# (build, parameter name, test id): build() must raise a ValueError naming
+# the parameter; a NaN fails every comparison, so each check asks for the
+# good case
+_REFUSED = [pytest.param(*case[:2], id=case[-1]) for case in [
+    (lambda: _cfg(steps=math.nan), "steps", "steps=nan"),
+    (lambda: _cfg(paths=2.5), "paths", "paths=2.5"),
+    (lambda: set_threads(2.5), "thread count", "threads=2.5"),
+]]
+
+
+@pytest.mark.parametrize("build, name", _REFUSED)
+def test_nan_and_non_integer_inputs_are_refused_by_name(build, name):
+    with pytest.raises(ValueError, match=name):
+        build()
 
 
 def test_stock_shocks_are_built_when_first_read():
@@ -359,3 +417,22 @@ def test_drawn_normals_under_a_lazy_stock_matrix_are_read_only():
     first, second = (np.stack([path_rng(3, p).standard_normal((2, 4))[k]
                                for p in range(3)]) for k in (0, 1))
     np.testing.assert_array_equal(shocks.xi, -0.7 * first + rhobar * second)
+
+
+def test_traced_benchmark_wraps_names_that_exist(monkeypatch):
+    # the traced benchmark wraps module attributes by name (the per-path
+    # generators as both `shocks.path_rng` and `volterra.path_rng`), so a
+    # name it needs that goes missing fails here, not only there
+    monkeypatch.syspath_prepend(str(BENCHMARK))
+    import layers
+    import tracing
+    tracer = tracing.Tracer()
+    try:
+        layers.install(tracer)
+        wrapped = list(tracer._patched)
+    finally:
+        tracer.unwrap_all()
+    assert {(module.__name__, attr) for module, attr, _ in wrapped} >= {
+        ("roughsim.shocks", "path_rng"), ("roughsim.volterra", "path_rng")}
+    for module, attr, original in wrapped:
+        assert getattr(module, attr) is original, (module.__name__, attr)

@@ -71,7 +71,7 @@ def digest(value) -> str:
 
 def _outputs(rs):
     """(name, thunk) of every seeded output of the package `rs`."""
-    from roughsim import pricing, shocks, validation
+    from roughsim import pricing, validation
 
     # forwards x total variances, flattened; each strike prices all of them
     forwards, variances = (a.ravel() for a in np.meshgrid(
@@ -101,7 +101,7 @@ def _outputs(rs):
                                     ("pairs", True, -1.0)):
         cfg = noise(paths=24, steps=6, rho=rho, seed=2 ** 64 - 5,
                     antithetic=antithetic)
-        base = 24 // shocks.base_group(cfg)
+        base = 24 // cfg.group
         for part in ("zeta", "xi"):
             yield (f"draw_shocks/{layout}/{part}",
                    lambda cfg=cfg, part=part: getattr(rs.draw_shocks(cfg), part))
