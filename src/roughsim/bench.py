@@ -22,7 +22,7 @@ import numpy as np
 from .kernels import Grid, optimal_eval_weights, riemann_liouville
 from .models import RoughBergomi
 from .pricing import MCConfig, _estimate, _variance_chunk, chunk_layout
-from .shocks import NoiseConfig, draw_shocks
+from .shocks import NoiseConfig, check_int, draw_shocks
 from .validation import sample_paths
 from .volterra import PathSet, convolve_gfo
 
@@ -53,8 +53,7 @@ def time_path_generation(scheme: str, steps: int, *, paths: int = 256,
                          trials: int = 10, hurst: float = 0.3,
                          horizon: float = 1.0, seed: int = 0) -> float:
     """Median seconds per shock-draw-plus-transform over `trials` runs."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_int("trials", trials)
     grid = Grid(steps, horizon)
     _generate_once(scheme, hurst, grid, paths, seed)  # warm-up, untimed
     times = []
@@ -96,8 +95,7 @@ def _pipeline_price(kind: str, steps: int, paths: int, seed: int, *,
 def time_full_pipeline(kind: str, steps: int = 1024, paths: int = 100_000, *,
                        trials: int = 3, seed: int = 0) -> float:
     """Median seconds for one full pricing pass (draw → paths → payoff)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_int("trials", trials)
     times = []
     for trial in range(trials):
         start = time.perf_counter()

@@ -15,12 +15,13 @@ arguments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
+
+from roughsim.shocks import check_int, check_real
 
 _QUAD_TOL = 1e-12
 KERNEL_KINDS = ("rl", "gamma", "powerlaw")
@@ -42,10 +43,8 @@ class Grid:
     T: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"grid needs n >= 1, got {self.n}")
-        if not 0.0 < self.T < math.inf:
-            raise ValueError(f"grid needs a finite T > 0, got {self.T}")
+        check_int("grid n", self.n)
+        check_real("grid T", self.T, 0.0)
 
     @property
     def dt(self) -> float:
@@ -74,21 +73,14 @@ class KernelSpec:
         if self.kind not in KERNEL_KINDS:
             raise ValueError(
                 f"unknown kernel kind {self.kind!r}, want one of {KERNEL_KINDS}")
-        if not -1.0 < self.alpha < 1.0:
-            raise ValueError(f"kernel alpha must lie in (-1, 1), got {self.alpha}")
+        check_real("kernel alpha", self.alpha, -1.0, 1.0)
         if self.kind == "rl":
             if self.beta is not None:
                 raise ValueError("rl kernel takes no beta")
-        elif self.kind == "gamma":
-            if self.beta is None or not -math.inf < self.beta <= 0:
-                raise ValueError(
-                    "gamma kernel stores the signed rate and requires a finite "
-                    f"beta <= 0, got {self.beta}"
-                )
-        elif self.kind == "powerlaw":
-            if self.beta is None or not -math.inf < self.beta < -1:
-                raise ValueError("powerlaw kernel requires a finite beta < -1, "
-                                 f"got {self.beta}")
+        elif self.kind == "gamma":  # the signed rate
+            check_real("gamma kernel beta", self.beta, high=0.0, ends="(]")
+        else:
+            check_real("powerlaw kernel beta", self.beta, high=-1.0)
 
     @property
     def hurst(self) -> float:

@@ -35,6 +35,7 @@ from roughsim.kernels import (
     squared_cell_integrals,
     squared_kernel_integral,
 )
+from roughsim.shocks import check_real
 from roughsim.volterra import (
     DiffusionSpec,
     PathSet,
@@ -64,12 +65,11 @@ class ForwardVarianceCurve:
             raise ValueError("times and values must be equal-length and nonempty")
         if self.times[0] != 0.0:
             raise ValueError("first curve knot must sit at t=0")
-        if not all(a < b < math.inf for a, b in zip(self.times, self.times[1:])):
-            raise ValueError("curve knot times must be finite and strictly "
-                             f"increasing, got {self.times}")
-        if not all(0.0 < v < math.inf for v in self.values):
-            raise ValueError("forward variance must be positive and finite, "
-                             f"got {self.values}")
+        check_real("curve knot times", self.times, 0.0, ends="[)")
+        if not all(a < b for a, b in zip(self.times, self.times[1:])):
+            raise ValueError("curve knot times must be strictly increasing, "
+                             f"got {self.times}")
+        check_real("forward variance", self.values, 0.0)
 
     @classmethod
     def constant(cls, value: float) -> "ForwardVarianceCurve":
@@ -95,12 +95,9 @@ def as_curve(value) -> ForwardVarianceCurve:
 
 
 def _check_common(rho: float, spot: float, hurst: float) -> None:
-    if not -1.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [-1, 1], got {rho}")
-    if not 0.0 < spot < math.inf:
-        raise ValueError(f"spot must be positive and finite, got {spot}")
-    if not 0.0 < hurst < 1.0:
-        raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
+    check_real("rho", rho, -1.0, 1.0, "[]")
+    check_real("spot", spot, 0.0)
+    check_real("hurst", hurst, 0.0, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -120,8 +117,7 @@ class RoughBergomi:
     def __post_init__(self):
         object.__setattr__(self, "xi0", as_curve(self.xi0))
         _check_common(self.rho, self.spot, self.hurst)
-        if not 0.0 <= self.nu < math.inf:
-            raise ValueError(f"nu must be nonnegative and finite, got {self.nu}")
+        check_real("nu", self.nu, 0.0, ends="[)")
 
     def kernel(self) -> KernelSpec:
         return riemann_liouville(hurst=self.hurst)
@@ -144,11 +140,8 @@ class GammaBergomi:
     def __post_init__(self):
         object.__setattr__(self, "xi0", as_curve(self.xi0))
         _check_common(self.rho, self.spot, self.hurst)
-        if not 0.0 <= self.nu < math.inf:
-            raise ValueError(f"nu must be nonnegative and finite, got {self.nu}")
-        if not 0.0 < self.beta_decay < math.inf:
-            raise ValueError("beta_decay must be positive and finite, got "
-                             f"{self.beta_decay}")
+        check_real("nu", self.nu, 0.0, ends="[)")
+        check_real("beta_decay", self.beta_decay, 0.0)
 
     def kernel(self) -> KernelSpec:
         return gamma_fractional(alpha=self.hurst - 0.5, beta=-self.beta_decay)
@@ -173,12 +166,8 @@ class RoughHestonGJRS:
     def __post_init__(self):
         _check_common(self.rho, self.spot, self.hurst)
         for name in ("eta", "kappa", "theta", "y0"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not 0.0 <= self.vol_of_vol < math.inf:
-            raise ValueError("vol_of_vol must be nonnegative and finite, got "
-                             f"{self.vol_of_vol}")
+            check_real(name, getattr(self, name), 0.0)
+        check_real("vol_of_vol", self.vol_of_vol, 0.0, ends="[)")
         if not 2.0 * self.kappa * self.theta > self.vol_of_vol ** 2:
             raise ValueError(
                 "Feller condition 2*kappa*theta > vol_of_vol^2 violated: "

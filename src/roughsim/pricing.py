@@ -55,7 +55,8 @@ from scipy.special import ndtr
 
 from roughsim.kernels import Grid
 from roughsim.models import phi_apply
-from roughsim.shocks import NoiseConfig, check_int, check_seed, draw_shocks
+from roughsim.shocks import (
+    NoiseConfig, check_int, check_real, check_seed, draw_shocks)
 from roughsim.volterra import (
     NonFinitePath,
     PathSet,
@@ -148,14 +149,10 @@ def _black_scholes(kind: str, strike: float, log_forward, forward, s,
 def _checked_black_scholes(kind: str, forward, strike: float,
                            total_variance):
     """`_black_scholes` of checked inputs; a float for scalar inputs."""
-    if not 0.0 < strike < math.inf:
-        raise ValueError(f"strike must be positive and finite, got {strike}")
-    f = np.asarray(forward, dtype=float)
-    tv = np.asarray(total_variance, dtype=float)
-    if not np.all((0.0 < f) & (f < math.inf)):
-        raise ValueError("forward must be positive and finite")
-    if not np.all((0.0 <= tv) & (tv < math.inf)):
-        raise ValueError("total variance must be nonnegative and finite")
+    check_real("strike", strike, 0.0)
+    f = check_real("forward", np.asarray(forward, dtype=float), 0.0)
+    tv = check_real("total variance", np.asarray(total_variance, dtype=float),
+                    0.0, ends="[)")
     scalar = f.ndim == 0 and tv.ndim == 0
     f, tv = np.atleast_1d(*np.broadcast_arrays(f, tv))
     out = _black_scholes(kind, strike, np.log(f), f, np.sqrt(tv))
@@ -206,11 +203,15 @@ def implied_vol(price: float, forward: float, strike: float,
     """Invert the Black-Scholes call price to a volatility.
 
     Bracketed root-finding on sigma in [1e-6, 5]; raises NoImpliedVol when
-    the price sits outside the open no-arbitrage band (intrinsic, forward)
-    or outside the bracket's price range.
+    a finite price sits outside the open no-arbitrage band (intrinsic,
+    forward) or outside the bracket's price range. A price that is not
+    finite, or a forward, strike or maturity that is not positive and
+    finite, is refused first by `check_real`, a ValueError naming it.
     """
-    if not 0.0 < maturity < math.inf:
-        raise ValueError(f"maturity must be positive and finite, got {maturity}")
+    check_real("price", price)
+    check_real("forward", forward, 0.0)
+    check_real("strike", strike, 0.0)
+    check_real("maturity", maturity, 0.0)
     intrinsic = max(forward - strike, 0.0)
     if not intrinsic < price < forward:
         raise NoImpliedVol(
@@ -530,10 +531,9 @@ def smile(model, config: MCConfig, strikes, payoff: str = "call") -> SmileResult
     strikes = np.asarray(strikes, dtype=float)
     if strikes.ndim != 1 or len(strikes) == 0:
         raise ValueError("strikes must be a nonempty 1-d array")
-    if not (np.all(np.isfinite(strikes)) and np.all(strikes > 0.0)
-            and np.all(np.diff(strikes) > 0.0)):
-        raise ValueError("strikes must be finite, positive and strictly "
-                         "increasing")
+    check_real("strikes", strikes, 0.0)
+    if not np.all(np.diff(strikes) > 0.0):
+        raise ValueError(f"strikes must be strictly increasing, got {strikes}")
     start = time.perf_counter()
     prices, stderrs, stats, layout = _estimate(model, config, strikes, payoff,
                                                config.variance_reduction)

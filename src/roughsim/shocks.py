@@ -5,6 +5,7 @@ xi = rho*zeta + sqrt(1-rho^2)*zeta_perp. Every normal is drawn by
 `path_normals` from a Philox stream keyed by (seed, path index), so results
 are deterministic, parallel-safe and stable when the path count grows.
 `NoiseConfig.group` gives the rows each base path expands into.
+`check_int` and `check_real` are the package's one count and range check.
 """
 
 from __future__ import annotations
@@ -34,6 +35,36 @@ def check_int(name: str, value, low: int = 1, bound=math.inf) -> int:
     span = f">= {low}" if bound == math.inf \
         else f"in [{low}, 2**{bound.bit_length() - 1})"
     raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+
+
+def check_real(name: str, value, low: float = -math.inf,
+               high: float = math.inf, ends: str = "()"):
+    """`value`, unchanged; a ValueError naming it unless every entry of it,
+    scalar or array, lies between `low` and `high`, each end open or closed
+    as `ends` writes it ("()", "[)", "(]" or "[]"). NaN lies in no interval,
+    so the default bounds ask for a finite value. The message's words
+    follow from the bounds ("positive and finite", "nonnegative and
+    finite", "finite" or "in (a, b]"); of an array it names the first entry
+    outside and its flat index.
+    """
+    above = np.greater_equal if ends[0] == "[" else np.greater
+    below = np.less_equal if ends[1] == "]" else np.less
+    try:
+        inside = above(value, low) & below(value, high)
+    except TypeError:  # None, a string: no number at all
+        inside = False
+    if np.all(inside):
+        return value
+    if low == 0.0 and high == math.inf:
+        words = ("nonnegative" if ends[0] == "[" else "positive") + " and finite"
+    elif low == -math.inf and high == math.inf:
+        words = "finite"
+    else:
+        words = f"in {ends[0]}{low:g}, {high:g}{ends[1]}"
+    if np.ndim(inside):
+        index = int(np.argmin(inside))
+        value = f"{np.ravel(value)[index]} at index {index}"
+    raise ValueError(f"{name} must be {words}, got {value}")
 
 
 def check_seed(seed) -> int:
@@ -129,8 +160,7 @@ class NoiseConfig:
         check_seed(self.seed)
         check_int("paths", self.paths)
         check_int("steps", self.steps)
-        if not -1.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho must lie in [-1, 1], got {self.rho}")
+        check_real("rho", self.rho, -1.0, 1.0, "[]")
         if self.paths % self.group:
             raise ValueError(f"paths must be a multiple of the antithetic "
                              f"group of {self.group}, got {self.paths}")

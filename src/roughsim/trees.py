@@ -53,7 +53,7 @@ from roughsim.models import (  # noqa: F401 - Q stays importable from here
     variance_map,
 )
 from roughsim.pricing import _black_scholes
-from roughsim.shocks import check_int
+from roughsim.shocks import check_int, check_real
 from roughsim.volterra import DiffusionSpec
 
 _MAX_DEPTH = {4: 12, 2: 24}
@@ -90,12 +90,9 @@ class TreeConfig:
     def __post_init__(self):
         check_int("depth", self.depth)
         check_int("max_in_memory_bytes", self.max_in_memory_bytes, 0)
-        if not 0.0 < self.horizon < math.inf:
-            raise ValueError(f"horizon must be positive and finite, got "
-                             f"{self.horizon}")
-        for name in ("rate", "dividend"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        check_real("horizon", self.horizon, 0.0)
+        check_real("rate", self.rate)
+        check_real("dividend", self.dividend)
         if self.depth > _MAX_DEPTH[self.branching]:
             raise ValueError(
                 f"depth {self.depth} exceeds the {self.branching}-branch "
@@ -179,10 +176,7 @@ class VanillaPayoff(NamedTuple):
 
 
 def _vanilla(kind: str, strike: float) -> VanillaPayoff:
-    strike = float(strike)
-    if not 0.0 < strike < math.inf:
-        raise ValueError(f"strike must be positive and finite, got {strike}")
-    return VanillaPayoff(kind, strike)
+    return VanillaPayoff(kind, check_real("strike", float(strike), 0.0))
 
 
 def call_payoff(strike: float) -> VanillaPayoff:

@@ -31,6 +31,7 @@ from roughsim.kernels import (
 from roughsim.shocks import (  # noqa: F401
     STREAM_CHOLESKY,
     STREAM_HYBRID_AUX,
+    check_real,
     path_normals,
     path_rng,
 )
@@ -236,13 +237,13 @@ def euler_diffusion(spec: DiffusionSpec, zeta: np.ndarray, grid: Grid) -> PathSe
     the state clipped to the domain (full truncation); the number of
     clipped cells lands in stats["domain_clips"]. A non-finite state
     aborts with a NonFiniteState (a RuntimeError) naming the
-    `euler:<name>` tag, the first bad path at the first time index that
-    has one, and its value.
+    `euler:<name>` tag and, by `check_finite`'s row-major rule, the
+    lowest bad path at its first non-finite time index, and its value.
 
     Each step updates one contiguous state row in place through buffers,
-    as (Y + b*dt) + (a*sqrt(dt))*zeta. The clips are counted and the
-    states checked after the loop, in one pass each: a state that is not
-    finite stays so at every later step, because each step adds to it.
+    as (Y + b*dt) + (a*sqrt(dt))*zeta. The clips are counted after the
+    loop; a state that is not finite stays so at every later step, as
+    each step adds to it, so the last states name the bad paths.
     """
     m, n = zeta.shape
     if n != grid.n:
@@ -263,13 +264,9 @@ def euler_diffusion(spec: DiffusionSpec, zeta: np.ndarray, grid: Grid) -> PathSe
             noise *= zeta[:, k]
             np.add(drift, noise, out=y)
             values[:, k + 1] = y
-    bad = np.flatnonzero(~np.isfinite(y))
-    if bad.size:
-        # each bad path's first non-finite time index; the earliest wins,
-        # the lowest path among equals
-        first = np.argmin(np.isfinite(values[bad, 1:]), axis=1)
-        path = bad[np.argmin(first)]
-        step = int(first.min()) + 1
+    path = first_non_finite(y)
+    if path is not None:
+        step = first_non_finite(values[path])
         raise NonFiniteState(f"euler:{spec.name} state non-finite", path,
                              step, values[path, step])
     return PathSet(values=values, grid=grid, scheme_tag=f"euler:{spec.name}",
@@ -436,8 +433,7 @@ def hybrid_scheme_rl(hurst: float, shocks_base: np.ndarray, grid: Grid,
     `base_offset` likewise shifts per-row streams when g = 1, letting
     chunked calls reproduce a single full call. The convolution is an FFT.
     """
-    if not 0.0 < hurst < 1.0:
-        raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
+    check_real("hurst", hurst, 0.0, 1.0)
     if shocks_base.shape[1] != grid.n:
         raise ValueError(f"shock columns {shocks_base.shape[1]} do not match "
                          f"grid n={grid.n}")

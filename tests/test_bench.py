@@ -28,6 +28,14 @@ def test_path_generation_rejects_unknown_scheme_and_trials():
         time_path_generation("rdonsker-fft", 32, paths=4, trials=0)
 
 
+@pytest.mark.parametrize("trials", [1.5, True, 0, -2])
+def test_timers_refuse_a_trial_count_that_is_no_positive_integer(trials):
+    with pytest.raises(ValueError, match="trials"):
+        time_path_generation("rdonsker-fft", 32, paths=4, trials=trials)
+    with pytest.raises(ValueError, match="trials"):
+        time_full_pipeline("rdonsker-fft", 8, 4, trials=trials)
+
+
 def test_report_schema_stable():
     report = run_bench(schemes=("rdonsker-fft", "markovian-euler"),
                        grid=(16, 32), paths=8, trials=2)

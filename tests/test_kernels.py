@@ -40,6 +40,7 @@ SQ_POWERLAW_A025_B15 = 0.16499158227686112  # int_0^1 u^0.5 (1+u)^{-3.5} du
 def test_grid_basics():
     grid = Grid(n=4, T=2.0)
     assert grid.dt == 0.5
+    assert Grid(n=np.int64(4), T=2.0).dt == 0.5
     np.testing.assert_allclose(grid.times, [0.0, 0.5, 1.0, 1.5, 2.0])
     assert grid.times[0] == 0.0 and grid.times[-1] == grid.T
 
@@ -59,8 +60,11 @@ def test_grid_invalid():
 _REFUSED = [pytest.param(*case[:2], id=case[-1]) for case in [
     (lambda: Grid(4, math.inf), "T", "grid T=inf"),
     (lambda: Grid(4, math.nan), "T", "grid T=nan"),
+    (lambda: Grid(True, 1.0), "grid", "grid n=True"),
+    (lambda: Grid(2.0, 1.0), "grid", "grid n=2.0"),
     (lambda: gamma_fractional(-0.2, math.nan), "beta", "gamma beta=nan"),
     (lambda: gamma_fractional(-0.2, -math.inf), "beta", "gamma beta=-inf"),
+    (lambda: KernelSpec("gamma", -0.2), "beta", "gamma beta=None"),
     (lambda: power_law(-0.2, math.nan), "beta", "powerlaw beta=nan"),
     (lambda: power_law(-0.2, -math.inf), "beta", "powerlaw beta=-inf"),
 ]]

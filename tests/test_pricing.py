@@ -155,6 +155,14 @@ _REFUSED = [pytest.param(*case[:2], id=case[-1]) for case in [
     (lambda: bs_put(1.0, 1.0, np.array([0.04, math.inf])), "total variance",
      "put tv=inf"),
     (lambda: implied_vol(0.1, 1.0, 1.0, math.nan), "maturity", "maturity=nan"),
+    (lambda: implied_vol(0.1, math.nan, 1.0, 1.0), "forward", "iv forward=nan"),
+    (lambda: implied_vol(0.1, math.inf, 1.0, 1.0), "forward", "iv forward=inf"),
+    (lambda: implied_vol(0.1, -math.inf, 1.0, 1.0), "forward",
+     "iv forward=-inf"),
+    (lambda: implied_vol(0.1, 1.0, math.nan, 1.0), "strike", "iv strike=nan"),
+    (lambda: implied_vol(0.1, 1.0, -1.0, 1.0), "strike", "iv strike=-1"),
+    (lambda: implied_vol(0.1, 1.0, 0.0, 1.0), "strike", "iv strike=0"),
+    (lambda: implied_vol(math.nan, 1.0, 1.0, 1.0), "price", "iv price=nan"),
     (lambda: MCConfig(num_paths=2.5, grid=Grid(n=8, T=1.0)), "num_paths",
      "num_paths=2.5"),
 ]]
@@ -162,8 +170,9 @@ _REFUSED = [pytest.param(*case[:2], id=case[-1]) for case in [
 
 @pytest.mark.parametrize("build, name", _REFUSED)
 def test_nan_and_infinite_inputs_are_refused_by_name(build, name):
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(ValueError, match=name) as err:
         build()
+    assert not isinstance(err.value, NoImpliedVol)  # a bad input, not a price
 
 
 # ----------------------------------------------------------------------
@@ -303,6 +312,10 @@ _BLOW_UP = _BlowUpHeston(eta=0.04, kappa=1.0, theta=0.04, vol_of_vol=0.1,
     (_BLOW_UP, _config(paths=64, n=8, scheme="rdonsker_left", antithetic=True,
                        seed=3),
      RuntimeError, "euler:walk state non-finite: path 16, time index 3 is inf"),
+    # paths 13 and 20 blow up, 20 first: the lowest path is named
+    (_BLOW_UP, _config(paths=64, n=8, scheme="rdonsker_left", antithetic=True,
+                       seed=4),
+     RuntimeError, "euler:walk state non-finite: path 13, time index 6 is inf"),
     # the Bergomi variance overflows where 1.55 phi - 1.2 Q(t) exceeds 3;
     # at rho = 0 every conditional forward is the spot, so no other check
     # fails on the paths before it
@@ -310,11 +323,11 @@ _BLOW_UP = _BlowUpHeston(eta=0.04, kappa=1.0, theta=0.04, vol_of_vol=0.1,
      _config(paths=64, n=8, antithetic=True, seed=0),
      ValueError, "rdonsker_matched variance paths are not finite: path 28, "
                  "time index 5 is inf; "),
-], ids=["euler", "variance"])
+], ids=["euler", "euler lowest path", "variance"])
 def test_a_failing_path_is_named_alike_in_every_chunking(monkeypatch, model,
                                                          cfg, error, message):
     # one chunk, chunks of 16 rows and chunks of one antithetic group: the
-    # path is never in the first chunk of the last two
+    # seed-3 path is never in the first chunk of the last two
     for chunk_elements in (pricing._CHUNK_ELEMENTS, 16 * 8, 5 * 8):
         monkeypatch.setattr(pricing, "_CHUNK_ELEMENTS", chunk_elements)
         with pytest.raises(error) as err, np.errstate(over="ignore"):
@@ -322,7 +335,7 @@ def test_a_failing_path_is_named_alike_in_every_chunking(monkeypatch, model,
         assert str(err.value).startswith(message)
     if error is RuntimeError:  # the driver alone on every path agrees
         zeta = draw_shocks(NoiseConfig(paths=64, steps=8, rho=model.rho,
-                                       seed=3, antithetic=True)).zeta
+                                       seed=cfg.seed, antithetic=True)).zeta
         with pytest.raises(RuntimeError, match=f"^{message}$"):
             euler_diffusion(model.driver(), zeta, cfg.grid)
 

@@ -115,25 +115,29 @@ def test_euler_nan_names_tag_path_time_index_and_value():
 
 
 def _euler_reference(spec, zeta, grid):
-    """The Euler loop step by step: a clip, a count and a finiteness check
-    at every step, as (Y + b dt) + (a sqrt(dt)) zeta."""
+    """The Euler loop step by step, a clip and a count at every step, as
+    (Y + b dt) + (a sqrt(dt)) zeta; then every state is checked, and the
+    lowest path with a non-finite state is named at its first bad step."""
     m, n = zeta.shape
     sq = np.sqrt(grid.dt)
     values = np.empty((m, n + 1))
     values[:, 0] = spec.y0
     y = np.full(m, float(spec.y0))
     clips = 0
-    for k in range(n):
-        lo, hi = spec.domain
-        yc = y if lo is None and hi is None else np.clip(y, lo, hi)
-        clips += int(np.count_nonzero(yc != y))
-        y = y + spec.drift(yc) * grid.dt + spec.diffusion(yc) * sq * zeta[:, k]
-        if not np.all(np.isfinite(y)):
-            bad = int(np.flatnonzero(~np.isfinite(y))[0])
-            raise RuntimeError(
-                f"euler:{spec.name} state non-finite: path {bad}, time index "
-                f"{k + 1} is {y[bad]}")
-        values[:, k + 1] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            lo, hi = spec.domain
+            yc = y if lo is None and hi is None else np.clip(y, lo, hi)
+            clips += int(np.count_nonzero(yc != y))
+            y = (y + spec.drift(yc) * grid.dt
+                 + spec.diffusion(yc) * sq * zeta[:, k])
+            values[:, k + 1] = y
+    for path in range(m):
+        for step in range(n + 1):
+            if not np.isfinite(values[path, step]):
+                raise RuntimeError(
+                    f"euler:{spec.name} state non-finite: path {path}, "
+                    f"time index {step} is {values[path, step]}")
     return values, clips
 
 
