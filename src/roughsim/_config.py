@@ -1,19 +1,29 @@
-"""Process-wide knobs: worker count for the batched FFT convolution."""
+"""Process-wide knobs: the thread count of the chunk pool and the FFT.
+
+One count governs both. `pricing._chunked` runs its chunks on a pool of
+at most that many threads, and `volterra.convolve_gfo`'s batched FFT
+uses that many workers outside the pool and one inside it
+(`fft_workers`), so the two never multiply.
+"""
 
 from __future__ import annotations
 
 import os
+from contextvars import ContextVar
 
 from roughsim.shocks import check_int
 
 _threads = None  # ROUGHSIM_THREADS, read on first use, until set_threads
+# set in the context each pooled chunk runs in
+in_pool = ContextVar("roughsim_in_pool", default=False)
 
 
 def get_threads() -> int:
-    """Worker count used by scipy.fft for batched transforms: until set,
-    ROUGHSIM_THREADS (default 1), held to `set_threads`'s rule."""
+    """Thread count of the chunk pool and the FFT: until set,
+    ROUGHSIM_THREADS (default: the CPUs this process may run on), held to
+    `set_threads`'s rule."""
     if _threads is None:
-        text = os.environ.get("ROUGHSIM_THREADS", "1")
+        text = os.environ.get("ROUGHSIM_THREADS", str(_cpus()))
         try:
             set_threads(int(text))
         except ValueError:
@@ -22,7 +32,25 @@ def get_threads() -> int:
     return _threads
 
 
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def set_threads(count: int) -> None:
-    """Cap the FFT worker pool; results are bitwise independent of it."""
+    """Set the thread count of the chunk pool and the FFT workers.
+
+    Results are bitwise independent of it. Each pooled chunk holds
+    1/count of the path-steps a chunk holds at count 1, so the paths in
+    flight stay within the same memory at every count.
+    """
     global _threads
     _threads = check_int("thread count", count)
+
+
+def fft_workers() -> int:
+    """scipy.fft workers for one batched transform: one inside a pooled
+    chunk, where the pool already uses every thread, else `get_threads()`."""
+    return 1 if in_pool.get() else get_threads()

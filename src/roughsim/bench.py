@@ -19,6 +19,7 @@ from statistics import median
 
 import numpy as np
 
+from ._config import get_threads
 from .kernels import Grid, optimal_eval_weights, riemann_liouville
 from .models import RoughBergomi
 from .pricing import MCConfig, _estimate, _variance_chunk, chunk_layout
@@ -109,9 +110,11 @@ def run_bench(schemes=BENCH_SCHEMES, grid=BENCH_GRID, *, paths: int = 256,
     """Timing table: median of `trials` runs per (scheme, steps) cell.
 
     Each cell also gives the `pricing.chunk_layout` in which the pricing
-    pipeline, antithetics off, runs `paths` paths of `steps` steps; the
-    timed unit itself draws its paths in one piece.
+    pipeline, antithetics off, runs `paths` paths of `steps` steps at the
+    current thread count; the timed unit itself draws its paths in one
+    piece.
     """
+    threads = get_threads()
     timings = []
     for scheme in schemes:
         for steps in grid:
@@ -119,7 +122,8 @@ def run_bench(schemes=BENCH_SCHEMES, grid=BENCH_GRID, *, paths: int = 256,
                                        trials=trials, hurst=hurst, seed=seed)
             timings.append({"scheme": scheme, "steps": int(steps),
                             "median_seconds": med, "trials": int(trials),
-                            "pipeline_chunking": chunk_layout(paths, steps)})
+                            "pipeline_chunking": chunk_layout(
+                                paths, steps, threads=threads)})
     return {
         "schema_version": 1,
         "protocol": {"paths": int(paths), "trials": int(trials),

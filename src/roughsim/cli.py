@@ -230,6 +230,7 @@ def cmd_price(config: dict, args) -> dict:
         "implied_vol": float(result.implied_vols[0]),
         "implied_vol_nan_reason": result.metadata["iv_nan_reasons"].get(0),
         "chunking": result.metadata["chunking"],
+        "threads": result.metadata["threads"],
         "metadata": _metadata("price", config, [result.metadata["scheme"]],
                               time.perf_counter() - start),
     }
@@ -480,7 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="roughsim",
         description="Rough-volatility simulation, smiles and tree pricing")
     parser.add_argument("--threads", type=int,
-                        help="FFT worker cap (env: ROUGHSIM_THREADS)")
+                        help="threads of the chunk pool and the FFT (env: "
+                        "ROUGHSIM_THREADS; default: the CPUs this process "
+                        "may run on)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (about, handler, table) in _COMMANDS.items():
         p = sub.add_parser(name, help=about)

@@ -7,14 +7,19 @@ given the volatility driver's path, the log-stock is Gaussian, so each
 path contributes a closed-form Black-Scholes price with per-path forward
 e^{X1} and residual variance (1-rho^2) * integral of V.
 
-Paths are processed in chunks of at most `_CHUNK_ELEMENTS` path-steps
-(per-path counter RNG makes the chunked run bitwise identical to a
-monolithic one), keeping memory flat at desk-scale path counts. Each
-chunk runs in its own scope, and a conditional-estimator chunk holds
-about three arrays of the chunk at its peak: the variance is mapped into
-the scheme's own array, and sqrt(V) taken in place there once V is
-summed. Estimator statistics are computed over antithetic group means
-when antithetics are on.
+Paths are processed in chunks (per-path counter RNG makes the chunked
+run bitwise identical to a monolithic one), keeping memory flat at
+desk-scale path counts. At a thread count of T (`_config.get_threads`)
+the chunks run on a pool of up to T threads and a chunk holds at most
+`_CHUNK_ELEMENTS` / T path-steps, so the chunks in flight hold at most
+`_CHUNK_ELEMENTS` path-steps at every T; at T = 1, or with one chunk,
+they run inline. Results are read back in path order and are bitwise
+independent of T. Inside a pooled chunk the FFT convolution uses one
+worker; outside the pool it uses T. Each chunk runs in its own scope,
+and a conditional-estimator chunk holds about three arrays of the chunk
+at its peak: the variance is mapped into the scheme's own array, and
+sqrt(V) taken in place there once V is summed. Estimator statistics are
+computed over antithetic group means when antithetics are on.
 
 The chunk size was chosen from a sweep of the benchmark's smile
 workloads (`benchmark/run.py --seconds 12`, seeds 301-303, 2-core x86-64
@@ -35,7 +40,8 @@ The op times spread as widely as they differ; timed alternately in one
 process, the n=2048 legs took 0.65 s (rBergomi) and 1.05 s (rough
 Heston) at 8M and 0.52 s and 1.04 s at 2M. Below 2M the CIR driver's
 Euler loop, a Python loop over the steps of every chunk, costs more per
-path, so 2M (16 MB per float64 array) is the size used.
+path, so 2M (16 MB per float64 array) is the size used. That sweep ran
+one chunk at a time; the budget is now shared by the chunks in flight.
 
 `scheme_paths` is the one scheme dispatch and `_chunked` the one chunk
 loop; every estimator is a per-chunk function passed to it.
@@ -43,9 +49,12 @@ loop; every estimator is a per-chunk function passed to it.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import time
 import traceback
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -53,12 +62,14 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
+from roughsim import _config
 from roughsim.kernels import Grid
 from roughsim.models import phi_apply
 from roughsim.shocks import (
     NoiseConfig, check_int, check_real, check_seed, draw_shocks)
 from roughsim.volterra import (
     NonFinitePath,
+    NonFiniteValues,
     PathSet,
     _mirrored,
     hybrid_scheme_rl,
@@ -68,8 +79,9 @@ from roughsim.volterra import (
 SCHEMES = ("rdonsker_matched", "rdonsker_left", "hybrid")
 PAYOFFS = ("call", "put")
 VARIANCE_REDUCTIONS = ("conditional_bs", "none")
-# path-steps per chunk: every M x n float64 temporary of the chunk loop
-# takes 16 MB; the module docstring gives the sweep this was chosen from
+# path-steps of the chunks in flight: every M x n float64 temporary of
+# the chunk loop takes 16 MB; the module docstring gives the sweep this
+# was chosen from
 _CHUNK_ELEMENTS = 2_097_152
 
 
@@ -276,15 +288,19 @@ def _variance_chunk(model, config: MCConfig, shocks, base_offset: int) -> PathSe
     return phi_apply(model, vol, config.grid, out=vol.values)
 
 
-def chunk_layout(num_paths: int, steps: int, group: int = 1) -> dict:
-    """How `_chunked` splits `num_paths` paths of `steps` steps.
+def chunk_layout(num_paths: int, steps: int, group: int = 1, *,
+                 threads: int) -> dict:
+    """How `_chunked` splits `num_paths` paths of `steps` steps at a
+    thread count of `threads`.
 
     A chunk holds whole antithetic groups of `group` rows, at most
-    max(group, _CHUNK_ELEMENTS // steps) rows. Returns {"chunks": the
-    chunk count, "chunk_rows": the rows of every chunk but maybe the last}.
+    max(group, _CHUNK_ELEMENTS // (steps * threads)) rows, so the
+    `threads` chunks in flight hold at most `_CHUNK_ELEMENTS` path-steps.
+    Returns {"chunks": the chunk count, "chunk_rows": the rows of every
+    chunk but maybe the last}.
     """
     total_base = num_paths // group
-    rows_cap = max(group, _CHUNK_ELEMENTS // max(steps, 1))
+    rows_cap = max(group, _CHUNK_ELEMENTS // (steps * threads))
     base_step = min(total_base, max(1, rows_cap // group))
     return {"chunks": -(-total_base // base_step),
             "chunk_rows": base_step * group}
@@ -299,44 +315,59 @@ def _in_run(first: int, stage, *args):
         raise
 
 
-def _chunk(model, config: MCConfig, noise: NoiseConfig, base_range: tuple,
-           variance, per_chunk, group_means: bool) -> tuple:
+def _chunk(model, config: MCConfig, noise: NoiseConfig, variance, per_chunk,
+           group_means: bool, base_range: tuple) -> tuple:
     """(rows, variance stats) of one chunk of `_chunked`.
 
     Draws the shocks of the base paths in `base_range`, builds the
-    variance paths `v` by `variance` and, unless `per_chunk` is None,
-    applies it and takes antithetic group means if `group_means`. The
-    chunk's arrays live in this one scope, so they are freed before the
-    next chunk draws. A variance error is raised; an estimator error is
-    returned as the rows, for `_chunked` to raise after every later
-    chunk's variance is built. Either names the path of the whole run.
+    variance paths `v` by `variance`, applies `per_chunk` and takes
+    antithetic group means if `group_means`. The chunk's arrays live in
+    this one scope, so they are freed when it returns. A variance error
+    is raised; an estimator error is returned as the rows, for `_chunked`
+    to raise once every later chunk's variance is built. Either names the
+    path of the whole run.
     """
     group = noise.group
     first = base_range[0] * group
     shocks = draw_shocks(noise, base_range=base_range)
     v = _in_run(first, variance, model, config, shocks, base_range[0])
-    if per_chunk is None:
-        return None, v.stats
+    stats = v.stats
     try:
         rows = _in_run(first, per_chunk, v, shocks)
     except Exception as exc:  # noqa: BLE001 - raised by `_chunked`
-        return exc, v.stats
-    return (_group_means(rows, group) if group_means else rows), v.stats
+        # its frames would keep the chunk's arrays alive until it is raised
+        shocks = v = None
+        traceback.clear_frames(exc.__traceback__)
+        return exc, stats
+    return (_group_means(rows, group) if group_means else rows), stats
+
+
+def _pool_context() -> contextvars.Context:
+    """A copy of the caller's context (its `np.errstate` among it) in
+    which the FFT knows it runs in a pooled chunk."""
+    context = contextvars.copy_context()
+    context.run(_config.in_pool.set, True)
+    return context
 
 
 def _chunked(model, config: MCConfig, per_chunk, *, group_means: bool = True,
              variance=_variance_chunk) -> tuple:
-    """(rows in path order, merged stats, chunk layout) of
+    """(rows in path order, merged stats, run layout) of
     `per_chunk(v, shocks)`.
 
     Per chunk (`_chunk`): draw shocks, build variance paths `v` by
     `variance`, apply `per_chunk`, and take antithetic group means if
-    `group_means`. `per_chunk` may consume `v`. Shock streams are keyed
-    by absolute path index, so no result depends on the chunk size. Nor
-    does an error: it names the path of the whole run, and as in one
-    chunk a variance error on any path outranks the first estimator
-    error, which is raised after every chunk's variance is built. The
-    layout is `chunk_layout`'s; it is kept out of the stats, which do not
+    `group_means`. `per_chunk` may consume `v`. With more than one chunk
+    and `get_threads()` above one, the chunks run on a pool of
+    min(threads, chunks) threads, each in its own copy of the caller's
+    context, and their results are read back in path order; otherwise
+    they run inline, one after the other. Shock streams are keyed by
+    absolute path index, so no result depends on the chunk size or the
+    thread count. Nor does an error: it names the path of the whole run,
+    and as in one chunk a variance error on any path outranks the first
+    estimator error, which is raised after every chunk's variance is
+    built. The run layout is {"chunking": `chunk_layout`'s, "threads":
+    the pool's worker count}; it is kept out of the stats, which do not
     depend on it.
     """
     noise = NoiseConfig(paths=config.num_paths, steps=config.grid.n,
@@ -344,26 +375,36 @@ def _chunked(model, config: MCConfig, per_chunk, *, group_means: bool = True,
                         antithetic=config.antithetic)
     group = noise.group
     total_base = config.num_paths // group
-    layout = chunk_layout(config.num_paths, config.grid.n, group)
+    threads = _config.get_threads()
+    layout = chunk_layout(config.num_paths, config.grid.n, group,
+                          threads=threads)
     base_step = layout["chunk_rows"] // group
+    ranges = [(start, min(total_base, start + base_step))
+              for start in range(0, total_base, base_step)]
+    workers = min(threads, len(ranges))
+    run = partial(_chunk, model, config, noise, variance, per_chunk,
+                  group_means)
     blocks, stats, failed = [], {}, None
-    for start in range(0, total_base, base_step):
-        base_range = (start, min(total_base, start + base_step))
-        rows, chunk_stats = _chunk(model, config, noise, base_range, variance,
-                                   None if failed else per_chunk, group_means)
-        if isinstance(rows, Exception):
-            # its frames would keep the chunk's arrays alive until it is raised
-            traceback.clear_frames(rows.__traceback__)
-            failed = rows
-        if failed is not None:
-            continue
-        blocks.append(rows)
-        for key in ("clamp_cells", "domain_clips", "scheme_rows"):
-            if key in chunk_stats:
-                stats[key] = stats.get(key, 0) + chunk_stats[key]
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        if pool is None:
+            results = map(run, ranges)
+        else:
+            contexts = [_pool_context() for _ in ranges]
+            results = pool.map(lambda context, base_range: context.run(
+                run, base_range), contexts, ranges)
+        for rows, chunk_stats in results:
+            if failed is None and isinstance(rows, Exception):
+                failed = rows
+            if failed is not None:
+                continue
+            blocks.append(rows)
+            for key in ("clamp_cells", "domain_clips", "scheme_rows"):
+                if key in chunk_stats:
+                    stats[key] = stats.get(key, 0) + chunk_stats[key]
     if failed is not None:
         raise failed
-    return np.concatenate(blocks), stats, layout
+    return np.concatenate(blocks), stats, {"chunking": layout,
+                                           "threads": workers}
 
 
 # ----------------------------------------------------------------------
@@ -451,13 +492,20 @@ def _conditional_path_prices(model, grid: Grid, strikes: np.ndarray,
     rho^2 drift plus the correlated shock sum, using the volatility
     driver's own shocks); the residual variance (1-rho^2) * dt * sum V
     is priced in closed form. Once V is summed, sqrt(V) is taken in place,
-    so `v` is consumed. A forward e^{X1} that is not positive raises
-    `NonPositiveStock`, naming the chunk's row.
+    so `v` is consumed. An integrated variance dt * sum V that is not
+    finite (the sum of finite variances overflowed) raises
+    `NonFiniteValues` before X1 is formed, and a forward e^{X1} that is
+    not positive raises `NonPositiveStock`; either names the chunk's row.
     """
     dt = grid.dt
     vleft = v.values[:, :-1]
     rho = model.rho
     integral = dt * vleft.sum(axis=1)
+    finite = np.isfinite(integral)
+    if not np.all(finite):
+        k = int(np.argmin(finite))
+        raise NonFiniteValues("integrated variances are not finite", k, None,
+                              integral[k])
     vol = np.sqrt(vleft, out=vleft)
     x1 = -0.5 * rho * rho * integral \
         + rho * np.sqrt(dt) * np.einsum("ij,ij->i", vol, shocks.zeta)
@@ -479,15 +527,15 @@ _PATH_ESTIMATES = {"conditional_bs": _conditional_path_prices,
 
 def _estimate(model, config: MCConfig, strikes: np.ndarray, payoff: str,
               variance_reduction: str, variance=_variance_chunk) -> tuple:
-    """(means, stderrs, stats, chunk layout) per strike of one estimator
-    over all paths."""
+    """(means, stderrs, stats, run layout) per strike of one estimator
+    over all paths; the run layout is `_chunked`'s."""
     if payoff not in PAYOFFS:
         raise ValueError(f"unknown payoff {payoff!r}")
     per_chunk = partial(_PATH_ESTIMATES[variance_reduction], model,
                         config.grid, strikes, payoff)
-    groups, stats, layout = _chunked(model, config, per_chunk,
-                                     variance=variance)
-    return (*_mean_stderr(groups), stats, layout)
+    groups, stats, run = _chunked(model, config, per_chunk,
+                                  variance=variance)
+    return (*_mean_stderr(groups), stats, run)
 
 
 def conditional_bs_estimate(model, config: MCConfig, strike: float,
@@ -527,6 +575,8 @@ def smile(model, config: MCConfig, strikes, payoff: str = "call") -> SmileResult
     parity). An entry with no implied vol is NaN, and
     `metadata["iv_nan_reasons"]` maps its strike index to the reason
     `implied_vol` gives: "below intrinsic", "above forward" or "no bracket".
+    `metadata["chunking"]` is the `chunk_layout` the paths ran in and
+    `metadata["threads"]` the worker count of its pool (1: inline).
     """
     strikes = np.asarray(strikes, dtype=float)
     if strikes.ndim != 1 or len(strikes) == 0:
@@ -535,8 +585,8 @@ def smile(model, config: MCConfig, strikes, payoff: str = "call") -> SmileResult
     if not np.all(np.diff(strikes) > 0.0):
         raise ValueError(f"strikes must be strictly increasing, got {strikes}")
     start = time.perf_counter()
-    prices, stderrs, stats, layout = _estimate(model, config, strikes, payoff,
-                                               config.variance_reduction)
+    prices, stderrs, stats, run = _estimate(model, config, strikes, payoff,
+                                            config.variance_reduction)
     runtime = time.perf_counter() - start
 
     forward = model.spot
@@ -564,7 +614,8 @@ def smile(model, config: MCConfig, strikes, payoff: str = "call") -> SmileResult
         "variance_convention": "C_H = sqrt(2H)",
         "runtime_seconds": runtime,
         "stats": stats,
-        "chunking": layout,
+        "chunking": run["chunking"],
+        "threads": run["threads"],
         "iv_nan_reasons": nan_reasons,
     }
     return SmileResult(strikes=strikes, prices=prices, stderrs=stderrs,

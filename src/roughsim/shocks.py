@@ -232,7 +232,9 @@ def draw_shocks(config: NoiseConfig, base_range: tuple | None = None) -> ShockMa
         return antithetic_expand(first, second, rho)
     if group == 2:
         # the first draw keeps the stream layout of the other modes but
-        # carries no weight here
+        # carries no weight here; a compact copy of the second lets the
+        # block go when this returns
+        second = second.copy()
         return ShockMatrices(zeta=_mirror(rho * second[:, None]),
                              xi=lambda: _mirror(second[:, None]),
                              antithetic_group=2)
@@ -259,10 +261,12 @@ def antithetic_expand(zeta_b: np.ndarray, xi_b: np.ndarray,
     (rho*xi + rhobar*zeta, xi), (rho*xi - rhobar*zeta, xi),
     (-rho*xi - rhobar*zeta, -xi), (-rho*xi + rhobar*zeta, -xi),
     grouped contiguously per base path. The volatility rows are written
-    in place into one M x n array; the stock rows are mirrored from
-    `xi_b` when the result's `xi` is first read.
+    in place into one M x n array; the stock rows are mirrored from a
+    compact copy of `xi_b` when the result's `xi` is first read, so the
+    arrays passed in are not kept.
     """
     m_base, n = zeta_b.shape
+    xi_b = xi_b.copy()
     rhobar = np.sqrt(1.0 - rho ** 2)
     vol = np.empty((4 * m_base, n))
     variates = vol.reshape(m_base, 4, n)

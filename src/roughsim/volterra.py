@@ -54,7 +54,8 @@ class DiffusionSpec:
 
     `drift` and `diffusion` must accept numpy arrays (vectorized over
     paths). `domain` clips the state before coefficient evaluation (full
-    truncation); pass None bounds for an unrestricted state space.
+    truncation); pass None bounds for an unrestricted state space. The
+    start `y0` must be finite.
     """
 
     drift: callable
@@ -64,6 +65,7 @@ class DiffusionSpec:
     name: str = "diffusion"
 
     def __post_init__(self):
+        check_real("y0", self.y0)
         lo, hi = self.domain
         if lo is not None and hi is not None and lo > hi:
             raise ValueError(f"domain {self.domain} is empty")
@@ -328,7 +330,7 @@ def convolve_gfo(weights: np.ndarray, increments: np.ndarray, grid: Grid,
     out = increments if levels else np.empty((m, n + 1))
     if method == "fft":
         size = _fft_length(n)
-        workers = _config.get_threads()
+        workers = _config.fft_workers()
         what = sfft.rfft(weights, size)
         rows = max(1, _FFT_BLOCK_BYTES // (8 * size))
         for a in range(0, m, rows):

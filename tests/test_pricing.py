@@ -1,7 +1,9 @@
 """Black-Scholes utilities, conditional estimator, smiles."""
 
 import math
+import sys
 import tracemalloc
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roughsim import _config as process_config
 from roughsim import pricing, volterra
 from roughsim.kernels import Grid
 from roughsim.models import GammaBergomi, RoughBergomi, RoughHestonGJRS
@@ -277,11 +280,101 @@ def test_chunking_never_changes_a_result(chunk_elements, base_paths,
         chunked = _chunk_run(estimator, model, cfg)
     finally:
         pricing._CHUNK_ELEMENTS = saved
-    for a, b in zip(whole, chunked):
+    _assert_same_run(whole, chunked)
+
+
+def _assert_same_run(first, second):
+    """`_chunk_run`'s outputs are equal, arrays bitwise."""
+    for a, b in zip(first, second, strict=True):
         if isinstance(a, np.ndarray):
             np.testing.assert_array_equal(a, b)  # NaN equals NaN here
         else:
             assert a == b
+
+
+@settings(max_examples=40, deadline=None)
+@given(chunk_elements=st.integers(1, 400), base_paths=st.integers(1, 30),
+       scheme=st.sampled_from(SCHEMES), antithetic=st.booleans(),
+       rho=st.sampled_from([-0.7, -1.0]), threads=st.sampled_from([1, 2, 3]),
+       estimator=st.sampled_from(["conditional_bs", "none", "martingale",
+                                  "logstock"]))
+def test_the_thread_count_never_changes_a_result(chunk_elements, base_paths,
+                                                 scheme, antithetic, rho,
+                                                 threads, estimator):
+    # "none" is the smile of the plain estimator, `plain_mc_estimate`'s
+    group = (2 if rho == -1.0 else 4) if antithetic else 1
+    cfg = _config(paths=group * base_paths, n=8, scheme=scheme,
+                  antithetic=antithetic, seed=base_paths,
+                  variance_reduction="none" if estimator == "none"
+                  else "conditional_bs")
+    model = _rbergomi(hurst=0.2, rho=rho)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pricing, "_CHUNK_ELEMENTS", chunk_elements)
+        mp.setattr(process_config, "_threads", 1)
+        serial = _chunk_run(estimator, model, cfg)
+        mp.setattr(process_config, "_threads", threads)
+        _assert_same_run(serial, _chunk_run(estimator, model, cfg))
+
+
+def test_more_threads_than_cpus_switching_often_give_the_serial_bytes(
+        monkeypatch, set_threads):
+    # 16 one-group chunks on 8 threads, the interpreter switching threads
+    # every microsecond: a chunk read back out of path order, or its
+    # clamp stats merged twice or lost, changes the result
+    model, scheme = _CHUNK_MODELS[-1]
+    cfg = _config(paths=4 * 16, n=8, scheme=scheme, antithetic=True, seed=2)
+    set_threads(1)
+    serial = [_chunk_run(estimator, model, cfg)
+              for estimator in ("conditional_bs", "logstock")]
+    set_threads(8)
+    monkeypatch.setattr(pricing, "_CHUNK_ELEMENTS", 8 * 4 * 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = [_chunk_run(estimator, model, cfg)
+                  for estimator in ("conditional_bs", "logstock")]
+    finally:
+        sys.setswitchinterval(interval)
+    assert pricing.chunk_layout(64, 8, 4, threads=8)["chunks"] == 16
+    for first, second in zip(serial, pooled):
+        _assert_same_run(first, second)
+    assert serial[1][1]["clamp_cells"] > 0
+
+
+def test_a_pooled_smile_keeps_the_callers_error_state(monkeypatch,
+                                                       set_threads):
+    # the variance map's exp overflows on path 31, and earlier chunks sum
+    # huge variances; each pooled chunk runs in a copy of the caller's
+    # context, so its errstate silences those overflows there too
+    set_threads(2)
+    monkeypatch.setattr(pricing, "_CHUNK_ELEMENTS", 16 * 8)
+    cfg = _config(paths=64, n=8, antithetic=True, seed=0)
+    model = _rbergomi(xi0=np.finfo(float).max / math.exp(3.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="^rdonsker_matched variance "
+                           "paths are not finite: path 31, "), \
+                np.errstate(over="ignore"):
+            smile(model, cfg, [1.0])
+    assert [str(w.message) for w in caught] == []
+    result = smile(_rbergomi(), cfg, [1.0])
+    assert result.metadata["threads"] == 2
+    assert result.metadata["chunking"] == {"chunks": 8, "chunk_rows": 8}
+
+
+def test_an_integrated_variance_that_overflows_is_refused_by_row():
+    # finite variances whose sum is inf: at rho = 0 the drift would be
+    # 0 * inf; the row is named before X1 is formed
+    grid = Grid(n=4, T=1.0)
+    v = np.full((3, 5), 0.04)
+    v[1] = np.finfo(float).max
+    shocks = draw_shocks(NoiseConfig(paths=3, steps=4, rho=0.0, seed=0))
+    with pytest.raises(volterra.NonFiniteValues,
+                       match="^integrated variances are not finite: "
+                             "path 1 is inf$"), np.errstate(over="ignore"):
+        pricing._conditional_path_prices(
+            _rbergomi(rho=0.0), grid, np.array([1.0]), "call",
+            volterra.PathSet(values=v, grid=grid, scheme_tag="test"), shocks)
 
 
 def test_chunked_pipeline_matches_monolithic(monkeypatch):
@@ -292,6 +385,14 @@ def test_chunked_pipeline_matches_monolithic(monkeypatch):
     monkeypatch.setattr(pricing, "_CHUNK_ELEMENTS", 32 * 8)
     chunked = simulate_logstock(model, cfg)
     np.testing.assert_array_equal(full.values, chunked.values)
+
+
+def _on_threads(cases, ids):
+    """Each of `cases` at a thread count of 1, under its id, then at 2,
+    under its id and ", two threads"."""
+    return [pytest.param(*case, threads,
+                         id=name if threads == 1 else f"{name}, two threads")
+            for threads in (1, 2) for case, name in zip(cases, ids)]
 
 
 @dataclass(frozen=True)
@@ -308,7 +409,7 @@ _BLOW_UP = _BlowUpHeston(eta=0.04, kappa=1.0, theta=0.04, vol_of_vol=0.1,
                          y0=0.04, hurst=0.3, rho=-0.7)
 
 
-@pytest.mark.parametrize("model,cfg,error,message", [
+@pytest.mark.parametrize("model,cfg,error,message,threads", _on_threads([
     (_BLOW_UP, _config(paths=64, n=8, scheme="rdonsker_left", antithetic=True,
                        seed=3),
      RuntimeError, "euler:walk state non-finite: path 16, time index 3 is inf"),
@@ -323,11 +424,13 @@ _BLOW_UP = _BlowUpHeston(eta=0.04, kappa=1.0, theta=0.04, vol_of_vol=0.1,
      _config(paths=64, n=8, antithetic=True, seed=0),
      ValueError, "rdonsker_matched variance paths are not finite: path 28, "
                  "time index 5 is inf; "),
-], ids=["euler", "euler lowest path", "variance"])
-def test_a_failing_path_is_named_alike_in_every_chunking(monkeypatch, model,
-                                                         cfg, error, message):
-    # one chunk, chunks of 16 rows and chunks of one antithetic group: the
-    # seed-3 path is never in the first chunk of the last two
+], ["euler", "euler lowest path", "variance"]))
+def test_a_failing_path_is_named_alike_in_every_chunking(
+        monkeypatch, set_threads, threads, model, cfg, error, message):
+    # one chunk, chunks of 16 rows and chunks of one antithetic group (of
+    # 8 rows and one group on two threads): the seed-3 path is never in
+    # the first chunk of the last two
+    set_threads(threads)
     for chunk_elements in (pricing._CHUNK_ELEMENTS, 16 * 8, 5 * 8):
         monkeypatch.setattr(pricing, "_CHUNK_ELEMENTS", chunk_elements)
         with pytest.raises(error) as err, np.errstate(over="ignore"):
@@ -340,7 +443,7 @@ def test_a_failing_path_is_named_alike_in_every_chunking(monkeypatch, model,
             euler_diffusion(model.driver(), zeta, cfg.grid)
 
 
-@pytest.mark.parametrize("xi0,nu,message", [
+@pytest.mark.parametrize("xi0,nu,message,threads", _on_threads([
     # a variance overflow on path 31 outranks the zero conditional forward
     # that an earlier path's huge but finite variance gives
     (np.finfo(float).max / math.exp(3.0), 1.0,
@@ -349,12 +452,15 @@ def test_a_failing_path_is_named_alike_in_every_chunking(monkeypatch, model,
     # finite variances whose integral sends e^{X1} below the smallest double
     (1000.0, 0.5, "conditional forwards are not positive: path 15 is 0.0 "
                   "(X1 = -770."),
-], ids=["variance", "estimator"])
-def test_a_failing_smile_raises_alike_in_every_chunking(monkeypatch, xi0, nu,
-                                                         message):
+], ["variance", "estimator"]))
+def test_a_failing_smile_raises_alike_in_every_chunking(
+        monkeypatch, set_threads, threads, xi0, nu, message):
     model = _rbergomi(xi0=xi0, nu=nu)
     cfg = _config(paths=64, n=8, antithetic=True, seed=0)
-    # one chunk, chunks of 16 rows and chunks of one antithetic group
+    set_threads(threads)
+    # one chunk, chunks of 16 rows and chunks of one antithetic group (of
+    # 8 rows and one group on two threads); on two threads the later
+    # chunks' estimator errors do not replace the first
     for chunk_elements in (pricing._CHUNK_ELEMENTS, 16 * 8, 5 * 8):
         monkeypatch.setattr(pricing, "_CHUNK_ELEMENTS", chunk_elements)
         with pytest.raises(ValueError) as err, np.errstate(over="ignore"):
@@ -378,23 +484,27 @@ def test_the_plain_estimator_names_a_non_positive_stock(monkeypatch, payoff):
                                          "path 11 is 0.0 (X(T) = -1377.")
 
 
-@pytest.mark.parametrize("model,scheme,n", [
+@pytest.mark.parametrize("model,scheme,n,threads", _on_threads([
     (_rbergomi(hurst=0.1), "rdonsker_matched", 256),
     (_rbergomi(hurst=0.1), "hybrid", 256),
     (RoughHestonGJRS(eta=0.04, kappa=1.0, theta=0.04, vol_of_vol=0.1, y0=0.04,
                      hurst=0.1, rho=-0.7), "rdonsker_left", 2048),
-], ids=["matched", "hybrid", "rough-heston-left"])
-def test_a_smile_chunk_holds_about_three_path_arrays(model, scheme, n):
+], ["matched", "hybrid", "rough-heston-left"]))
+def test_a_smile_chunk_holds_about_three_path_arrays(set_threads, threads,
+                                                     model, scheme, n):
     # numpy reports its allocations to tracemalloc. A chunk's shocks, its
     # scheme paths (into which the variance is mapped and sqrt(V) taken)
     # and the scheme's own output or Euler levels (convolved in place) are
-    # about three arrays of the chunk; the previous chunk's are freed
-    # before the next draws. The FFT's row blocks come on top.
-    paths = 2 * pricing._CHUNK_ELEMENTS // n  # two chunks
+    # about three arrays of the chunk; a chunk's are freed before its
+    # thread draws the next. The FFT's row blocks come on top. Counted in
+    # arrays of the rows in flight, one chunk a thread, the bound holds at
+    # every thread count.
+    set_threads(threads)
+    paths = 2 * pricing._CHUNK_ELEMENTS // n  # two chunks a thread
     cfg = _config(paths=paths, n=n, scheme=scheme, antithetic=True, seed=7)
-    layout = pricing.chunk_layout(paths, n, 4)
-    assert layout["chunks"] == 2
-    chunk_array = 8 * layout["chunk_rows"] * (n + 1)
+    layout = pricing.chunk_layout(paths, n, 4, threads=threads)
+    assert layout["chunks"] == 2 * threads
+    chunk_array = 8 * threads * layout["chunk_rows"] * (n + 1)
     tracemalloc.start()
     try:
         result = smile(model, cfg, np.linspace(0.8, 1.2, 9))
@@ -405,16 +515,21 @@ def test_a_smile_chunk_holds_about_three_path_arrays(model, scheme, n):
     assert peak <= 3.5 * chunk_array + 6 * volterra._FFT_BLOCK_BYTES
 
 
-@pytest.mark.parametrize("estimate", ["plain_smile", "martingale"])
-def test_a_log_stock_chunk_holds_about_four_path_arrays(estimate):
+@pytest.mark.parametrize("estimate,threads", _on_threads(
+    [("plain_smile",), ("martingale",)], ["plain_smile", "martingale"]))
+def test_a_log_stock_chunk_holds_about_four_path_arrays(set_threads, threads,
+                                                        estimate):
     # the plain estimator and martingale_statistic hold a chunk's shocks
     # zeta and xi, its variance (which takes the drift) and its log-stock,
-    # in whose columns the increments are built and summed
+    # in whose columns the increments are built and summed; counted in
+    # arrays of the rows in flight, one chunk a thread
+    set_threads(threads)
     n = 256
-    paths = 2 * pricing._CHUNK_ELEMENTS // n  # two chunks
+    paths = 2 * pricing._CHUNK_ELEMENTS // n  # two chunks a thread
     cfg = _config(paths=paths, n=n, variance_reduction="none",
                   antithetic=True, seed=7)
-    chunk_array = 8 * pricing.chunk_layout(paths, n, 4)["chunk_rows"] * (n + 1)
+    rows = pricing.chunk_layout(paths, n, 4, threads=threads)["chunk_rows"]
+    chunk_array = 8 * threads * rows * (n + 1)
     model = _rbergomi(hurst=0.1)
     tracemalloc.start()
     try:
@@ -429,7 +544,8 @@ def test_a_log_stock_chunk_holds_about_four_path_arrays(estimate):
 
 
 def _recorded_chunks(monkeypatch):
-    """The (start, stop) base ranges and antithetic group of every draw."""
+    """The (start, stop) base ranges and antithetic group of every draw;
+    draws on a pool are recorded in the order they start."""
     chunks = []
     draw = pricing.draw_shocks
 
@@ -442,40 +558,67 @@ def _recorded_chunks(monkeypatch):
     return chunks
 
 
-@pytest.mark.parametrize("model,scheme", [
+_LONG_GRID_LEGS = [
     (_rbergomi(hurst=0.1), "rdonsker_matched"),
     (RoughHestonGJRS(eta=0.04, kappa=1.0, theta=0.04, vol_of_vol=0.1, y0=0.04,
                      hurst=0.1, rho=-0.7), "rdonsker_left"),
-])
-def test_a_long_grid_smile_runs_in_chunks_of_the_cap(monkeypatch, model, scheme):
+]
+
+
+def _runs_in_chunks_of(monkeypatch, set_threads, model, scheme, threads, rows):
+    """A 4096-path n=2048 antithetic smile at `threads` threads draws
+    whole groups in chunks of `rows` rows, in path order on one thread, at
+    most the in-flight cap over `threads`, and reports that layout and its
+    pool."""
+    set_threads(threads)
     chunks = _recorded_chunks(monkeypatch)
     cfg = _config(paths=4096, n=2048, scheme=scheme, antithetic=True, seed=1)
     result = smile(model, cfg, [0.9, 1.0, 1.1])
-    cap = max(4, pricing._CHUNK_ELEMENTS // 2048)
-    assert [r for r, _ in chunks] == [(0, 256), (256, 512), (512, 768),
-                                      (768, 1024)]
+    cap = max(4, pricing._CHUNK_ELEMENTS // (2048 * threads))
+    drawn = [r for r, _ in chunks]
+    if threads > 1:  # draws on a pool start in any order
+        drawn.sort()
+    assert drawn == [(start, start + rows // 4)
+                     for start in range(0, 1024, rows // 4)]
     assert all(group * (stop - start) <= cap
                for (start, stop), group in chunks)
-    assert result.metadata["chunking"] == {"chunks": 4, "chunk_rows": 1024}
+    assert result.metadata["chunking"] == {"chunks": 4096 // rows,
+                                           "chunk_rows": rows}
+    assert result.metadata["threads"] == threads
+
+
+@pytest.mark.parametrize("model,scheme", _LONG_GRID_LEGS)
+def test_a_long_grid_smile_runs_in_chunks_of_the_cap(monkeypatch, set_threads,
+                                                     model, scheme):
+    _runs_in_chunks_of(monkeypatch, set_threads, model, scheme, 1, 1024)
+
+
+@pytest.mark.parametrize("model,scheme", _LONG_GRID_LEGS)
+def test_a_long_grid_smile_runs_in_chunks_of_the_cap_on_two_threads(
+        monkeypatch, set_threads, model, scheme):
+    # two chunks in flight share the one-thread cap
+    _runs_in_chunks_of(monkeypatch, set_threads, model, scheme, 2, 512)
 
 
 @settings(max_examples=40, deadline=None)
 @given(chunk_elements=st.integers(1, 200), base_paths=st.integers(1, 20),
        n=st.integers(1, 12), antithetic=st.booleans(),
-       rho=st.sampled_from([-0.7, -1.0]))
+       rho=st.sampled_from([-0.7, -1.0]), threads=st.sampled_from([1, 2]))
 def test_chunks_tile_the_paths_under_the_cap(chunk_elements, base_paths, n,
-                                             antithetic, rho):
+                                             antithetic, rho, threads):
     with pytest.MonkeyPatch.context() as mp:
         chunks = _recorded_chunks(mp)
         mp.setattr(pricing, "_CHUNK_ELEMENTS", chunk_elements)
+        mp.setattr(process_config, "_threads", threads)
         group = (2 if rho == -1.0 else 4) if antithetic else 1
         cfg = _config(paths=group * base_paths, n=n, antithetic=antithetic,
                       seed=base_paths)
         result = smile(_rbergomi(rho=rho), cfg, [1.0])
-    ranges = [r for r, _ in chunks]
+    # draws on a pool start in any order
+    ranges = sorted(r for r, _ in chunks)
     assert ranges[0][0] == 0 and ranges[-1][1] == base_paths
     assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-    cap = max(group, chunk_elements // n)
+    cap = max(group, chunk_elements // (n * threads))
     assert all(g == group and g * (stop - start) <= cap
                for (start, stop), g in chunks)
     assert result.metadata["chunking"] == {

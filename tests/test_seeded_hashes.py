@@ -126,7 +126,10 @@ def test_outputs_hold_the_variance_stage_counts_and_refusals():
                                   "finite: path 31, time index 4 is inf")
 
 
-def test_chunked_smile_outputs_run_in_16_row_chunks(monkeypatch):
+def _rows16_draws(monkeypatch):
+    """The base ranges drawn by the 16-row antithetic rBergomi smile
+    output, in the order the draws start; that output is checked to be
+    bitwise the smile of the same paths priced whole."""
     import roughsim as rs
     from roughsim import pricing
 
@@ -134,16 +137,30 @@ def test_chunked_smile_outputs_run_in_16_row_chunks(monkeypatch):
     names = [name for name in outputs if name.endswith("/rows16")
              and name != "smile/overflow/rows16"]
     assert len(names) == 3 * 3 * 2  # model x scheme x estimator
+    model = rs.model_from_config(seeded_hashes.MODEL_CONFIGS["rbergomi"])
+    whole = np.stack(seeded_hashes._smile(rs, model, dict(
+        num_paths=64, grid=rs.Grid(n=8, T=1.0), antithetic=True, seed=23)))
     default, draws = pricing._CHUNK_ELEMENTS, []
     draw = pricing.draw_shocks
     monkeypatch.setattr(pricing, "draw_shocks", lambda noise, base_range: (
         draws.append(base_range) or draw(noise, base_range=base_range)))
     chunked = outputs["smile/rbergomi/rdonsker_matched/conditional_bs/"
                       "antithetic/rows16"]()
-    # a call and a put smile, each in four chunks of 4 base paths
-    assert draws == [(0, 4), (4, 8), (8, 12), (12, 16)] * 2
     assert pricing._CHUNK_ELEMENTS == default
-    model = rs.model_from_config(seeded_hashes.MODEL_CONFIGS["rbergomi"])
-    whole = np.stack(seeded_hashes._smile(rs, model, dict(
-        num_paths=64, grid=rs.Grid(n=8, T=1.0), antithetic=True, seed=23)))
     assert chunked.tobytes() == whole.tobytes()
+    return draws
+
+
+def test_chunked_smile_outputs_run_in_16_row_chunks(monkeypatch, set_threads):
+    set_threads(1)
+    # a call and a put smile, each in four chunks of 4 base paths
+    assert _rows16_draws(monkeypatch) == [(0, 4), (4, 8), (8, 12),
+                                          (12, 16)] * 2
+
+
+def test_chunked_smile_outputs_run_in_16_row_chunks_on_two_threads(
+        monkeypatch, set_threads):
+    # two chunks in flight share the 16-row cap; draws start in any order
+    set_threads(2)
+    assert sorted(_rows16_draws(monkeypatch)) == sorted(
+        [(a, a + 2) for a in range(0, 16, 2)] * 2)

@@ -101,6 +101,14 @@ def test_euler_nan_aborts():
         euler_diffusion(spec, zeta, grid)
 
 
+@pytest.mark.parametrize("y0", [np.nan, np.inf, -np.inf])
+def test_a_start_that_is_not_finite_is_refused_at_construction(y0):
+    # refused by name before any Euler step, as every real parameter is
+    with pytest.raises(ValueError, match=f"^y0 must be finite, got {y0}$"):
+        DiffusionSpec(drift=lambda y: -y, diffusion=lambda y: np.ones_like(y),
+                      y0=y0)
+
+
 def test_euler_nan_names_tag_path_time_index_and_value():
     grid = Grid(n=8, T=1.0)
     zeta = np.zeros((3, 8))
