@@ -4,6 +4,14 @@ One count governs both. `pricing._chunked` runs its chunks on a pool of
 at most that many threads, and `volterra.convolve_gfo`'s batched FFT
 uses that many workers outside the pool and one inside it
 (`fft_workers`), so the two never multiply.
+
+The default is the CPUs this process may run on, at most
+`_DEFAULT_MAX`: every pooled run so far was timed on two CPUs. On more,
+each chunk would hold fewer paths (`pricing.chunk_layout` divides the
+in-flight budget by the count) than any measured chunk, the rough-Heston
+Euler loop costs more per path in small chunks (the `pricing` sweep) and
+holds the interpreter lock; a larger default waits for a workload that
+times it.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from contextvars import ContextVar
 
 from roughsim.shocks import check_int
 
+_DEFAULT_MAX = 2  # the most CPUs a pooled workload has been measured on
 _threads = None  # ROUGHSIM_THREADS, read on first use, until set_threads
 # set in the context each pooled chunk runs in
 in_pool = ContextVar("roughsim_in_pool", default=False)
@@ -20,10 +29,11 @@ in_pool = ContextVar("roughsim_in_pool", default=False)
 
 def get_threads() -> int:
     """Thread count of the chunk pool and the FFT: until set,
-    ROUGHSIM_THREADS (default: the CPUs this process may run on), held to
-    `set_threads`'s rule."""
+    ROUGHSIM_THREADS (default: the CPUs this process may run on, at most
+    `_DEFAULT_MAX`), held to `set_threads`'s rule."""
     if _threads is None:
-        text = os.environ.get("ROUGHSIM_THREADS", str(_cpus()))
+        text = os.environ.get("ROUGHSIM_THREADS",
+                              str(min(_cpus(), _DEFAULT_MAX)))
         try:
             set_threads(int(text))
         except ValueError:

@@ -483,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int,
                         help="threads of the chunk pool and the FFT (env: "
                         "ROUGHSIM_THREADS; default: the CPUs this process "
-                        "may run on)")
+                        "may run on, at most 2)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (about, handler, table) in _COMMANDS.items():
         p = sub.add_parser(name, help=about)

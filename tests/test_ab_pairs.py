@@ -54,6 +54,15 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved():
         "within bound"
 
 
+def test_a_change_spread_wider_than_the_bound_is_unresolved():
+    parent = {"median": 1.0, "q1": 0.95, "q3": 1.05, "iqr": 0.1}
+    change = {"median": 0.9, "q1": 0.7, "q3": 1.1, "iqr": 0.4}
+    assert ab_pairs.regression(parent, change, "lower", 0.25) == "unresolved"
+    change["iqr"] = 0.2
+    assert ab_pairs.regression(parent, change, "lower", 0.25) == \
+        "within bound"
+
+
 def test_each_workload_gets_one_traced_run_per_side(tmp_path, monkeypatch):
     parent_tree = tmp_path / "parent"
     calls = []

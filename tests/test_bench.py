@@ -52,25 +52,15 @@ def test_report_schema_stable():
 
 
 def test_report_gives_the_pipelines_chunk_layout(monkeypatch, set_threads):
-    set_threads(1)
     monkeypatch.setattr(pricing, "_CHUNK_ELEMENTS", 64)
-    report = run_bench(schemes=("markovian-euler",), grid=(16, 32, 128),
-                       paths=10, trials=1)
-    assert [cell["pipeline_chunking"] for cell in report["timings"]] == [
-        {"chunks": 3, "chunk_rows": 4}, {"chunks": 5, "chunk_rows": 2},
-        {"chunks": 10, "chunk_rows": 1}]
-
-
-def test_report_gives_the_pipelines_chunk_layout_on_two_threads(monkeypatch,
-                                                                set_threads):
-    # two chunks in flight share the one-thread cap
-    set_threads(2)
-    monkeypatch.setattr(pricing, "_CHUNK_ELEMENTS", 64)
-    report = run_bench(schemes=("markovian-euler",), grid=(16, 32, 128),
-                       paths=10, trials=1)
-    assert [cell["pipeline_chunking"] for cell in report["timings"]] == [
-        {"chunks": 5, "chunk_rows": 2}, {"chunks": 10, "chunk_rows": 1},
-        {"chunks": 10, "chunk_rows": 1}]
+    # on two threads two chunks in flight share the one-thread cap
+    for threads, layout in (
+            (1, [(3, 4), (5, 2), (10, 1)]), (2, [(5, 2), (10, 1), (10, 1)])):
+        set_threads(threads)
+        report = run_bench(schemes=("markovian-euler",), grid=(16, 32, 128),
+                           paths=10, trials=1)
+        assert [cell["pipeline_chunking"] for cell in report["timings"]] == [
+            {"chunks": chunks, "chunk_rows": rows} for chunks, rows in layout]
 
 
 def test_pipeline_chunking_is_exact(monkeypatch):

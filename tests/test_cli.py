@@ -210,38 +210,28 @@ def test_flat_smile_artifacts(tmp_path, capsys):
     assert "runtime_seconds" in meta
 
 
-def _reports_layout(tmp_path, capsys, layout, threads):
-    """`smile` and `price` of 40 antithetic paths at 8 steps in chunks of
-    16 * 8 path-steps in flight record `layout` and `threads` workers."""
-    code, _, _ = _run(capsys, ["smile", *_PRICE_ARGS[:-6], "--paths", "40",
-                               "--steps", "8", "--output-dir", str(tmp_path)])
-    assert code == 0
-    meta = json.loads((tmp_path / "smile.meta.json").read_text())
-    assert meta["pricing"]["chunking"] == layout
-    # the pool's worker count, and the process's thread count
-    assert meta["pricing"]["threads"] == threads
-    assert meta["threads"] == threads
-    code, out, _ = _run(capsys, ["price", *_PRICE_ARGS[:-6], "--paths", "40",
-                                 "--steps", "8"])
-    assert code == 0
-    assert json.loads(out)["chunking"] == layout
-    assert json.loads(out)["threads"] == threads
-
-
 def test_smile_and_price_report_their_chunk_layout(tmp_path, capsys,
                                                    monkeypatch, set_threads):
-    # 16 rows a chunk at 8 steps: the 40 antithetic paths run in 3 chunks
-    set_threads(1)
+    # 16 rows a chunk at 8 steps: the 40 antithetic paths run in 3 chunks;
+    # on two threads two chunks in flight share that cap, 5 chunks of 8 rows
     monkeypatch.setattr(pricing, "_CHUNK_ELEMENTS", 16 * 8)
-    _reports_layout(tmp_path, capsys, {"chunks": 3, "chunk_rows": 16}, 1)
-
-
-def test_smile_and_price_report_their_chunk_layout_on_two_threads(
-        tmp_path, capsys, monkeypatch, set_threads):
-    # two chunks in flight share that cap: 5 chunks of 8 rows
-    set_threads(2)
-    monkeypatch.setattr(pricing, "_CHUNK_ELEMENTS", 16 * 8)
-    _reports_layout(tmp_path, capsys, {"chunks": 5, "chunk_rows": 8}, 2)
+    for threads, layout in ((1, {"chunks": 3, "chunk_rows": 16}),
+                            (2, {"chunks": 5, "chunk_rows": 8})):
+        set_threads(threads)
+        code, _, _ = _run(capsys, ["smile", *_PRICE_ARGS[:-6], "--paths",
+                                   "40", "--steps", "8", "--output-dir",
+                                   str(tmp_path)])
+        assert code == 0
+        meta = json.loads((tmp_path / "smile.meta.json").read_text())
+        assert meta["pricing"]["chunking"] == layout
+        # the pool's worker count, and the process's thread count
+        assert meta["pricing"]["threads"] == threads
+        assert meta["threads"] == threads
+        code, out, _ = _run(capsys, ["price", *_PRICE_ARGS[:-6], "--paths",
+                                     "40", "--steps", "8"])
+        assert code == 0
+        assert json.loads(out)["chunking"] == layout
+        assert json.loads(out)["threads"] == threads
 
 
 def test_price_record_flat_model(capsys):
@@ -452,14 +442,17 @@ def test_threads_flag_reflected_in_metadata(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["threads"] == 2
 
 
-def test_the_default_thread_count_is_the_cpu_affinity_count(tmp_path, capsys,
-                                                             monkeypatch):
+@pytest.mark.parametrize("cpus,threads", [(1, 1), (2, 2), (8, 2)])
+def test_the_default_thread_count_is_the_cpu_count_up_to_two(
+        tmp_path, capsys, monkeypatch, cpus, threads):
+    # two CPUs is the most any pooled workload has been timed on
     monkeypatch.setattr(_config, "_threads", None)
+    monkeypatch.setattr(_config, "_cpus", lambda: cpus)
     monkeypatch.delenv("ROUGHSIM_THREADS", raising=False)
     code, out, _ = _run(capsys, ["simulate", "--paths", "2", "--steps", "4",
                                  "--output-dir", str(tmp_path)])
     assert code == 0
-    assert json.loads(out)["threads"] == len(os.sched_getaffinity(0))
+    assert json.loads(out)["threads"] == threads
 
 
 def test_module_entry_point_and_env_threads(tmp_path):

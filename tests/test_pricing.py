@@ -545,7 +545,7 @@ def test_a_log_stock_chunk_holds_about_four_path_arrays(set_threads, threads,
 
 def _recorded_chunks(monkeypatch):
     """The (start, stop) base ranges and antithetic group of every draw;
-    draws on a pool are recorded in the order they start."""
+    draws on a pool are recorded in the order they end."""
     chunks = []
     draw = pricing.draw_shocks
 
@@ -558,46 +558,32 @@ def _recorded_chunks(monkeypatch):
     return chunks
 
 
-_LONG_GRID_LEGS = [
+@pytest.mark.parametrize("model,scheme", [
     (_rbergomi(hurst=0.1), "rdonsker_matched"),
     (RoughHestonGJRS(eta=0.04, kappa=1.0, theta=0.04, vol_of_vol=0.1, y0=0.04,
                      hurst=0.1, rho=-0.7), "rdonsker_left"),
-]
-
-
-def _runs_in_chunks_of(monkeypatch, set_threads, model, scheme, threads, rows):
-    """A 4096-path n=2048 antithetic smile at `threads` threads draws
-    whole groups in chunks of `rows` rows, in path order on one thread, at
-    most the in-flight cap over `threads`, and reports that layout and its
-    pool."""
-    set_threads(threads)
-    chunks = _recorded_chunks(monkeypatch)
-    cfg = _config(paths=4096, n=2048, scheme=scheme, antithetic=True, seed=1)
-    result = smile(model, cfg, [0.9, 1.0, 1.1])
-    cap = max(4, pricing._CHUNK_ELEMENTS // (2048 * threads))
-    drawn = [r for r, _ in chunks]
-    if threads > 1:  # draws on a pool start in any order
-        drawn.sort()
-    assert drawn == [(start, start + rows // 4)
-                     for start in range(0, 1024, rows // 4)]
-    assert all(group * (stop - start) <= cap
-               for (start, stop), group in chunks)
-    assert result.metadata["chunking"] == {"chunks": 4096 // rows,
-                                           "chunk_rows": rows}
-    assert result.metadata["threads"] == threads
-
-
-@pytest.mark.parametrize("model,scheme", _LONG_GRID_LEGS)
+])
 def test_a_long_grid_smile_runs_in_chunks_of_the_cap(monkeypatch, set_threads,
                                                      model, scheme):
-    _runs_in_chunks_of(monkeypatch, set_threads, model, scheme, 1, 1024)
-
-
-@pytest.mark.parametrize("model,scheme", _LONG_GRID_LEGS)
-def test_a_long_grid_smile_runs_in_chunks_of_the_cap_on_two_threads(
-        monkeypatch, set_threads, model, scheme):
-    # two chunks in flight share the one-thread cap
-    _runs_in_chunks_of(monkeypatch, set_threads, model, scheme, 2, 512)
+    # whole groups in chunks of at most the in-flight cap over the
+    # threads: on two threads two chunks in flight share the one-thread cap
+    chunks = _recorded_chunks(monkeypatch)
+    cfg = _config(paths=4096, n=2048, scheme=scheme, antithetic=True, seed=1)
+    for threads, rows in ((1, 1024), (2, 512)):
+        set_threads(threads)
+        chunks.clear()
+        result = smile(model, cfg, [0.9, 1.0, 1.1])
+        cap = max(4, pricing._CHUNK_ELEMENTS // (2048 * threads))
+        drawn = [r for r, _ in chunks]
+        if threads > 1:  # draws on a pool start in any order
+            drawn.sort()
+        assert drawn == [(start, start + rows // 4)
+                         for start in range(0, 1024, rows // 4)]
+        assert all(group * (stop - start) <= cap
+                   for (start, stop), group in chunks)
+        assert result.metadata["chunking"] == {"chunks": 4096 // rows,
+                                               "chunk_rows": rows}
+        assert result.metadata["threads"] == threads
 
 
 @settings(max_examples=40, deadline=None)
@@ -614,8 +600,9 @@ def test_chunks_tile_the_paths_under_the_cap(chunk_elements, base_paths, n,
         cfg = _config(paths=group * base_paths, n=n, antithetic=antithetic,
                       seed=base_paths)
         result = smile(_rbergomi(rho=rho), cfg, [1.0])
-    # draws on a pool start in any order
-    ranges = sorted(r for r, _ in chunks)
+    ranges = [r for r, _ in chunks]
+    if threads > 1:  # draws on a pool start in any order
+        ranges.sort()
     assert ranges[0][0] == 0 and ranges[-1][1] == base_paths
     assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
     cap = max(group, chunk_elements // (n * threads))

@@ -126,10 +126,7 @@ def test_outputs_hold_the_variance_stage_counts_and_refusals():
                                   "finite: path 31, time index 4 is inf")
 
 
-def _rows16_draws(monkeypatch):
-    """The base ranges drawn by the 16-row antithetic rBergomi smile
-    output, in the order the draws start; that output is checked to be
-    bitwise the smile of the same paths priced whole."""
+def test_chunked_smile_outputs_run_in_16_row_chunks(monkeypatch, set_threads):
     import roughsim as rs
     from roughsim import pricing
 
@@ -144,23 +141,18 @@ def _rows16_draws(monkeypatch):
     draw = pricing.draw_shocks
     monkeypatch.setattr(pricing, "draw_shocks", lambda noise, base_range: (
         draws.append(base_range) or draw(noise, base_range=base_range)))
-    chunked = outputs["smile/rbergomi/rdonsker_matched/conditional_bs/"
-                      "antithetic/rows16"]()
-    assert pricing._CHUNK_ELEMENTS == default
-    assert chunked.tobytes() == whole.tobytes()
-    return draws
-
-
-def test_chunked_smile_outputs_run_in_16_row_chunks(monkeypatch, set_threads):
-    set_threads(1)
-    # a call and a put smile, each in four chunks of 4 base paths
-    assert _rows16_draws(monkeypatch) == [(0, 4), (4, 8), (8, 12),
-                                          (12, 16)] * 2
-
-
-def test_chunked_smile_outputs_run_in_16_row_chunks_on_two_threads(
-        monkeypatch, set_threads):
-    # two chunks in flight share the 16-row cap; draws start in any order
-    set_threads(2)
-    assert sorted(_rows16_draws(monkeypatch)) == sorted(
-        [(a, a + 2) for a in range(0, 16, 2)] * 2)
+    for threads in (1, 2):
+        set_threads(threads)
+        draws.clear()
+        chunked = outputs["smile/rbergomi/rdonsker_matched/conditional_bs/"
+                          "antithetic/rows16"]()
+        if threads == 1:
+            # a call and a put smile, each in four chunks of 4 base paths
+            assert draws == [(0, 4), (4, 8), (8, 12), (12, 16)] * 2
+        else:
+            # two chunks in flight share the 16-row cap; draws on the pool
+            # start in any order
+            assert sorted(draws) == sorted(
+                [(a, a + 2) for a in range(0, 16, 2)] * 2)
+        assert pricing._CHUNK_ELEMENTS == default
+        assert chunked.tobytes() == whole.tobytes()

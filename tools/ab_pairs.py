@@ -18,9 +18,9 @@ parent, wins at least nine pairs in ten on that metric and its median
 beats the parent's by more than the parent's interquartile range.
 Every end-to-end metric of every workload also gets a regression verdict
 against its BENCHMARK.json bound (a relative change): "unresolved" when
-the parent's IQR exceeds the bound relative to its median, else "worse
-beyond bound" when the change's median is worse than the parent's by more
-than the bound, else "within bound". After its pairs, each workload gets
+either side's IQR exceeds the bound relative to the parent's median, else
+"worse beyond bound" when the change's median is worse than the parent's
+by more than the bound, else "within bound". After its pairs, each workload gets
 one `--trace 1` run per side at seed `--seed`; its per-layer metrics and
 their change-minus-parent deltas are stored under the workload's "layers".
 Each side's runs write and read their bytecode under that side's own
@@ -108,11 +108,11 @@ def better(a: float, b: float, direction: str) -> bool:
 def regression(parent: dict, change: dict, direction: str, bound: float) -> str:
     """Whether the change's median is worse than the parent's beyond `bound`.
 
-    `bound` is relative to the parent's median; a parent IQR wider than it
-    cannot tell a regression of that size from noise.
+    `bound` is relative to the parent's median; an IQR on either side
+    wider than it cannot tell a regression of that size from noise.
     """
     scale = abs(parent["median"])
-    if parent["iqr"] > bound * scale:
+    if max(parent["iqr"], change["iqr"]) > bound * scale:
         return "unresolved"
     worse = (change["median"] - parent["median"] if direction == "lower"
              else parent["median"] - change["median"])
