@@ -1,9 +1,8 @@
-"""Process-wide knobs: the thread count of the chunk pool and the FFT.
+"""Process-wide knobs: the thread count of the chunk pool.
 
-One count governs both. `pricing._chunked` runs its chunks on a pool of
-at most that many threads, and `volterra.convolve_gfo`'s batched FFT
-uses that many workers outside the pool and one inside it
-(`fft_workers`), so the two never multiply.
+`pricing._chunked` runs its chunks on a pool of at most that many
+threads, and `pricing.chunk_layout` gives each chunk that share of the
+in-flight budget.
 
 The default is the CPUs this process may run on, at most
 `_DEFAULT_MAX`: every pooled run so far was timed on two CPUs. On more,
@@ -17,20 +16,17 @@ times it.
 from __future__ import annotations
 
 import os
-from contextvars import ContextVar
 
 from roughsim.shocks import check_int
 
 _DEFAULT_MAX = 2  # the most CPUs a pooled workload has been measured on
 _threads = None  # ROUGHSIM_THREADS, read on first use, until set_threads
-# set in the context each pooled chunk runs in
-in_pool = ContextVar("roughsim_in_pool", default=False)
 
 
 def get_threads() -> int:
-    """Thread count of the chunk pool and the FFT: until set,
-    ROUGHSIM_THREADS (default: the CPUs this process may run on, at most
-    `_DEFAULT_MAX`), held to `set_threads`'s rule."""
+    """Thread count of the chunk pool: until set, ROUGHSIM_THREADS
+    (default: the CPUs this process may run on, at most `_DEFAULT_MAX`),
+    held to `set_threads`'s rule."""
     if _threads is None:
         text = os.environ.get("ROUGHSIM_THREADS",
                               str(min(_cpus(), _DEFAULT_MAX)))
@@ -50,7 +46,7 @@ def _cpus() -> int:
 
 
 def set_threads(count: int) -> None:
-    """Set the thread count of the chunk pool and the FFT workers.
+    """Set the thread count of the chunk pool.
 
     Results are bitwise independent of it. Each pooled chunk holds
     1/count of the path-steps a chunk holds at count 1, so the paths in
@@ -59,8 +55,3 @@ def set_threads(count: int) -> None:
     global _threads
     _threads = check_int("thread count", count)
 
-
-def fft_workers() -> int:
-    """scipy.fft workers for one batched transform: one inside a pooled
-    chunk, where the pool already uses every thread, else `get_threads()`."""
-    return 1 if in_pool.get() else get_threads()

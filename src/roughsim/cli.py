@@ -481,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="roughsim",
         description="Rough-volatility simulation, smiles and tree pricing")
     parser.add_argument("--threads", type=int,
-                        help="threads of the chunk pool and the FFT (env: "
+                        help="threads of the Monte-Carlo chunk pool (env: "
                         "ROUGHSIM_THREADS; default: the CPUs this process "
                         "may run on, at most 2)")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -92,8 +92,8 @@ def riemann_liouville(alpha: float | None = None, hurst: float | None = None) ->
     """RL kernel u^alpha; pass either alpha or hurst = alpha + 1/2."""
     if (alpha is None) == (hurst is None):
         raise ValueError("give exactly one of alpha, hurst")
-    if hurst is not None:
-        alpha = hurst - 0.5
+    if hurst is not None:  # checked by its own name, on alpha's interval
+        alpha = check_real("hurst", hurst, -0.5, 1.5) - 0.5
     return KernelSpec(kind="rl", alpha=float(alpha))
 
 

@@ -14,12 +14,11 @@ the chunks run on a pool of up to T threads and a chunk holds at most
 `_CHUNK_ELEMENTS` / T path-steps, so the chunks in flight hold at most
 `_CHUNK_ELEMENTS` path-steps at every T; at T = 1, or with one chunk,
 they run inline. Results are read back in path order and are bitwise
-independent of T. Inside a pooled chunk the FFT convolution uses one
-worker; outside the pool it uses T. Each chunk runs in its own scope,
-and a conditional-estimator chunk holds about three arrays of the chunk
-at its peak: the variance is mapped into the scheme's own array, and
-sqrt(V) taken in place there once V is summed. Estimator statistics are
-computed over antithetic group means when antithetics are on.
+independent of T. Each chunk runs in its own scope, and a
+conditional-estimator chunk holds about three arrays of the chunk at its
+peak: the variance is mapped into the scheme's own array, and sqrt(V)
+taken in place there once V is summed. Estimator statistics are computed
+over antithetic group means when antithetics are on.
 
 The chunk size was chosen from a sweep of the benchmark's smile
 workloads (`benchmark/run.py --seconds 12`, seeds 301-303, 2-core x86-64
@@ -342,14 +341,6 @@ def _chunk(model, config: MCConfig, noise: NoiseConfig, variance, per_chunk,
     return (_group_means(rows, group) if group_means else rows), stats
 
 
-def _pool_context() -> contextvars.Context:
-    """A copy of the caller's context (its `np.errstate` among it) in
-    which the FFT knows it runs in a pooled chunk."""
-    context = contextvars.copy_context()
-    context.run(_config.in_pool.set, True)
-    return context
-
-
 def _chunked(model, config: MCConfig, per_chunk, *, group_means: bool = True,
              variance=_variance_chunk) -> tuple:
     """(rows in path order, merged stats, run layout) of
@@ -389,7 +380,8 @@ def _chunked(model, config: MCConfig, per_chunk, *, group_means: bool = True,
         if pool is None:
             results = map(run, ranges)
         else:
-            contexts = [_pool_context() for _ in ranges]
+            # taken here: a pool thread starts without the caller's errstate
+            contexts = [contextvars.copy_context() for _ in ranges]
             results = pool.map(lambda context, base_range: context.run(
                 run, base_range), contexts, ranges)
         for rows, chunk_stats in results:

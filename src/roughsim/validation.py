@@ -27,7 +27,7 @@ from .pricing import (
     martingale_statistic,
     scheme_paths,
 )
-from .shocks import NoiseConfig, draw_shocks
+from .shocks import NoiseConfig, check_int, draw_shocks
 from .volterra import (
     PathSet,
     cholesky_exact_rl,
@@ -153,6 +153,7 @@ def check_covariance(hurst: float = 0.3, steps: int = 32,
     """
     if seeds is None:
         seeds = COVARIANCE_SEEDS
+    check_int("paths", paths)  # before it divides the tolerance
     grid = Grid(steps, 1.0)
     kernel = riemann_liouville(hurst=hurst)
     exact = volterra_covariance(kernel, grid)

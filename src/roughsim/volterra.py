@@ -17,7 +17,6 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.special import hyp2f1
 
-from roughsim import _config
 from roughsim.kernels import (
     Grid,
     KernelSpec,
@@ -38,7 +37,6 @@ from roughsim.shocks import (  # noqa: F401
 
 _BINARY_MAGIC = b"RVOL1"
 _HEADER = struct.Struct("<IId")  # M, n+1, T
-CONV_METHODS = ("fft", "naive")
 # the FFT convolution works on as many rows as fill this many bytes once
 # zero-padded (32 rows at n=2048), so a block's transforms stay in cache
 _FFT_BLOCK_BYTES = 1 << 20
@@ -84,24 +82,6 @@ class DiffusionSpec:
         return sum(int(np.count_nonzero(outside(states, bound)))
                    for bound, outside in ((lo, np.less), (hi, np.greater))
                    if bound is not None)
-
-
-def check_diffusion_coefficients(spec: DiffusionSpec, lo: float, hi: float,
-                                 c_b: float, c_a: float, num: int = 128) -> bool:
-    """Sampled regularity check on [lo, hi].
-
-    Verifies |b(x)-b(y)| <= C_b|x-y| and |a(x)-a(y)| <= C_a*sqrt|x-y|
-    on all pairs of a `num`-point grid (the standard coefficient
-    assumption, asserted by the caller rather than proved).
-    """
-    xs = np.linspace(lo, hi, num)
-    bx = np.asarray(spec.drift(xs), dtype=float)
-    ax = np.asarray(spec.diffusion(xs), dtype=float)
-    dx = np.abs(xs[:, None] - xs[None, :])
-    tol = 1e-12
-    ok_b = np.all(np.abs(bx[:, None] - bx[None, :]) <= c_b * dx + tol)
-    ok_a = np.all(np.abs(ax[:, None] - ax[None, :]) <= c_a * np.sqrt(dx) + tol)
-    return bool(ok_b and ok_a)
 
 
 class NonFinitePath(Exception):
@@ -330,15 +310,12 @@ def convolve_gfo(weights: np.ndarray, increments: np.ndarray, grid: Grid,
     out = increments if levels else np.empty((m, n + 1))
     if method == "fft":
         size = _fft_length(n)
-        workers = _config.fft_workers()
         what = sfft.rfft(weights, size)
         rows = max(1, _FFT_BLOCK_BYTES // (8 * size))
         for a in range(0, m, rows):
-            ihat = sfft.rfft(block_increments(a, a + rows), size, axis=1,
-                             workers=workers)
+            ihat = sfft.rfft(block_increments(a, a + rows), size, axis=1)
             ihat *= what
-            conv = sfft.irfft(ihat, size, axis=1, workers=workers,
-                              overwrite_x=True)
+            conv = sfft.irfft(ihat, size, axis=1, overwrite_x=True)
             out[a:a + rows, 1:] = conv[:, :n]
     elif method == "naive":
         dy = block_increments(0, m)

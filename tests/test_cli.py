@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -406,6 +407,16 @@ def test_validate_corrupted_weight_table_fails_by_name(capsys):
     assert report["passed"] is False
     assert "moment_identity[H=0.05]" in report["failed"]
     assert "fft_naive_agreement" not in report["failed"]
+
+
+@pytest.mark.parametrize("paths", ["0", "-5"])
+def test_validate_nonpositive_covariance_paths_is_config_error(paths, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # sqrt of a negative ratio would warn
+        code, _, err = _run(capsys, ["validate", "--suites", "covariance",
+                                     "--covariance-paths", paths])
+    assert code == 1
+    assert err.startswith("config error: paths must be an integer >= 1"), err
 
 
 def test_validate_hurst_grid_flag(capsys):

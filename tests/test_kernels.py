@@ -67,6 +67,10 @@ _REFUSED = [pytest.param(*case[:2], id=case[-1]) for case in [
     (lambda: KernelSpec("gamma", -0.2), "beta", "gamma beta=None"),
     (lambda: power_law(-0.2, math.nan), "beta", "powerlaw beta=nan"),
     (lambda: power_law(-0.2, -math.inf), "beta", "powerlaw beta=-inf"),
+    # hurst = alpha + 1/2, refused by the name the caller gave
+    (lambda: riemann_liouville(hurst=1.5), r"^hurst must be in \(-0.5, 1.5\)",
+     "rl hurst=1.5"),
+    (lambda: riemann_liouville(hurst=math.nan), "^hurst", "rl hurst=nan"),
 ]]
 
 

@@ -8,11 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roughsim import _config as process_config
-from roughsim import pricing, volterra
+from roughsim import pricing, validation, volterra
 from roughsim.kernels import Grid
 from roughsim.models import GammaBergomi, RoughBergomi, RoughHestonGJRS
 from roughsim.shocks import NoiseConfig, draw_shocks
@@ -249,6 +249,9 @@ _CHUNK_STRIKES = np.array([0.5, 0.9, 1.0, 1.2, 2.5])
 
 
 def _chunk_run(estimator, model, cfg):
+    if estimator == "sample_paths":  # one standalone convolution, no chunks
+        return (validation.sample_paths(cfg.scheme, model.kernel(), cfg.grid,
+                                        cfg.num_paths, cfg.seed).values,)
     if estimator == "martingale":
         return martingale_statistic(model, cfg)
     if estimator == "logstock":
@@ -297,7 +300,13 @@ def _assert_same_run(first, second):
        scheme=st.sampled_from(SCHEMES), antithetic=st.booleans(),
        rho=st.sampled_from([-0.7, -1.0]), threads=st.sampled_from([1, 2, 3]),
        estimator=st.sampled_from(["conditional_bs", "none", "martingale",
-                                  "logstock"]))
+                                  "logstock", "sample_paths"]))
+@example(chunk_elements=1, base_paths=30, scheme="rdonsker_matched",
+         antithetic=False, rho=-0.7, threads=2, estimator="sample_paths")
+@example(chunk_elements=1, base_paths=30, scheme="hybrid",
+         antithetic=False, rho=-0.7, threads=2, estimator="sample_paths")
+@example(chunk_elements=400, base_paths=4, scheme="hybrid",  # one chunk
+         antithetic=True, rho=-0.7, threads=2, estimator="conditional_bs")
 def test_the_thread_count_never_changes_a_result(chunk_elements, base_paths,
                                                  scheme, antithetic, rho,
                                                  threads, estimator):
