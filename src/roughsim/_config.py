@@ -10,7 +10,8 @@ each chunk would hold fewer paths (`pricing.chunk_layout` divides the
 in-flight budget by the count) than any measured chunk, the rough-Heston
 Euler loop costs more per path in small chunks (the `pricing` sweep) and
 holds the interpreter lock; a larger default waits for a workload that
-times it.
+times it. Every route (`set_threads`, `--threads`, ROUGHSIM_THREADS)
+refuses a count of `_BOUND` or more: the pool would start that many.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import os
 from roughsim.shocks import check_int
 
 _DEFAULT_MAX = 2  # the most CPUs a pooled workload has been measured on
+_BOUND = 2 ** 8  # a power of two, so `check_int` words it exactly
 _threads = None  # ROUGHSIM_THREADS, read on first use, until set_threads
 
 
@@ -33,8 +35,8 @@ def get_threads() -> int:
         try:
             set_threads(int(text))
         except ValueError:
-            raise ValueError("ROUGHSIM_THREADS must be an integer >= 1, got "
-                             f"{text!r}") from None
+            # text is never an int, so this refuses it, naming the variable
+            check_int("ROUGHSIM_THREADS", text, 1, _BOUND)
     return _threads
 
 
@@ -46,12 +48,12 @@ def _cpus() -> int:
 
 
 def set_threads(count: int) -> None:
-    """Set the thread count of the chunk pool.
+    """Set the thread count of the chunk pool, an integer in [1, `_BOUND`).
 
     Results are bitwise independent of it. Each pooled chunk holds
     1/count of the path-steps a chunk holds at count 1, so the paths in
     flight stay within the same memory at every count.
     """
     global _threads
-    _threads = check_int("thread count", count)
+    _threads = check_int("thread count", count, 1, _BOUND)
 

@@ -52,10 +52,10 @@ def _generate_once(scheme: str, hurst: float, grid: Grid, paths: int,
 
 def time_path_generation(scheme: str, steps: int, *, paths: int = 256,
                          trials: int = 10, hurst: float = 0.3,
-                         horizon: float = 1.0, seed: int = 0) -> float:
-    """Median seconds per shock-draw-plus-transform over `trials` runs."""
+                         seed: int = 0) -> float:
+    """Median seconds per draw-plus-transform over `trials` runs, T = 1."""
     check_int("trials", trials)
-    grid = Grid(steps, horizon)
+    grid = Grid(steps, 1.0)
     _generate_once(scheme, hurst, grid, paths, seed)  # warm-up, untimed
     times = []
     for trial in range(trials):
@@ -79,13 +79,11 @@ _PIPELINE_STAGES = {"rdonsker-fft": _variance_chunk,
                     "markovian-euler": _markovian_variance}
 
 
-def _pipeline_price(kind: str, steps: int, paths: int, seed: int, *,
-                    hurst: float = 0.3, xi0: float = 0.04, nu: float = 1.0,
-                    rho: float = -0.7) -> float:
+def _pipeline_price(kind: str, steps: int, paths: int, seed: int) -> float:
     """ATM-call price of the library's plain Monte-Carlo pipeline."""
     if kind not in _PIPELINE_STAGES:
         raise ValueError(f"unknown pipeline kind {kind!r}")
-    model = RoughBergomi(xi0=xi0, nu=nu, hurst=hurst, rho=rho)
+    model = RoughBergomi(xi0=0.04, nu=1.0, hurst=0.3, rho=-0.7)
     config = MCConfig(num_paths=paths, grid=Grid(steps, 1.0),
                       variance_reduction="none", antithetic=False, seed=seed)
     means, *_ = _estimate(model, config, np.array([1.0]), "call", "none",
@@ -94,13 +92,13 @@ def _pipeline_price(kind: str, steps: int, paths: int, seed: int, *,
 
 
 def time_full_pipeline(kind: str, steps: int = 1024, paths: int = 100_000, *,
-                       trials: int = 3, seed: int = 0) -> float:
-    """Median seconds for one full pricing pass (draw → paths → payoff)."""
+                       trials: int = 3) -> float:
+    """Median seconds of a full pricing pass (draw → paths → payoff)."""
     check_int("trials", trials)
     times = []
     for trial in range(trials):
         start = time.perf_counter()
-        _pipeline_price(kind, steps, paths, seed + trial)
+        _pipeline_price(kind, steps, paths, trial)
         times.append(time.perf_counter() - start)
     return median(times)
 

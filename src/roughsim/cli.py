@@ -481,9 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="roughsim",
         description="Rough-volatility simulation, smiles and tree pricing")
     parser.add_argument("--threads", type=int,
-                        help="threads of the Monte-Carlo chunk pool (env: "
-                        "ROUGHSIM_THREADS; default: the CPUs this process "
-                        "may run on, at most 2)")
+                        help="threads of the Monte-Carlo chunk pool, below "
+                        "2**8 (env: ROUGHSIM_THREADS; default: the CPUs this "
+                        "process may run on, at most 2)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (about, handler, table) in _COMMANDS.items():
         p = sub.add_parser(name, help=about)

@@ -274,7 +274,7 @@ def variance_map(model, phi, grid: Grid, level=None, *, node: int = 0,
 def phi_apply(model, volterra: PathSet, grid: Grid, *, out=None) -> PathSet:
     """Variance paths V = Phi(phi) of Volterra paths, by `variance_map`,
     into `out` if given (`volterra.values` maps them in place); for
-    RoughHestonGJRS the stats gain `clamp_cells` / `clamp_fraction`."""
+    RoughHestonGJRS the stats gain the count `clamp_cells`."""
     if volterra.grid != grid:
         raise ValueError(
             f"path grid {volterra.grid} does not match requested grid {grid}"
@@ -282,8 +282,6 @@ def phi_apply(model, volterra: PathSet, grid: Grid, *, out=None) -> PathSet:
     stats = dict(volterra.stats)
     v = variance_map(model, volterra.values, grid, stats=stats, out=out,
                      label=f"{volterra.scheme_tag} variance")
-    if "clamp_cells" in stats:
-        stats["clamp_fraction"] = stats["clamp_cells"] / v.size
     return PathSet(values=v, grid=grid, scheme_tag=volterra.scheme_tag,
                    seed=volterra.seed, stats=stats, checked=True)
 

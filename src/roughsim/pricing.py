@@ -357,9 +357,9 @@ def _chunked(model, config: MCConfig, per_chunk, *, group_means: bool = True,
     thread count. Nor does an error: it names the path of the whole run,
     and as in one chunk a variance error on any path outranks the first
     estimator error, which is raised after every chunk's variance is
-    built. The run layout is {"chunking": `chunk_layout`'s, "threads":
-    the pool's worker count}; it is kept out of the stats, which do not
-    depend on it.
+    built. The merged stats sum each count a chunk reports. The run
+    layout is {"chunking": `chunk_layout`'s, "threads": the pool's worker
+    count}; it is kept out of the stats, which do not depend on it.
     """
     noise = NoiseConfig(paths=config.num_paths, steps=config.grid.n,
                         rho=model.rho, seed=config.seed,
@@ -390,9 +390,8 @@ def _chunked(model, config: MCConfig, per_chunk, *, group_means: bool = True,
             if failed is not None:
                 continue
             blocks.append(rows)
-            for key in ("clamp_cells", "domain_clips", "scheme_rows"):
-                if key in chunk_stats:
-                    stats[key] = stats.get(key, 0) + chunk_stats[key]
+            for key, count in chunk_stats.items():
+                stats[key] = stats.get(key, 0) + count
     if failed is not None:
         raise failed
     return np.concatenate(blocks), stats, {"chunking": layout,
@@ -404,9 +403,17 @@ def _chunked(model, config: MCConfig, per_chunk, *, group_means: bool = True,
 # ----------------------------------------------------------------------
 
 def _group_means(values: np.ndarray, group: int) -> np.ndarray:
+    """Mean over each run of `group` rows: antithetic group means and a
+    tree node's mean over its children. Strided sums, bitwise equal to
+    values.reshape(-1, group, ...).mean(1) but for a run of -0.0 alone
+    (-0.0 here) and several times faster at group 2."""
     if group == 1:
         return values
-    return values.reshape(-1, group, *values.shape[1:]).mean(axis=1)
+    total = values[0::group] + values[1::group]
+    for r in range(2, group):
+        total += values[r::group]
+    total /= group
+    return total
 
 
 def _mean_stderr(groups: np.ndarray) -> tuple:

@@ -242,13 +242,17 @@ def draw_shocks(config: NoiseConfig, base_range: tuple | None = None) -> ShockMa
     return ShockMatrices(zeta=first, xi=lambda: rho * first + rhobar * second)
 
 
-def _mirror(half: np.ndarray) -> np.ndarray:
-    """Rows p_1..p_h, -p_1..-p_h of each group of `half` (groups x h x n)."""
+def _mirror(half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows p_1..p_h, -p_1..-p_h of each group of `half` (groups x h x n),
+    into `out` if given (its + rows may be `half`). The package's one sign
+    mirror, of shocks and Volterra paths: 0 - p keeps a +0.0, as running
+    a scheme on the negated rows does."""
     groups, h, n = half.shape
-    out = np.empty((groups * 2 * h, n))
+    if out is None:
+        out = np.empty((groups * 2 * h, n))
     signed = out.reshape(groups, 2, h, n)
-    signed[:, 0] = half
-    np.negative(half, out=signed[:, 1])
+    signed[:, 0] = half  # a no-op when `half` is these rows
+    np.subtract(0.0, half, out=signed[:, 1])
     return out
 
 
@@ -261,9 +265,9 @@ def antithetic_expand(zeta_b: np.ndarray, xi_b: np.ndarray,
     (rho*xi + rhobar*zeta, xi), (rho*xi - rhobar*zeta, xi),
     (-rho*xi - rhobar*zeta, -xi), (-rho*xi + rhobar*zeta, -xi),
     grouped contiguously per base path. The volatility rows are written
-    in place into one M x n array; the stock rows are mirrored from a
-    compact copy of `xi_b` when the result's `xi` is first read, so the
-    arrays passed in are not kept.
+    in place into one M x n array, by `_mirror` for the last two; the
+    stock rows are mirrored from a compact copy of `xi_b` when the
+    result's `xi` is first read, so the arrays passed in are not kept.
     """
     m_base, n = zeta_b.shape
     xi_b = xi_b.copy()
@@ -275,7 +279,6 @@ def antithetic_expand(zeta_b: np.ndarray, xi_b: np.ndarray,
     np.multiply(xi_b, rho, out=plus)
     np.subtract(plus, variates[:, 2], out=minus)
     plus += variates[:, 2]
-    np.negative(variates[:, :2], out=variates[:, 2:])
     return ShockMatrices(
-        zeta=vol, antithetic_group=4,
+        zeta=_mirror(variates[:, :2], out=vol), antithetic_group=4,
         xi=lambda: _mirror(np.broadcast_to(xi_b[:, None], (m_base, 2, n))))

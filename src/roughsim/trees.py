@@ -52,7 +52,7 @@ from roughsim.models import (  # noqa: F401 - Q stays importable from here
     squared_integral_profile,
     variance_map,
 )
-from roughsim.pricing import _black_scholes
+from roughsim.pricing import _black_scholes, _group_means
 from roughsim.shocks import check_int, check_real
 from roughsim.volterra import DiffusionSpec
 
@@ -401,15 +401,8 @@ def _last_step_values(tree: BushyTree, payoff: VanillaPayoff) -> np.ndarray:
 
 
 def _continuation(values: np.ndarray, b: int, disc: float) -> np.ndarray:
-    """disc times the mean over each node's b children.
-
-    Strided sums, bitwise equal to disc * values.reshape(-1, b).mean(1)
-    and several times faster at b = 2.
-    """
-    total = values[0::b] + values[1::b]
-    for r in range(2, b):
-        total += values[r::b]
-    total /= b
+    """disc times the mean over each node's b children (`_group_means`)."""
+    total = _group_means(values, b)
     total *= disc
     return total
 

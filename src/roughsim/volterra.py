@@ -30,6 +30,7 @@ from roughsim.kernels import (
 from roughsim.shocks import (  # noqa: F401
     STREAM_CHOLESKY,
     STREAM_HYBRID_AUX,
+    _mirror,
     check_real,
     path_normals,
     path_rng,
@@ -451,9 +452,8 @@ def _mirrored(scheme, shocks: np.ndarray, group: int) -> PathSet:
     must negate the first group/2 bitwise; a ValueError names the first
     row that does not. The schemes passed here are odd in their shocks
     (every operation is sign-symmetric), so `scheme` runs on the first
-    group/2 rows of each group only and their paths, negated, fill the
-    others. The negation is a subtraction from zero, which leaves a zero
-    +0.0 as running the scheme on the negated rows does. A non-finite
+    group/2 rows of each group only and their paths, negated by
+    `shocks._mirror`, fill the others. A non-finite
     error of the scheme names its row of `shocks`, as a run on every row
     would.
     """
@@ -477,11 +477,7 @@ def _mirrored(scheme, shocks: np.ndarray, group: int) -> PathSet:
     except NonFinitePath as exc:  # name the row of the whole set
         exc.renumber((exc.path // half) * group + exc.path % half)
         raise
-    width = computed.values.shape[1]
-    values = np.empty((m, width))
-    paths = values.reshape(m // group, group, width)
-    paths[:, :half] = computed.values.reshape(m // group, half, width)
-    np.subtract(0.0, paths[:, :half], out=paths[:, half:])
+    values = _mirror(computed.values.reshape(m // group, half, -1))
     return PathSet(values=values, grid=computed.grid,
                    scheme_tag=computed.scheme_tag, seed=computed.seed,
                    stats=computed.stats, checked=True)
@@ -542,15 +538,6 @@ def _covariance_rl(alpha: float, grid: Grid) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _covariance_cached(kernel: KernelSpec, grid: Grid) -> np.ndarray:
-    if kernel.kind == "rl":
-        cov = _covariance_rl(kernel.alpha, grid)
-    else:
-        cov = _covariance_quadrature(kernel, grid)
-    cov.setflags(write=False)
-    return cov
-
-
 def volterra_covariance(kernel: KernelSpec, grid: Grid) -> np.ndarray:
     """Cov(Z_s, Z_t) = int_0^{s^t} g(t-u) g(s-u) du on the grid.
 
@@ -559,7 +546,12 @@ def volterra_covariance(kernel: KernelSpec, grid: Grid) -> np.ndarray:
     Entry [i, j] covers times (t_i, t_j); row and column 0 are zero. The
     result is cached per (kernel, grid) and returned read-only.
     """
-    return _covariance_cached(kernel, grid)
+    if kernel.kind == "rl":
+        cov = _covariance_rl(kernel.alpha, grid)
+    else:
+        cov = _covariance_quadrature(kernel, grid)
+    cov.setflags(write=False)
+    return cov
 
 
 def cholesky_exact_rl(kernel: KernelSpec, grid: Grid, num_paths: int,

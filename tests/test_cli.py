@@ -481,7 +481,22 @@ def test_module_entry_point_and_env_threads(tmp_path):
     assert json.loads(proc.stdout)["threads"] == 3
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
+def test_a_thread_count_of_2_to_the_8_is_refused(capsys, set_threads):
+    # the pool starts up to that many OS threads, each chunk holding a
+    # 1/count share: refused before any chunk runs
+    with pytest.raises(ValueError, match=r"^thread count must be an integer "
+                                         r"in \[1, 2\*\*8\), got 256$"):
+        set_threads(2 ** 8)
+    set_threads(2 ** 8 - 1)  # the largest count; no pool is started here
+    assert _config.get_threads() == 255
+    code, out, err = _run(capsys, ["--threads", "256", "price", "--paths",
+                                   "2", "--steps", "2"])
+    assert (code, out) == (1, "")
+    assert err == ("config error: thread count must be an integer in "
+                   "[1, 2**8), got 256\n")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "256"])
 def test_a_bad_env_thread_count_is_config_error(value):
     # checked by --threads's rule when first read, not at import
     package_root = os.path.dirname(os.path.dirname(roughsim.__file__))
@@ -493,7 +508,7 @@ def test_a_bad_env_thread_count_is_config_error(value):
                                              "ROUGHSIM_THREADS": value})
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr == ("config error: ROUGHSIM_THREADS must be an "
-                           f"integer >= 1, got {value!r}\n")
+                           f"integer in [1, 2**8), got {value!r}\n")
 
 
 # ----------------------------------------------------------------------

@@ -371,6 +371,50 @@ def test_a_pooled_smile_keeps_the_callers_error_state(monkeypatch,
     assert result.metadata["chunking"] == {"chunks": 8, "chunk_rows": 8}
 
 
+_MAGNITUDES = st.builds(lambda sign, size: sign * size,
+                        st.sampled_from([-1.0, 1.0]), st.floats(1e-5, 1e5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(group=st.sampled_from([2, 4]), groups=st.integers(1, 40),
+       rest=st.sampled_from([(), (1,), (5,)]), data=st.data())
+def test_group_means_are_the_reshaped_means_bitwise(group, groups, rest,
+                                                    data):
+    # the strided sums of antithetic group means and of a tree node's
+    # children must be the reshaped mean to the last bit
+    size = group * groups * math.prod(rest)
+    values = np.array(data.draw(st.lists(_MAGNITUDES, min_size=size,
+                                         max_size=size)))
+    values = values.reshape(group * groups, *rest)
+    got = pricing._group_means(values, group)
+    want = values.reshape(-1, group, *rest).mean(axis=1)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_a_clamping_smiles_stats_are_summed_counts_at_every_layout(
+        monkeypatch, set_threads):
+    # every chunk statistic is a count, summed over the chunks, so the
+    # merged stats of a smile whose variance clamps do not depend on the
+    # chunk size or the thread count
+    model = _CHUNK_MODELS[-1][0]
+    cfg = _config(paths=64, n=8, scheme="rdonsker_left", antithetic=True,
+                  seed=3)
+    runs = []
+    for chunk_elements, threads in ((pricing._CHUNK_ELEMENTS, 1),
+                                    (16 * 8, 1), (16 * 8, 2)):
+        monkeypatch.setattr(pricing, "_CHUNK_ELEMENTS", chunk_elements)
+        set_threads(threads)
+        result = smile(model, cfg, [1.0])
+        runs.append((result.metadata["chunking"]["chunks"],
+                     result.metadata["threads"], result.metadata["stats"]))
+    assert [run[:2] for run in runs] == [(1, 1), (4, 1), (8, 2)]
+    stats = runs[0][2]
+    assert set(stats) == {"clamp_cells", "domain_clips", "scheme_rows"}
+    assert stats["clamp_cells"] > 0 and stats["scheme_rows"] == 64
+    assert [run[2] for run in runs] == [stats] * 3
+
+
 def test_an_integrated_variance_that_overflows_is_refused_by_row():
     # finite variances whose sum is inf: at rho = 0 the drift would be
     # 0 * inf; the row is named before X1 is formed

@@ -179,6 +179,32 @@ def test_antithetic_expand_zero_base():
     np.testing.assert_array_equal(out.xi, 0.0)
 
 
+def test_zero_rows_mirror_to_positive_zeros(monkeypatch):
+    # every negated antithetic half is 0 - x, so a +0.0 row stays +0.0 in
+    # both halves (np.negative would give -0.0): the four variates, the
+    # |rho| = 1 pairs of `draw_shocks` and the Volterra paths of `_mirrored`
+    import roughsim.shocks as shocks
+    from roughsim.volterra import PathSet, _mirrored
+
+    def positive_zeros(a):
+        return a.tobytes() == np.zeros(a.shape).tobytes()
+
+    four = antithetic_expand(np.zeros((2, 3)), np.zeros((2, 3)), rho=0.7)
+    monkeypatch.setattr(shocks, "path_normals", lambda seed, start, stop,
+                        shape, stream=STREAM_SHOCKS:
+                        np.zeros((stop - start, *shape)))
+    two = draw_shocks(_cfg(paths=4, steps=3, rho=1.0, antithetic=True))
+    grid = Grid(n=3, T=1.0)
+    for group in (2, 4):
+        paths = _mirrored(lambda rows: PathSet(
+            values=np.zeros((rows.shape[0], 4)), grid=grid, scheme_tag="zero"),
+            np.zeros((2 * group, 3)), group)
+        assert paths.values.shape == (2 * group, 4)
+        assert positive_zeros(paths.values)
+    for shock in (four, two):
+        assert positive_zeros(shock.zeta) and positive_zeros(shock.xi)
+
+
 def test_antithetic_expand_tuples():
     rng = np.random.default_rng(0)
     zeta_b = rng.standard_normal((3, 5))

@@ -40,11 +40,15 @@ import hashlib
 import json
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
 import numpy as np
+
+# `ab_pairs` sits next to this file, whether it runs as a script or is
+# loaded from its path
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from ab_pairs import extract  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -284,19 +288,6 @@ def run_side(tree: Path) -> dict:
         raise RuntimeError(f"hashing {tree} exited {proc.returncode}:\n"
                            f"{proc.stderr[-2000:]}")
     return json.loads(proc.stdout)
-
-
-def extract(rev: str, into: Path) -> Path:
-    """The committed tree of `rev`, unpacked under `into`."""
-    into.mkdir(parents=True)
-    archive = into.with_suffix(".tar")
-    with archive.open("wb") as fh:
-        subprocess.run(["git", "-C", str(ROOT), "archive", rev], stdout=fh,
-                       check=True)
-    with tarfile.open(archive) as tar:
-        tar.extractall(into, filter="data")
-    archive.unlink()
-    return into
 
 
 def differing(change: dict, parent: dict) -> list:
