@@ -4,7 +4,7 @@ import math
 import sys
 import tracemalloc
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -295,30 +295,46 @@ def _assert_same_run(first, second):
             assert a == b
 
 
+# a grid of two Euler step blocks and a short one
+_HESTON_STEPS = 2 * volterra._EULER_BLOCK_STEPS + 5
+
+
 @settings(max_examples=40, deadline=None)
 @given(chunk_elements=st.integers(1, 400), base_paths=st.integers(1, 30),
        scheme=st.sampled_from(SCHEMES), antithetic=st.booleans(),
        rho=st.sampled_from([-0.7, -1.0]), threads=st.sampled_from([1, 2, 3]),
        estimator=st.sampled_from(["conditional_bs", "none", "martingale",
-                                  "logstock", "sample_paths"]))
+                                  "logstock", "sample_paths"]),
+       heston=st.just(False))
 @example(chunk_elements=1, base_paths=30, scheme="rdonsker_matched",
-         antithetic=False, rho=-0.7, threads=2, estimator="sample_paths")
+         antithetic=False, rho=-0.7, threads=2, estimator="sample_paths",
+         heston=False)
 @example(chunk_elements=1, base_paths=30, scheme="hybrid",
-         antithetic=False, rho=-0.7, threads=2, estimator="sample_paths")
+         antithetic=False, rho=-0.7, threads=2, estimator="sample_paths",
+         heston=False)
 @example(chunk_elements=400, base_paths=4, scheme="hybrid",  # one chunk
-         antithetic=True, rho=-0.7, threads=2, estimator="conditional_bs")
+         antithetic=True, rho=-0.7, threads=2, estimator="conditional_bs",
+         heston=False)
+# rough Heston's Euler loop past two step blocks, pooled in 16-row chunks
+@example(chunk_elements=2 * 16 * _HESTON_STEPS, base_paths=16,
+         scheme="rdonsker_left", antithetic=True, rho=-0.7, threads=2,
+         estimator="conditional_bs", heston=True)
 def test_the_thread_count_never_changes_a_result(chunk_elements, base_paths,
                                                  scheme, antithetic, rho,
-                                                 threads, estimator):
+                                                 threads, estimator, heston):
     # "none" is the smile of the plain estimator, `plain_mc_estimate`'s
     group = (2 if rho == -1.0 else 4) if antithetic else 1
-    cfg = _config(paths=group * base_paths, n=8, scheme=scheme,
-                  antithetic=antithetic, seed=base_paths,
+    cfg = _config(paths=group * base_paths, n=_HESTON_STEPS if heston else 8,
+                  scheme=scheme, antithetic=antithetic, seed=base_paths,
                   variance_reduction="none" if estimator == "none"
                   else "conditional_bs")
-    model = _rbergomi(hurst=0.2, rho=rho)
+    model = (replace(_CHUNK_MODELS[-1][0], rho=rho) if heston
+             else _rbergomi(hurst=0.2, rho=rho))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pricing, "_CHUNK_ELEMENTS", chunk_elements)
+        if heston:
+            assert pricing.chunk_layout(cfg.num_paths, cfg.grid.n, group,
+                                        threads=threads)["chunk_rows"] == 16
         mp.setattr(process_config, "_threads", 1)
         serial = _chunk_run(estimator, model, cfg)
         mp.setattr(process_config, "_threads", threads)

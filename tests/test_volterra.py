@@ -159,13 +159,32 @@ _EULER_SPECS = [
 ]
 
 
+_BLOCK = volterra._EULER_BLOCK_STEPS
+
+
+def _at_step(step, n):
+    """The fraction of `n` steps that `int(fraction * n)` maps to `step`."""
+    return (step + 0.5) / n
+
+
 @settings(max_examples=80, deadline=None)
 @given(spec=st.sampled_from(_EULER_SPECS), m=st.integers(1, 9),
-       n=st.integers(1, 24), seed=st.integers(0, 2 ** 32 - 1),
+       n=st.integers(1, 3 * _BLOCK + 1), seed=st.integers(0, 2 ** 32 - 1),
        bad=st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
                               st.floats(0, 1, exclude_max=True),
                               st.sampled_from([np.inf, -np.inf, np.nan])),
                     max_size=3))
+# the step blocks' edges: one short block, one whole, one and a step, and
+# two and a short tail, each clipping and some with a bad shock there
+@example(spec=_EULER_SPECS[0], m=5, n=_BLOCK - 1, seed=1, bad=[])
+@example(spec=_EULER_SPECS[1], m=4, n=_BLOCK, seed=2,
+         bad=[(0.5, _at_step(_BLOCK - 1, _BLOCK), np.inf)])
+@example(spec=_EULER_SPECS[3], m=3, n=_BLOCK + 1, seed=3,
+         bad=[(0.0, _at_step(_BLOCK, _BLOCK + 1), np.nan)])
+@example(spec=_EULER_SPECS[0], m=6, n=2 * _BLOCK + 3, seed=4, bad=[])
+@example(spec=_EULER_SPECS[1], m=6, n=2 * _BLOCK + 3, seed=5,
+         bad=[(0.9, _at_step(2 * _BLOCK, 2 * _BLOCK + 3), -np.inf),
+              (0.4, _at_step(_BLOCK + 7, 2 * _BLOCK + 3), np.nan)])
 def test_euler_matches_the_per_step_reference(spec, m, n, seed, bad):
     grid = Grid(n=n, T=1.0)
     zeta = np.random.default_rng(seed).standard_normal((m, n))
@@ -181,6 +200,55 @@ def test_euler_matches_the_per_step_reference(spec, m, n, seed, bad):
     out = euler_diffusion(spec, zeta, grid)
     assert out.values.tobytes() == want.tobytes()
     assert out.stats["domain_clips"] == clips
+
+
+def test_euler_takes_a_shock_row_as_one_path():
+    grid = Grid(n=_BLOCK + 3, T=1.0)
+    row = _gauss(1, grid.n, seed=6).zeta[0]
+    out = euler_diffusion(_cir_spec(xi=0.6), row, grid)
+    want = euler_diffusion(_cir_spec(xi=0.6), row[None, :], grid)
+    assert out.values.shape == (1, grid.n + 1)
+    assert out.values.tobytes() == want.values.tobytes()
+    assert out.stats == want.stats
+
+
+@pytest.mark.parametrize("driver", ["brownian", _cir_spec()],
+                         ids=["brownian", "cir"])
+def test_a_volterra_path_of_one_shock_row_counts_one_scheme_row(driver):
+    grid = Grid(n=4, T=1.0)
+    out = rdonsker_volterra(riemann_liouville(hurst=0.2), driver,
+                            np.zeros(4), grid, "left_point")
+    assert out.values.shape == (1, 5)
+    assert out.stats["scheme_rows"] == 1
+
+
+_CLIP_VALUES = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1.5,
+                0.04, 2.0]
+
+
+@pytest.mark.parametrize("domain", [(None, None), (0.0, None), (-0.0, None),
+                                    (None, 1.5), (None, -0.0), (-0.2, 0.4),
+                                    (-0.0, 0.0), (0.0, 0.0), (-np.inf, np.inf)],
+                         ids=lambda domain: "{}..{}".format(*domain))
+def test_clip_is_bitwise_np_clip(domain):
+    spec = DiffusionSpec(drift=lambda y: y, diffusion=lambda y: y, y0=0.0,
+                         domain=domain)
+    lo, hi = domain
+    states = np.array(_CLIP_VALUES)
+    want = np.clip(states, lo, hi)
+    assert spec.clip(states).tobytes() == want.tobytes()
+    out = np.full_like(states, 7.0)
+    got = spec.clip(states, out=out)
+    if lo is None and hi is None:  # the state itself, `out` untouched
+        assert got is states and np.all(out == 7.0)
+    else:
+        assert got is out
+    assert got.tobytes() == want.tobytes()
+    for value in _CLIP_VALUES:  # the scalars a tree's levels pass
+        scalar = np.float64(value)
+        got, want = spec.clip(scalar), np.clip(scalar, lo, hi)
+        assert type(got) is type(want) is np.float64
+        assert got.tobytes() == want.tobytes()
 
 
 def test_empty_diffusion_domain_is_refused():

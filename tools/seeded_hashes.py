@@ -18,8 +18,11 @@ the same smiles of 64 antithetic paths priced in 16-row chunks;
 `simulate_logstock`; the tree levels, `replay_leaf`, American and
 European prices and `exercise_counts`, European-only prices on fresh
 trees and a clamping rough-Heston tree's clamp and clip counts;
-`model_from_config` for each model type; and the errors of a tree build
-and of a smile (whole and in 16-row chunks) whose variance overflows. An
+`model_from_config` for each model type; the errors of a tree build
+and of a smile (whole and in 16-row chunks) whose variance overflows;
+and, on a grid of two Euler step blocks and 5 steps (n=133, every other
+output is at n <= 8), a rough-Heston `rdonsker_left` smile and the
+levels and `domain_clips` of a CIR `euler_diffusion`, both clipping. An
 entry point that raises hashes its error message instead, so a refusal
 that changes shows too.
 
@@ -193,6 +196,25 @@ def _outputs(rs):
         rs.build_tree(rs.TreeConfig(model=clamping, depth=4, horizon=1.5))
         .stats[key] for key in ("clamp_cells", "domain_clips")])
     yield "tree/overflow/build_tree", lambda: _overflowing_tree(rs)
+
+    # two step blocks of the Euler loop (64 steps each) and 5 steps more,
+    # on drivers whose states are clipped
+    long_grid = rs.Grid(n=2 * 64 + 5, T=1.0)
+    clipping = rs.RoughHestonGJRS(eta=0.04, kappa=10.0, theta=0.04,
+                                  vol_of_vol=0.8, y0=0.04, hurst=0.3, rho=-0.7)
+    yield ("smile/rheston_gjrs/rdonsker_left/clipping/n133",
+           lambda: np.stack(_smile(rs, clipping, dict(
+               num_paths=16, grid=long_grid, scheme="rdonsker_left",
+               antithetic=True, seed=23))))
+    cir = rs.DiffusionSpec(drift=lambda y: 1.0 * (0.04 - y),
+                           diffusion=lambda y: 0.6 * np.sqrt(y), y0=0.04,
+                           domain=(0.0, None), name="cir")
+    euler = functools.lru_cache(maxsize=None)(lambda: rs.euler_diffusion(
+        cir, rs.draw_shocks(noise(paths=8, steps=long_grid.n, rho=0.0,
+                                  seed=17)).zeta, long_grid))
+    yield "euler_diffusion/cir/n133/levels", lambda: euler().values
+    yield "euler_diffusion/cir/n133/domain_clips", \
+        lambda: np.array([euler().stats["domain_clips"]])
     for label, chunk_elements in (("whole", None), ("rows16", 16 * 8)):
         yield (f"smile/overflow/{label}",
                lambda chunk_elements=chunk_elements: _overflowing_smile(
