@@ -135,16 +135,22 @@ class SmileResult:
 # Black-Scholes utilities
 # ----------------------------------------------------------------------
 
-def _black_scholes(kind: str, strike: float, log_forward, forward, s,
-                   out=None) -> np.ndarray:
-    """Undiscounted Black-Scholes call or put on 1-d forward arrays.
+def _intrinsic(kind: str, s, strike):
+    """What a call, (s - K)+, or a put, (K - s)+, pays at stock `s`."""
+    return np.maximum(s - strike if kind == "call" else strike - s, 0.0)
 
-    `s` is the total standard deviation. d1 = (log F - log K)/s + s/2; a
-    call is F N(d1) - K N(d1 - s), a put K N(s - d1) - F N(-d1), and s = 0
-    gives the intrinsic value. Written into `out` when given.
-    """
+
+def _black_scholes(kind: str, strike, log_forward, forward, s,
+                   out=None) -> np.ndarray:
+    """Undiscounted Black-Scholes call or put of a float or 1-d grid of
+    strikes, broadcast against the forwards and `s`, the total standard
+    deviation. d1 = (log F - log K)/s + s/2, log K by `math.log`; a call is
+    F N(d1) - K N(d1 - s), a put K N(s - d1) - F N(-d1) floored at zero,
+    and s = 0 gives `_intrinsic`. Written into `out` when given."""
+    log_strike = np.reshape([math.log(k) for k in np.ravel(strike)],
+                            np.shape(strike))
     with np.errstate(divide="ignore", invalid="ignore"):
-        d1 = (log_forward - math.log(strike)) / s
+        d1 = (log_forward - log_strike) / s
     d1 += 0.5 * s
     if kind == "call":
         value = np.multiply(forward, ndtr(d1), out=out)
@@ -152,41 +158,38 @@ def _black_scholes(kind: str, strike: float, log_forward, forward, s,
     else:
         value = np.multiply(strike, ndtr(s - d1), out=out)
         value -= forward * ndtr(-d1)
+        np.maximum(value, 0.0, out=value)
     flat = s == 0.0
     if flat.any():
-        gap = forward[flat] - strike if kind == "call" \
-            else strike - forward[flat]
-        value[flat] = np.maximum(gap, 0.0)
+        np.copyto(value, _intrinsic(kind, forward, strike), where=flat)
     return value
 
 
-def _checked_black_scholes(kind: str, forward, strike: float,
-                           total_variance):
+def _checked_black_scholes(kind: str, forward, strike, total_variance):
     """`_black_scholes` of checked inputs; a float for scalar inputs."""
-    check_real("strike", strike, 0.0)
+    k = np.asarray(check_real("strike", strike, 0.0), dtype=float)
     f = check_real("forward", np.asarray(forward, dtype=float), 0.0)
     tv = check_real("total variance", np.asarray(total_variance, dtype=float),
                     0.0, ends="[)")
-    scalar = f.ndim == 0 and tv.ndim == 0
+    scalar = f.ndim == 0 and tv.ndim == 0 and k.ndim == 0
     f, tv = np.atleast_1d(*np.broadcast_arrays(f, tv))
-    out = _black_scholes(kind, strike, np.log(f), f, np.sqrt(tv))
+    out = _black_scholes(kind, k, np.log(f), f, np.sqrt(tv))
     return float(out[0]) if scalar else out
 
 
-def bs_call(forward, strike: float, total_variance):
+def bs_call(forward, strike, total_variance):
     """Undiscounted Black-Scholes call on the forward.
 
-    Vectorized over `forward` / `total_variance`; zero total variance
-    returns the intrinsic value.
+    Vectorized over `forward`, `strike` and `total_variance`, broadcast
+    together; zero total variance returns the intrinsic value.
     """
     return _checked_black_scholes("call", forward, strike, total_variance)
 
 
-def bs_put(forward, strike: float, total_variance):
-    """Undiscounted put by its own formula; exact nonnegativity enforced."""
-    value = _checked_black_scholes("put", forward, strike, total_variance)
-    return np.maximum(value, 0.0) if isinstance(value, np.ndarray) \
-        else max(value, 0.0)
+def bs_put(forward, strike, total_variance):
+    """Undiscounted put by its own formula, as `bs_call` broadcasts; never
+    negative."""
+    return _checked_black_scholes("put", forward, strike, total_variance)
 
 
 class NonPositiveStock(NonFinitePath, ValueError):
@@ -351,8 +354,9 @@ def _chunked(model, config: MCConfig, per_chunk, *, group_means: bool = True,
 
     Per chunk (`_chunk`): draw shocks, build variance paths `v` by
     `variance`, apply `per_chunk`, and take antithetic group means if
-    `group_means`. `per_chunk` may consume `v`. With more than one chunk
-    and `get_threads()` above one, the chunks run on a pool of
+    `group_means` (the rows of a standard error: fewer than two groups
+    are refused first). `per_chunk` may consume `v`. With more than one
+    chunk and `get_threads()` above one, the chunks run on a pool of
     min(threads, chunks) threads, each in its own copy of the caller's
     context, and their results are read back in path order; otherwise
     they run inline, one after the other. Shock streams are keyed by
@@ -369,6 +373,9 @@ def _chunked(model, config: MCConfig, per_chunk, *, group_means: bool = True,
                         antithetic=config.antithetic)
     group = noise.group
     total_base = config.num_paths // group
+    if group_means and total_base < 2:
+        raise ValueError(f"num_paths must be at least {2 * group} for a "
+                         f"standard error, got {config.num_paths}")
     threads = _config.get_threads()
     layout = chunk_layout(config.num_paths, config.grid.n, group,
                           threads=threads)
@@ -481,14 +488,12 @@ def _path_payoffs(model, grid: Grid, strikes: np.ndarray, payoff: str,
     x = _logstock_from_variance(v.values, shocks.xi, grid)[:, -1]
     stock = model.spot * np.exp(x)
     _check_positive("simulated stocks", stock, "X(T)", x)
-    stock = stock[:, None]
-    return np.maximum(stock - strikes if payoff == "call" else strikes - stock,
-                      0.0)
+    return _intrinsic(payoff, stock[:, None], strikes)
 
 
 def _conditional_path_prices(model, grid: Grid, strikes: np.ndarray,
                              payoff: str, v: PathSet, shocks) -> np.ndarray:
-    """Per-path Romano-Touzi prices for every strike.
+    """Per-path Romano-Touzi prices, one Black-Scholes pass for all strikes.
 
     X1 collects the volatility-measurable part of the log-stock (order
     rho^2 drift plus the correlated shock sum, using the volatility
@@ -514,13 +519,8 @@ def _conditional_path_prices(model, grid: Grid, strikes: np.ndarray,
     residual = (1.0 - rho * rho) * integral
     fwd = model.spot * np.exp(x1)
     _check_positive("conditional forwards", fwd, "X1", x1)
-    out = np.empty((len(fwd), len(strikes)))
-    for k, strike in enumerate(strikes):
-        if payoff == "call":
-            out[:, k] = bs_call(fwd, strike, residual)
-        else:
-            out[:, k] = bs_put(fwd, strike, residual)
-    return out
+    price = bs_call if payoff == "call" else bs_put
+    return price(fwd[:, None], strikes, residual[:, None])
 
 
 _PATH_ESTIMATES = {"conditional_bs": _conditional_path_prices,

@@ -32,9 +32,9 @@ def check_int(name: str, value, low: int = 1, bound=math.inf) -> int:
         return value
     if isinstance(value, np.integer) and low <= int(value) < bound:
         return int(value)
-    span = f">= {low}" if bound == math.inf \
-        else f"in [{low}, 2**{bound.bit_length() - 1})"
-    raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+    span = ("" if low == -math.inf else f" >= {low}") if bound == math.inf \
+        else f" in [{low}, 2**{bound.bit_length() - 1})"
+    raise ValueError(f"{name} must be an integer{span}, got {value!r}")
 
 
 def check_real(name: str, value, low: float = -math.inf,

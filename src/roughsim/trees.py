@@ -52,7 +52,7 @@ from roughsim.models import (  # noqa: F401 - Q stays importable from here
     squared_integral_profile,
     variance_map,
 )
-from roughsim.pricing import _black_scholes, _group_means
+from roughsim.pricing import _black_scholes, _group_means, _intrinsic
 from roughsim.shocks import check_int, check_real
 from roughsim.volterra import DiffusionSpec
 
@@ -170,9 +170,7 @@ class VanillaPayoff(NamedTuple):
     strike: float
 
     def __call__(self, s):
-        if self.kind == "call":
-            return np.maximum(s - self.strike, 0.0)
-        return np.maximum(self.strike - s, 0.0)
+        return _intrinsic(self.kind, s, self.strike)
 
 
 def _vanilla(kind: str, strike: float) -> VanillaPayoff:
@@ -338,7 +336,7 @@ def replay_leaf(tree: BushyTree, leaf: int) -> float:
     config = tree.config
     model, grid = config.model, config.grid
     b, n = config.branching, config.depth
-    if not 0 <= leaf < b ** n:
+    if not 0 <= check_int("leaf", leaf, -math.inf) < b ** n:
         raise ValueError(f"leaf {leaf} outside level {n}")
     (zetas, stock_shocks, weights, diffusion, dt, sqrt_dt, growth,
      half_dt) = _step_inputs(config)
@@ -384,7 +382,7 @@ def _last_step_values(tree: BushyTree, payoff: VanillaPayoff) -> np.ndarray:
     Forward S e^{(r-q)dt}, total variance v dt: the law of the node's
     Euler stock step when its shock is Gaussian. The log-forward comes from
     the stored log-stock, and `pricing._black_scholes` prices each block of
-    `_TREE_BLOCK_NODES` nodes into one array.
+    `_TREE_BLOCK_NODES` nodes into one array, a put floored at zero.
     """
     config = tree.config
     shift = _forward_shift(config)

@@ -271,6 +271,18 @@ def test_price_is_one_strike_of_the_smile(tmp_path, capsys):
         assert record["implied_vol_nan_reason"] is None
 
 
+@pytest.mark.parametrize("command", ["price", "smile"])
+def test_one_antithetic_group_is_a_config_error(command, tmp_path, capsys):
+    # one group of 4 paths has no standard error
+    extra = ["--strike", "1.0"] if command == "price" else [
+        "--strikes", "0.9,1.1", "--output-dir", str(tmp_path)]
+    code, out, err = _run(capsys, [command, *_PRICE_ARGS[:-6], "--paths", "4",
+                                   "--steps", "8", *extra])
+    assert code == 1 and out == ""
+    assert err == ("config error: num_paths must be at least 8 for a "
+                   "standard error, got 4\n")
+
+
 def test_price_nan_implied_vol_names_its_reason(capsys):
     # no plain-MC path ends above 3, so the price is 0: below intrinsic
     code, out, _ = _run(capsys, ["price", *_PRICE_ARGS, "--strike", "3.0",

@@ -104,6 +104,53 @@ def test_deep_out_of_the_money_put_is_priced_by_its_own_formula(monkeypatch):
     assert bs_put(0.4, k, 0.0) == k - 0.4
 
 
+_BS_ROWS = st.lists(st.tuples(st.floats(0.05, 20.0),
+                              st.just(0.0) | st.floats(0.0, 2.0)),
+                    min_size=1, max_size=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=_BS_ROWS, strikes=st.lists(st.floats(0.01, 50.0), min_size=1,
+                                       max_size=9),
+       kind=st.sampled_from(["call", "put"]))
+@example(rows=[(1.0, 0.0), (0.8, 0.0), (1.2, 0.04)], strikes=[0.8, 1.0, 1.2],
+         kind="put")  # zero-variance rows, at and about the money
+@example(rows=[(1.0, 0.04), (2.0, 1e-4), (20.0, 0.25)], strikes=[0.5, 0.05],
+         kind="put")  # deep out of the money
+@example(rows=[(1.0, 0.04), (1.1, 0.0)], strikes=[1.0], kind="call")
+def test_a_strike_grid_is_priced_as_each_strike_bitwise(rows, strikes, kind):
+    price = bs_call if kind == "call" else bs_put
+    forwards, variances = (np.array(column)[:, None] for column in zip(*rows))
+    grid = price(forwards, np.array(strikes), variances)
+    per_strike = np.stack([price(forwards[:, 0], strike, variances[:, 0])
+                           for strike in strikes], axis=1)
+    assert grid.shape == per_strike.shape
+    assert grid.tobytes() == per_strike.tobytes()
+    assert np.all(grid >= 0.0)
+
+
+def test_a_strike_grid_of_scalar_inputs_is_an_array():
+    # one price per strike of a 1-d grid, and the grid's entries checked
+    prices = bs_call(1.0, np.array([0.9, 1.0]), 0.04)
+    assert prices.tolist() == [bs_call(1.0, 0.9, 0.04), bs_call(1.0, 1.0, 0.04)]
+    assert bs_put(1.0, [1.0], 0.0).tolist() == [0.0]
+    with pytest.raises(ValueError, match="^strike must be positive"):
+        bs_call(1.0, np.array([0.9, -1.0]), 0.04)
+
+
+def test_the_closed_form_put_is_floored_at_zero():
+    # a forward above e^{log forward} makes the formula negative: the floor
+    # is the Black-Scholes function's, which the trees' last step calls
+    raw = pricing._black_scholes("put", 1.0, np.zeros(2), np.array([3.0, 1.0]),
+                                 np.array([0.2, 0.2]))
+    assert raw[0] == 0.0 and raw[1] == bs_put(1.0, 1.0, 0.04)
+    from roughsim import trees
+    tree = trees.build_tree(trees.TreeConfig(model=_rbergomi(), depth=3))
+    for strike in (0.05, 0.9, 1.0, 1.5):
+        assert np.all(trees._last_step_values(
+            tree, trees.put_payoff(strike)) >= 0.0)
+
+
 def test_implied_vol_round_trip():
     price = bs_call(1.0, 1.0, 0.04)
     assert abs(implied_vol(price, 1.0, 1.0, 1.0) - 0.2) < 1e-8
@@ -249,6 +296,16 @@ _CHUNK_STRIKES = np.array([0.5, 0.9, 1.0, 1.2, 2.5])
 
 
 def _chunk_run(estimator, model, cfg):
+    """The outputs of `estimator`, or of its refusal of too few paths."""
+    try:
+        return _chunk_outputs(estimator, model, cfg)
+    except ValueError as exc:
+        if not str(exc).startswith("num_paths must be at least"):
+            raise
+        return (str(exc),)
+
+
+def _chunk_outputs(estimator, model, cfg):
     if estimator == "sample_paths":  # one standalone convolution, no chunks
         return (validation.sample_paths(cfg.scheme, model.kernel(), cfg.grid,
                                         cfg.num_paths, cfg.seed).values,)
@@ -512,6 +569,46 @@ def test_a_failing_path_is_named_alike_in_every_chunking(
             euler_diffusion(model.driver(), zeta, cfg.grid)
 
 
+@pytest.mark.parametrize("paths,antithetic,rho,least", [
+    (1, False, -0.7, 2), (4, True, -0.7, 8), (2, True, -1.0, 4)])
+def test_fewer_than_two_groups_are_refused_before_a_path_is_drawn(
+        monkeypatch, paths, antithetic, rho, least):
+    # one group's paths give no standard error
+    model = _rbergomi(rho=rho)
+    cfg = _config(paths=paths, n=8, antithetic=antithetic)
+    monkeypatch.setattr(pricing, "draw_shocks", None)
+    message = f"^num_paths must be at least {least} for a standard error, " \
+        f"got {paths}$"
+    for run in (lambda: smile(model, cfg, [0.9, 1.0]),
+                lambda: conditional_bs_estimate(model, cfg, 1.0),
+                lambda: plain_mc_estimate(model, cfg, 1.0, "put"),
+                lambda: martingale_statistic(model, cfg)):
+        with pytest.raises(ValueError, match=message):
+            run()
+    monkeypatch.undo()
+    assert simulate_logstock(model, cfg).values.shape == (paths, 9)
+    assert martingale_statistic(model, replace(cfg, num_paths=2 * paths))[1] > 0
+
+
+def test_the_conditional_estimator_prices_a_chunk_in_one_call(monkeypatch,
+                                                             set_threads):
+    set_threads(1)
+    calls = []
+    for name in ("bs_call", "bs_put"):
+        def counted(forward, strike, total_variance,
+                    price=getattr(pricing, name)):
+            calls.append((np.shape(forward), np.shape(strike)))
+            return price(forward, strike, total_variance)
+        monkeypatch.setattr(pricing, name, counted)
+    monkeypatch.setattr(pricing, "_CHUNK_ELEMENTS", 16 * 8)
+    for payoff in ("call", "put"):
+        smile(_rbergomi(), _config(paths=64, n=8, seed=3),
+              np.linspace(0.8, 1.2, 9), payoff=payoff)
+    # four chunks of 16 rows per smile, 9 strikes each; the implied-vol
+    # inversion's calls price scalars
+    assert [c for c in calls if c[1] == (9,)] == [((16, 1), (9,))] * 8
+
+
 @pytest.mark.parametrize("xi0,nu,message,threads", _on_threads([
     # a variance overflow on path 31 outranks the zero conditional forward
     # that an earlier path's huge but finite variance gives
@@ -659,6 +756,8 @@ def test_a_long_grid_smile_runs_in_chunks_of_the_cap(monkeypatch, set_threads,
 @given(chunk_elements=st.integers(1, 200), base_paths=st.integers(1, 20),
        n=st.integers(1, 12), antithetic=st.booleans(),
        rho=st.sampled_from([-0.7, -1.0]), threads=st.sampled_from([1, 2]))
+@example(chunk_elements=200, base_paths=1, n=8, antithetic=True, rho=-0.7,
+         threads=1)
 def test_chunks_tile_the_paths_under_the_cap(chunk_elements, base_paths, n,
                                              antithetic, rho, threads):
     with pytest.MonkeyPatch.context() as mp:
@@ -668,6 +767,11 @@ def test_chunks_tile_the_paths_under_the_cap(chunk_elements, base_paths, n,
         group = (2 if rho == -1.0 else 4) if antithetic else 1
         cfg = _config(paths=group * base_paths, n=n, antithetic=antithetic,
                       seed=base_paths)
+        if base_paths == 1:  # one group has no standard error: no chunk
+            with pytest.raises(ValueError, match="^num_paths must be"):
+                smile(_rbergomi(rho=rho), cfg, [1.0])
+            assert chunks == []
+            return
         result = smile(_rbergomi(rho=rho), cfg, [1.0])
     ranges = [r for r, _ in chunks]
     if threads > 1:  # draws on a pool start in any order

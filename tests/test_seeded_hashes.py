@@ -93,7 +93,7 @@ def test_outputs_name_the_closed_form_quantities():
     import roughsim as rs
 
     outputs = dict(seeded_hashes._outputs(rs))
-    added = ("bs/call", "bs/put", "implied_vol",
+    added = ("bs/call", "bs/put", "bs/call/grid", "bs/put/grid", "implied_vol",
              "squared_integral_profile/rl", "squared_integral_profile/gamma",
              "squared_integral_profile/powerlaw", "convolve_gfo/naive")
     for name in added:
@@ -101,6 +101,7 @@ def test_outputs_name_the_closed_form_quantities():
         assert isinstance(value, np.ndarray) and value.size > 0
     # the grid holds zero variance, where each price is intrinsic
     assert np.all(outputs["bs/put"]() >= 0.0)
+    assert outputs["bs/put/grid"]().shape == (3, 4)
     assert np.count_nonzero(np.isfinite(outputs["implied_vol"]())) >= 10
 
 

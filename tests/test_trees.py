@@ -139,6 +139,18 @@ def test_replay_leaf_bounds():
         replay_leaf(tree, 16)
 
 
+@pytest.mark.parametrize("leaf,message", [
+    (16, "leaf 16 outside level 2"), (-1, "leaf -1 outside level 2"),
+    # a bool or a float is no leaf index, whatever its value
+    (True, "leaf must be an integer, got True"),
+    (2.0, "leaf must be an integer, got 2.0")])
+def test_replay_leaf_refuses_a_leaf_by_name(leaf, message):
+    tree = build_tree(TreeConfig(model=_rbergomi(), depth=2))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        replay_leaf(tree, leaf)
+    assert replay_leaf(tree, np.int64(15)) == tree.log_stock[2][15]
+
+
 # ----------------------------------------------------------------------
 # European pricing
 # ----------------------------------------------------------------------

@@ -9,12 +9,16 @@ the shock matrices of `draw_shocks` in its three layouts, whole and in
 chunks; `validation.sample_paths` for every sampler, and the naive
 `convolve_gfo` oracle on the matched sampler's shocks and weights;
 `bs_call` and `bs_put` on a grid of forwards, strikes and total
-variances (zero variance and a deep out-of-the-money put among them) and
-`implied_vol` of some of those calls; `squared_integral_profile` for a
+variances (zero variance and a deep out-of-the-money put among them),
+called once per strike and once on a (3, 1) column of forwards and
+variances against a row of 4 strikes, and `implied_vol` of some of those
+calls; `squared_integral_profile` for a
 Riemann-Liouville, a gamma and a power-law kernel; `smile` prices,
 standard errors and implied vols for every scheme, model type, estimator
 and antithetic setting;
-the same smiles of 64 antithetic paths priced in 16-row chunks;
+the same smiles of 64 antithetic paths priced in 16-row chunks; a
+9-strike put smile at rho = -1, where every conditional residual is zero
+and every path is priced at its intrinsic value;
 `simulate_logstock`; the tree levels, `replay_leaf`, American and
 European prices and `exercise_counts`, European-only prices on fresh
 trees and a clamping rough-Heston tree's clamp and clip counts;
@@ -87,6 +91,9 @@ def _outputs(rs):
         price = getattr(rs, f"bs_{kind}")
         yield f"bs/{kind}", lambda price=price: np.stack([
             price(forwards, strike, variances) for strike in (0.5, 1.0, 2.0)])
+        yield f"bs/{kind}/grid", lambda price=price: price(
+            np.array([[0.5], [1.0], [2.0]]), np.array([0.5, 0.9, 1.0, 3.0]),
+            np.array([[0.0], [0.04], [1.0]]))
     yield "implied_vol", lambda: np.array([
         _implied_vol(rs, rs.bs_call(1.0, strike, tv), strike)
         for strike in (0.5, 0.9, 1.0, 1.1, 2.0) for tv in (1e-4, 0.04, 0.25)])
@@ -158,6 +165,9 @@ def _outputs(rs):
                lambda build=build: rs.simulate_logstock(
                    build(), rs.MCConfig(num_paths=8, grid=grid, seed=5,
                                         scheme="rdonsker_left")).values)
+
+    yield "smile/rbergomi/rho1/put9", lambda: np.stack(
+        _put_smile_at_full_correlation(rs, models["rbergomi"](), grid))
 
     def fresh_tree(kind, branching):
         model = models[kind]()
@@ -268,6 +278,15 @@ def _smile(rs, model, config):
         result = rs.smile(model, mc, [0.8, 1.0, 1.25], payoff=payoff)
         out += [result.prices, result.stderrs, result.implied_vols]
     return out
+
+
+def _put_smile_at_full_correlation(rs, model, grid):
+    """Prices, standard errors and implied vols of a 9-strike put smile of
+    `model` at rho = -1, by the conditional estimator."""
+    result = rs.smile(dataclasses.replace(model, rho=-1.0),
+                      rs.MCConfig(num_paths=16, grid=grid, seed=23),
+                      np.linspace(0.6, 1.4, 9), payoff="put")
+    return result.prices, result.stderrs, result.implied_vols
 
 
 def _prices(rs, tree, payoff):
